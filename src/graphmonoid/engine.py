@@ -15,7 +15,6 @@ assembled from those chains and replay step by step against the presentation.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,6 +26,8 @@ from . import kernels
 from .presentation import Generator, MonoidElement, Presentation
 
 DEFAULT_BUDGET = 100_000
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_WALK_BLOCK = 1024  # chain steps applied together when replaying a certificate
 
 
 class EngineError(ValueError):
@@ -43,9 +44,7 @@ class BudgetExceededError(EngineError):
 
 
 def resolve_budget(budget: int | None) -> int:
-    if budget is not None:
-        return int(budget)
-    return int(os.environ.get("GRAPHMONOID_BUDGET", DEFAULT_BUDGET))
+    return DEFAULT_BUDGET if budget is None else int(budget)
 
 
 Step = tuple[int, int]  # (relation index, +1 forward / -1 backward)
@@ -76,9 +75,12 @@ def _vec(x: MonoidElement, index: dict[Generator, int]) -> np.ndarray:
     out = np.zeros(len(index), dtype=np.int64)
     for gen, mult in x.terms:
         try:
-            out[index[gen]] = mult
+            k = index[gen]
         except KeyError:
             raise EngineError(f"element uses generator {gen} outside the alphabet") from None
+        if mult > _INT64_MAX:
+            raise EngineError(f"multiplicity {mult} of {gen} exceeds the int64 range")
+        out[k] = mult
     return out
 
 
@@ -104,16 +106,6 @@ def _invert(chain: tuple[Step, ...]) -> tuple[Step, ...]:
     return tuple((rel, -d) for rel, d in reversed(chain))
 
 
-class _Rule:
-    __slots__ = ("lhs", "rhs", "proof", "alive")
-
-    def __init__(self, lhs, rhs, proof):
-        self.lhs = lhs
-        self.rhs = rhs
-        self.proof = proof
-        self.alive = True
-
-
 def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
     """Complete the presentation into a confluent rewrite system.
 
@@ -123,7 +115,12 @@ def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
     budget = resolve_budget(budget)
     index = p.index()
     g = len(p.alphabet)
-    rules: list[_Rule] = []
+    # rule k is row k of lhs/rhs (the first n rows are in use) with proofs[k]
+    lhs = np.empty((8, g), dtype=np.int64)
+    rhs = np.empty((8, g), dtype=np.int64)
+    alive = np.zeros(8, dtype=bool)
+    proofs: list[tuple[Step, ...]] = []
+    n = 0
     equations: deque[tuple[np.ndarray, np.ndarray, tuple[Step, ...]]] = deque()
     pairs: deque[tuple[int, int]] = deque()
     spairs = 0
@@ -132,24 +129,24 @@ def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
         equations.append((_vec(u, index), _vec(v, index), ((i, +1),)))
 
     def reduce_trace(x: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        y = x.copy()
         applied: list[int] = []
-        moved = True
-        while moved:
-            moved = False
-            for k, rule in enumerate(rules):
-                if rule.alive and (rule.lhs <= y).all():
-                    y = y - rule.lhs + rule.rhs
-                    applied.append(k)
-                    moved = True
-                    break
-        return y, applied
+        return kernels.reduce(x, lhs[:n], rhs[:n], applied), applied
 
     def proof_of(applied: list[int]) -> tuple[Step, ...]:
         out: list[Step] = []
         for k in applied:
-            out.extend(rules[k].proof)
+            out.extend(proofs[k])
         return tuple(out)
+
+    def add_rule(l: np.ndarray, r: np.ndarray, proof: tuple[Step, ...]) -> None:
+        nonlocal lhs, rhs, alive, n
+        if n == lhs.shape[0]:
+            lhs = np.concatenate([lhs, np.empty_like(lhs)])
+            rhs = np.concatenate([rhs, np.empty_like(rhs)])
+            alive = np.concatenate([alive, np.zeros_like(alive)])
+        lhs[n], rhs[n], alive[n] = l, r, True
+        proofs.append(proof)
+        n += 1
 
     def process_equation(u, v, chain):
         nfu, su = reduce_trace(u)
@@ -159,33 +156,33 @@ def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
             return
         full = _invert(proof_of(su)) + chain + proof_of(sv)  # nfu -> nfv
         if cmp > 0:
-            new = _Rule(nfu, nfv, full)
+            add_rule(nfu, nfv, full)
         else:
-            new = _Rule(nfv, nfu, _invert(full))
-        k_new = len(rules)
-        rules.append(new)
-        for k, rule in enumerate(rules[:k_new]):
-            if not rule.alive:
-                continue
-            if (new.lhs <= rule.lhs).all():
-                rule.alive = False
-                equations.append((rule.lhs, rule.rhs, rule.proof))
-            elif (new.lhs <= rule.rhs).all():
-                nfr, sr = reduce_trace(rule.rhs)
-                rule.proof = rule.proof + proof_of(sr)
-                rule.rhs = nfr
-        for k, rule in enumerate(rules[:k_new]):
-            if rule.alive:
-                pairs.append((k, k_new))
+            add_rule(nfv, nfu, _invert(full))
+        k_new = n - 1
+        new = lhs[k_new]
+        old = alive[:k_new]
+        retire = old & (new <= lhs[:k_new]).all(axis=1)
+        collapse = old & ~retire & (new <= rhs[:k_new]).all(axis=1)
+        # in index order: a collapse reduces with the rules not yet retired
+        for k in np.nonzero(retire | collapse)[0]:
+            if retire[k]:
+                equations.append((lhs[k].copy(), rhs[k].copy(), proofs[k]))
+                lhs[k] = _INT64_MAX  # no vector reaches a retired rule
+                alive[k] = False
+            else:
+                rhs[k], sr = reduce_trace(rhs[k])
+                proofs[k] += proof_of(sr)
+        pairs.extend((int(k), k_new) for k in np.nonzero(alive[:k_new])[0])
 
     while equations or pairs:
         if equations:
             process_equation(*equations.popleft())
             continue
         i, j = pairs.popleft()
-        if not (rules[i].alive and rules[j].alive):
+        if not (alive[i] and alive[j]):
             continue
-        li, lj = rules[i].lhs, rules[j].lhs
+        li, lj = lhs[i], lhs[j]
         if not np.minimum(li, lj).any():
             # disjoint supports: both reducts step to rhs_i + rhs_j, peak joins
             continue
@@ -193,25 +190,19 @@ def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
         if spairs > budget:
             raise BudgetExceededError(spairs, budget)
         peak = np.maximum(li, lj)
-        u = peak - li + rules[i].rhs
-        v = peak - lj + rules[j].rhs
-        process_equation(u, v, _invert(rules[i].proof) + rules[j].proof)
+        u = peak - li + rhs[i]
+        v = peak - lj + rhs[j]
+        process_equation(u, v, _invert(proofs[i]) + proofs[j])
 
     final = sorted(
-        (r for r in rules if r.alive),
-        key=lambda r: (int(r.lhs.sum()), tuple(r.lhs), tuple(r.rhs)),
+        np.nonzero(alive[:n])[0],
+        key=lambda k: (int(lhs[k].sum()), tuple(lhs[k]), tuple(rhs[k])),
     )
-    if final:
-        lhs = np.stack([r.lhs for r in final])
-        rhs = np.stack([r.rhs for r in final])
-    else:
-        lhs = np.empty((0, g), dtype=np.int64)
-        rhs = np.empty((0, g), dtype=np.int64)
     return RewriteSystem(
         presentation=p,
-        lhs=lhs,
-        rhs=rhs,
-        proofs=tuple(r.proof for r in final),
+        lhs=lhs[final],
+        rhs=rhs[final],
+        proofs=tuple(proofs[k] for k in final),
         completed=True,
         spairs_processed=spairs,
     )
@@ -231,22 +222,7 @@ def normal_form(rs: RewriteSystem, x: MonoidElement) -> MonoidElement:
     if not rs.completed:
         raise EngineError("rewrite system is not completed")
     v = _vec(x, rs.presentation.index())
-    return _unvec(kernels.nf_vector(v, rs.lhs, rs.rhs), rs.presentation.alphabet)
-
-
-def _reduce_trace_final(rs: RewriteSystem, x: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    y = x.copy()
-    applied: list[int] = []
-    moved = True
-    while moved:
-        moved = False
-        for k in range(rs.rule_count):
-            if (rs.lhs[k] <= y).all():
-                y = y - rs.lhs[k] + rs.rhs[k]
-                applied.append(k)
-                moved = True
-                break
-    return y, applied
+    return _unvec(kernels.reduce(v, rs.lhs, rs.rhs), rs.presentation.alphabet)
 
 
 @dataclass(frozen=True)
@@ -276,8 +252,10 @@ def equal(p: Presentation, u: MonoidElement, v: MonoidElement, budget: int | Non
     rs = completed_system(p, budget)
     index = p.index()
     uv, vv = _vec(u, index), _vec(v, index)
-    nfu, su = _reduce_trace_final(rs, uv)
-    nfv, sv = _reduce_trace_final(rs, vv)
+    su: list[int] = []
+    sv: list[int] = []
+    nfu = kernels.reduce(uv, rs.lhs, rs.rhs, su)
+    nfv = kernels.reduce(vv, rs.lhs, rs.rhs, sv)
     alphabet = p.alphabet
     if _compare(nfu, nfv) == 0:
         chain: list[Step] = []
@@ -289,20 +267,44 @@ def equal(p: Presentation, u: MonoidElement, v: MonoidElement, budget: int | Non
     return EqualityResult(False, _unvec(nfu, alphabet), _unvec(nfv, alphabet), None)
 
 
+def _walk_chain(
+    p: Presentation, start: MonoidElement, chain: tuple[Step, ...], contexts: list[np.ndarray] | None = None
+) -> np.ndarray:
+    """Apply a chain from start and return the end vector.
+
+    Raises EngineError when a step names an unknown relation or its relation
+    does not apply to the element reached so far.  When contexts is a list,
+    each step's context (the part of the element the relation instance leaves
+    untouched) is appended to it.  Steps are applied in blocks: a prefix sum
+    of the step differences gives the element before each step of a block.
+    """
+    index = p.index()
+    g = len(p.alphabet)
+    a = kernels.as_matrix([_vec(l, index) for l, _ in p.relations], g)
+    b = kernels.as_matrix([_vec(r, index) for _, r in p.relations], g)
+    cur = _vec(start, index)
+    steps = np.array(chain, dtype=np.int64).reshape(-1, 2)
+    for lo in range(0, steps.shape[0], _WALK_BLOCK):
+        rel, forward = steps[lo : lo + _WALK_BLOCK, 0], steps[lo : lo + _WALK_BLOCK, 1:] > 0
+        unknown = (rel < 0) | (rel >= a.shape[0])
+        if unknown.any():
+            raise EngineError(f"chain names unknown relation {rel[unknown.argmax()]}")
+        src = np.where(forward, a[rel], b[rel])
+        delta = np.where(forward, b[rel], a[rel]) - src
+        before = cur + np.cumsum(delta, axis=0) - delta
+        ctx = before - src
+        stuck = (ctx < 0).any(axis=1)
+        if stuck.any():
+            raise EngineError(f"relation {rel[stuck.argmax()]} does not apply at this chain position")
+        if contexts is not None:
+            contexts.extend(ctx)
+        cur = before[-1] + delta[-1]
+    return cur
+
+
 def replay_chain(p: Presentation, start: MonoidElement, chain: tuple[Step, ...]) -> MonoidElement:
     """Replay a certificate chain from start, one relation instance at a time."""
-    index = p.index()
-    cur = _vec(start, index)
-    rel_vecs = [(_vec(a, index), _vec(b, index)) for a, b in p.relations]
-    for rel, direction in chain:
-        if not 0 <= rel < len(rel_vecs):
-            raise EngineError(f"chain names unknown relation {rel}")
-        a, b = rel_vecs[rel]
-        src, dst = (a, b) if direction > 0 else (b, a)
-        if not (src <= cur).all():
-            raise EngineError(f"relation {rel} does not apply at this chain position")
-        cur = cur - src + dst
-    return _unvec(cur, p.alphabet)
+    return _unvec(_walk_chain(p, start, chain), p.alphabet)
 
 
 def certificate_to_json(p: Presentation, start: MonoidElement, result: EqualityResult) -> dict:
@@ -315,22 +317,17 @@ def certificate_to_json(p: Presentation, start: MonoidElement, result: EqualityR
             "lhs_normal_form": element_to_json(result.lhs_normal_form),
             "rhs_normal_form": element_to_json(result.rhs_normal_form),
         }
-    index = p.index()
-    cur = _vec(start, index)
-    rel_vecs = [(_vec(a, index), _vec(b, index)) for a, b in p.relations]
-    steps = []
-    for rel, direction in result.chain or ():
-        a, b = rel_vecs[rel]
-        src, dst = (a, b) if direction > 0 else (b, a)
-        ctx = cur - src
-        steps.append(
-            {
-                "relation": rel,
-                "direction": "forward" if direction > 0 else "backward",
-                "context": element_to_json(_unvec(ctx, p.alphabet)),
-            }
-        )
-        cur = ctx + dst
+    chain = result.chain or ()
+    contexts: list[np.ndarray] = []
+    _walk_chain(p, start, chain, contexts)
+    steps = [
+        {
+            "relation": rel,
+            "direction": "forward" if direction > 0 else "backward",
+            "context": element_to_json(_unvec(ctx, p.alphabet)),
+        }
+        for (rel, direction), ctx in zip(chain, contexts)
+    ]
     return {
         "kind": "chain",
         "normal_form": element_to_json(result.lhs_normal_form),
@@ -362,25 +359,25 @@ def bfs_reach(
     lhs = kernels.as_matrix([_vec(a, index) for a, _ in p.relations], g)
     rhs = kernels.as_matrix([_vec(b, index) for _, b in p.relations], g)
     start = _vec(x, index)
-    seen: set[tuple[int, ...]] = {tuple(int(c) for c in start)}
+    seen = {start.tobytes()}
+    reached = [start]
     frontier = start.reshape(1, g)
     saturated = lhs.shape[0] == 0
     for _ in range(depth):
-        cand = kernels.expand_frontier(frontier, lhs, rhs)
-        if cand.shape[0] == 0:
-            saturated = True
-            break
-        cand = np.unique(cand, axis=0)
-        fresh = [row for row in cand if tuple(int(c) for c in row) not in seen]
+        fresh = []
+        for row in kernels.expand_frontier(frontier, lhs, rhs):
+            key = row.tobytes()
+            if key not in seen:
+                seen.add(key)
+                fresh.append(row)
         if not fresh:
             saturated = True
             break
-        for row in fresh:
-            seen.add(tuple(int(c) for c in row))
+        reached.extend(fresh)
         if max_size is not None and len(seen) > max_size:
-            return seen, False
+            break  # capped before closing the class: not saturated
         frontier = np.stack(fresh)
-    return seen, saturated
+    return set(map(tuple, np.stack(reached).tolist())), saturated
 
 
 def elements_up_to_degree(n_generators: int, degree: int) -> np.ndarray:

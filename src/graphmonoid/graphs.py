@@ -298,9 +298,11 @@ def graph_from_json(data: dict) -> Graph:
                 tuple(str(x) for x in entry.get("prefix", [])),
                 tuple(str(x) for x in entry["cycle"]),
             )
-            count = int(entry.get("materialized", 0))
         except (KeyError, TypeError) as exc:
             raise GraphError(f"malformed emitter entry for {v!r}: {exc}") from exc
+        count = entry.get("materialized", 0)
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise GraphError(f"emitter {v!r}: 'materialized' must be an integer, got {count!r}")
         mat = [eid for eid, src, _ in edges if src == v]
         if len(mat) != count:
             raise GraphError(

@@ -1,53 +1,49 @@
 """Exponent-vector kernels: normal-form reduction and congruence-step expansion.
 
-These inner loops dominate completion, equality checks and BFS oracles, so
-they are compiled with numba when available.  Set GRAPHMONOID_KERNEL=numpy to
-force the pure-numpy path (or =numba to require the jit path); by default the
-jit path is used when numba imports.  Both implementations are kept callable
-side by side so the benchmark in benchmarks/bench_kernels.py can compare them.
+These inner loops dominate completion, equality checks and BFS oracles.  They
+are plain numpy, vectorised over the rules of a system.
 
 All arrays are int64.  Rule matrices come in lhs/rhs pairs of shape (r, g);
-vectors and frontiers have g columns.
+vectors and frontiers have g columns.  A rule applies to a vector when its
+left side is componentwise at most the vector, and reduction always applies
+the lowest-index applicable rule.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FLAG = os.environ.get("GRAPHMONOID_KERNEL", "").strip().lower()
-if _FLAG not in ("", "numba", "numpy"):
-    raise RuntimeError(f"GRAPHMONOID_KERNEL must be 'numba' or 'numpy', got {_FLAG!r}")
-
-_HAVE_NUMBA = False
-if _FLAG != "numpy":
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _FLAG == "numba":
-            raise RuntimeError("GRAPHMONOID_KERNEL=numba but numba is not importable")
-
-BACKEND = "numba" if _HAVE_NUMBA else "numpy"
+BACKEND = "numpy"
 
 
-# -- pure numpy --------------------------------------------------------------
+def as_matrix(rows, width) -> np.ndarray:
+    a = np.asarray(rows, dtype=np.int64)
+    if a.size == 0:
+        return np.empty((0, width), dtype=np.int64)
+    return a.reshape(-1, width)
 
-def _nf_vector_np(x, lhs, rhs):
+
+def reduce(x: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, trace: list[int] | None = None) -> np.ndarray:
+    """Reduce one vector to normal form, lowest-index applicable rule first.
+
+    When trace is a list, the index of every applied rule is appended to it,
+    in order of application.
+    """
     y = x.copy()
     if lhs.shape[0] == 0:
         return y
     while True:
         ok = (lhs <= y).all(axis=1)
-        if not ok.any():
+        i = int(ok.argmax())
+        if not ok[i]:
             return y
-        i = int(np.argmax(ok))  # lowest-index applicable rule
         y += rhs[i] - lhs[i]
+        if trace is not None:
+            trace.append(i)
 
 
-def _nf_batch_np(xs, lhs, rhs):
+def nf_batch(xs: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Reduce every row of xs to normal form, as reduce() does one vector."""
     out = xs.copy()
     if lhs.shape[0] == 0 or out.shape[0] == 0:
         return out
@@ -65,7 +61,8 @@ def _nf_batch_np(xs, lhs, rhs):
     return out
 
 
-def _expand_np(front, lhs, rhs):
+def expand_frontier(front: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """One bidirectional congruence step from every frontier row (with duplicates)."""
     g = front.shape[1]
     parts = []
     for a, b in ((lhs, rhs), (rhs, lhs)):
@@ -78,122 +75,3 @@ def _expand_np(front, lhs, rhs):
     if not parts:
         return np.empty((0, g), dtype=np.int64)
     return np.concatenate(parts, axis=0)
-
-
-# -- numba -------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _nf_vector_nb(x, lhs, rhs):  # pragma: no cover - exercised via dispatch
-        y = x.copy()
-        n, g = lhs.shape
-        moved = True
-        while moved:
-            moved = False
-            for i in range(n):
-                ok = True
-                for j in range(g):
-                    if lhs[i, j] > y[j]:
-                        ok = False
-                        break
-                if ok:
-                    for j in range(g):
-                        y[j] += rhs[i, j] - lhs[i, j]
-                    moved = True
-                    break
-        return y
-
-    @njit(cache=True)
-    def _nf_batch_nb(xs, lhs, rhs):  # pragma: no cover
-        out = xs.copy()
-        m = out.shape[0]
-        n, g = lhs.shape
-        for row in range(m):
-            moved = True
-            while moved:
-                moved = False
-                for i in range(n):
-                    ok = True
-                    for j in range(g):
-                        if lhs[i, j] > out[row, j]:
-                            ok = False
-                            break
-                    if ok:
-                        for j in range(g):
-                            out[row, j] += rhs[i, j] - lhs[i, j]
-                        moved = True
-                        break
-        return out
-
-    @njit(cache=True)
-    def _expand_nb(front, lhs, rhs):  # pragma: no cover
-        m, g = front.shape
-        n = lhs.shape[0]
-        out = np.empty((2 * m * n, g), dtype=np.int64)
-        cnt = 0
-        for row in range(m):
-            for i in range(n):
-                ok = True
-                for j in range(g):
-                    if lhs[i, j] > front[row, j]:
-                        ok = False
-                        break
-                if ok:
-                    for j in range(g):
-                        out[cnt, j] = front[row, j] - lhs[i, j] + rhs[i, j]
-                    cnt += 1
-                ok = True
-                for j in range(g):
-                    if rhs[i, j] > front[row, j]:
-                        ok = False
-                        break
-                if ok:
-                    for j in range(g):
-                        out[cnt, j] = front[row, j] - rhs[i, j] + lhs[i, j]
-                    cnt += 1
-        return out[:cnt]
-
-
-IMPLEMENTATIONS = {
-    "numpy": {
-        "nf_vector": _nf_vector_np,
-        "nf_batch": _nf_batch_np,
-        "expand": _expand_np,
-    }
-}
-if _HAVE_NUMBA:
-    IMPLEMENTATIONS["numba"] = {
-        "nf_vector": _nf_vector_nb,
-        "nf_batch": _nf_batch_nb,
-        "expand": _expand_nb,
-    }
-
-_ACTIVE = IMPLEMENTATIONS[BACKEND]
-
-
-def as_matrix(rows, width) -> np.ndarray:
-    a = np.asarray(rows, dtype=np.int64)
-    if a.size == 0:
-        return np.empty((0, width), dtype=np.int64)
-    return a.reshape(-1, width)
-
-
-def nf_vector(x: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Reduce one vector to normal form, lowest-index applicable rule first."""
-    if lhs.shape[0] == 0:
-        return x.copy()
-    return _ACTIVE["nf_vector"](x, lhs, rhs)
-
-
-def nf_batch(xs: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    if lhs.shape[0] == 0 or xs.shape[0] == 0:
-        return xs.copy()
-    return _ACTIVE["nf_batch"](xs, lhs, rhs)
-
-
-def expand_frontier(front: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """One bidirectional congruence step from every frontier row (with duplicates)."""
-    if lhs.shape[0] == 0 or front.shape[0] == 0:
-        return np.empty((0, front.shape[1]), dtype=np.int64)
-    return _ACTIVE["expand"](front, lhs, rhs)

@@ -239,6 +239,8 @@ def generator_from_json(data: dict, g: Graph | None = None) -> Generator:
         v = data["v"]
     except (KeyError, TypeError) as exc:
         raise PresentationError(f"malformed generator {data!r}: {exc}") from exc
+    if not isinstance(v, str):
+        raise PresentationError(f"generator vertex must be a string, got {v!r}")
     if kind == "v":
         return Generator(v)
     if kind == "vS":
@@ -259,12 +261,16 @@ def element_from_json(data: dict, g: Graph | None = None) -> MonoidElement:
         terms = data["terms"]
     except (KeyError, TypeError) as exc:
         raise PresentationError(f"malformed element {data!r}: {exc}") from exc
+    if not isinstance(terms, list):
+        raise PresentationError(f"element terms must be an array, got {terms!r}")
     for term in terms:
         try:
             gen = generator_from_json(term["gen"], g)
-            mult = int(term["mult"])
+            mult = term["mult"]
         except (KeyError, TypeError) as exc:
             raise PresentationError(f"malformed term {term!r}: {exc}") from exc
+        if isinstance(mult, bool) or not isinstance(mult, int):
+            raise PresentationError(f"multiplicity must be an integer, got {mult!r}")
         counts[gen] = counts.get(gen, 0) + mult
     return MonoidElement.from_counts(counts)
 

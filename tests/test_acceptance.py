@@ -6,27 +6,11 @@ demands byte-identical canonical JSON.
 
 import json
 
-import pytest
-
 from acceptance_support import CRITERIA
 
 _cache: dict[int, tuple[dict, float]] = {}
 
 TIME_LIMITS = {1: 60.0, 2: 60.0, 3: 120.0, 4: 60.0, 5: 60.0, 6: 60.0}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # trigger jit compilation outside the timed sections
-    import numpy as np
-
-    from graphmonoid import kernels
-
-    lhs = np.array([[1, 0]], dtype=np.int64)
-    rhs = np.array([[0, 1]], dtype=np.int64)
-    kernels.nf_vector(np.array([2, 0], dtype=np.int64), lhs, rhs)
-    kernels.nf_batch(np.array([[2, 0]], dtype=np.int64), lhs, rhs)
-    kernels.expand_frontier(np.array([[2, 0]], dtype=np.int64), lhs, rhs)
 
 
 def _run(n: int) -> tuple[dict, float]:

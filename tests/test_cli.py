@@ -83,6 +83,33 @@ def test_equal_true_and_false_both_exit_zero(files, capsys):
     assert json.loads(out)["equal"] is False
 
 
+def _term(mult):
+    return {"terms": [{"gen": {"kind": "v", "v": "w"}, "mult": mult}]}
+
+
+_EMITTER = graph_to_json(emitter_to_sink(1))
+
+
+@pytest.mark.parametrize(
+    "graph, element",
+    [
+        (_EMITTER, _term("x")),
+        (_EMITTER, {"terms": 5}),
+        (_EMITTER, _term(2**63)),
+        (_EMITTER, _term(1.7)),
+        ({**_EMITTER, "infinite_emitters": {"v": {"cycle": ["w"], "materialized": "x"}}}, _term(1)),
+        (_EMITTER, {"terms": [{"gen": {"kind": "v", "v": ["w"]}, "mult": 1}]}),
+    ],
+    ids=["string-mult", "terms-not-array", "mult-past-int64", "float-mult", "string-materialized", "list-vertex"],
+)
+def test_hostile_json_is_invalid_input(files, capsys, graph, element):
+    gp = files("g.json", graph)
+    xp = files("x.json", element)
+    code, out = invoke(capsys, "normal-form", "--graph", gp, "--element", xp)
+    assert code == EXIT_INVALID
+    assert "error" in json.loads(out)
+
+
 def test_budget_exhaustion_exit_code(files, capsys):
     g = emitter_to_sink(3)
     gp = files("g.json", graph_to_json(g))

@@ -123,6 +123,17 @@ def test_certificate_replays():
     assert all(set(step) == {"relation", "direction", "context"} for step in doc["steps"])
 
 
+def test_replay_rejects_broken_chains():
+    p = presentation_of(diamond())
+    x = p.relations[0][0]
+    there_and_back = ((0, +1), (0, -1)) * 600  # spans more than one block of the walk
+    assert replay_chain(p, x, there_and_back) == x
+    with pytest.raises(EngineError, match="does not apply"):
+        replay_chain(p, x, there_and_back + ((0, -1),))
+    with pytest.raises(EngineError, match="unknown relation"):
+        replay_chain(p, x, there_and_back + ((len(p.relations), +1),))
+
+
 def test_certificate_separates():
     p = presentation_of(diamond())
     result = equal(p, single("v"), single("u"))
@@ -162,6 +173,21 @@ def test_completion_is_deterministic():
     assert np.array_equal(a.lhs, b.lhs)
     assert np.array_equal(a.rhs, b.rhs)
     assert a.proofs == b.proofs
+
+
+@pytest.mark.parametrize(
+    "k, spairs, rules, proof_steps, longest_proof",
+    [(4, 24, 22, 766, 83), (5, 50, 42, 28_702, 1_723)],
+)
+def test_completion_counters_are_pinned(k, spairs, rules, proof_steps, longest_proof):
+    from conftest import emitter_mixed
+
+    rs = complete(presentation_of(emitter_mixed(k)))
+    lengths = [len(proof) for proof in rs.proofs]
+    assert rs.spairs_processed == spairs
+    assert rs.rule_count == rules
+    assert sum(lengths) == proof_steps
+    assert max(lengths) == longest_proof
 
 
 def test_budget_exhaustion_is_explicit():
@@ -240,13 +266,3 @@ def test_confluence_under_random_application_order():
                 k = rng.choice(applicable)
                 y = y - rs.lhs[k] + rs.rhs[k]
             assert _unvec(y, p.alphabet) == expected
-
-
-def test_budget_env_variable(monkeypatch):
-    monkeypatch.setenv("GRAPHMONOID_BUDGET", "0")
-    from graphmonoid.engine import resolve_budget
-
-    assert resolve_budget(None) == 0
-    assert resolve_budget(500) == 500
-    with pytest.raises(BudgetExceededError):
-        complete(presentation_of(emitter_to_sink(3)))

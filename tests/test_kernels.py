@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from graphmonoid import kernels
 
@@ -19,31 +18,28 @@ def random_rules(rng, n_rules, width):
     return np.array(lhs, dtype=np.int64), np.array(rhs, dtype=np.int64)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_backends_agree(seed):
-    rng = np.random.default_rng(seed)
-    width = 6
-    lhs, rhs = random_rules(rng, 4, width)
-    xs = rng.integers(0, 5, size=(20, width)).astype(np.int64)
-    impls = list(kernels.IMPLEMENTATIONS.values())
-    if len(impls) < 2:
-        pytest.skip("only one backend available")
-    a, b = impls[0], impls[1]
-    for row in xs:
-        assert np.array_equal(a["nf_vector"](row.copy(), lhs, rhs), b["nf_vector"](row.copy(), lhs, rhs))
-    assert np.array_equal(a["nf_batch"](xs.copy(), lhs, rhs), b["nf_batch"](xs.copy(), lhs, rhs))
-    ca = np.unique(a["expand"](xs, lhs, rhs), axis=0)
-    cb = np.unique(b["expand"](xs, lhs, rhs), axis=0)
-    assert np.array_equal(ca, cb)
-
-
 def test_batch_matches_vector():
     rng = np.random.default_rng(11)
     lhs, rhs = random_rules(rng, 3, 5)
     xs = rng.integers(0, 4, size=(12, 5)).astype(np.int64)
     batch = kernels.nf_batch(xs, lhs, rhs)
     for i, row in enumerate(xs):
-        assert np.array_equal(batch[i], kernels.nf_vector(row.copy(), lhs, rhs))
+        assert np.array_equal(batch[i], kernels.reduce(row, lhs, rhs))
+
+
+def test_reduce_trace_replays_to_normal_form():
+    rng = np.random.default_rng(5)
+    lhs, rhs = random_rules(rng, 4, 5)
+    for row in rng.integers(0, 4, size=(10, 5)).astype(np.int64):
+        trace: list[int] = []
+        nf = kernels.reduce(row, lhs, rhs, trace)
+        assert np.array_equal(nf, kernels.reduce(row, lhs, rhs))
+        y = row.copy()
+        for k in trace:
+            assert (lhs[k] <= y).all()
+            assert not (lhs[:k] <= y).all(axis=1).any()  # lowest-index applicable rule
+            y += rhs[k] - lhs[k]
+        assert np.array_equal(y, nf)
 
 
 def test_normal_forms_are_irreducible():
@@ -66,9 +62,10 @@ def test_expand_both_directions():
 def test_empty_rules_are_identities():
     empty = np.empty((0, 3), dtype=np.int64)
     x = np.array([1, 2, 3], dtype=np.int64)
-    assert np.array_equal(kernels.nf_vector(x, empty, empty), x)
+    assert np.array_equal(kernels.reduce(x, empty, empty), x)
     assert kernels.expand_frontier(x.reshape(1, 3), empty, empty).shape == (0, 3)
 
 
 def test_backend_is_declared():
-    assert kernels.BACKEND in kernels.IMPLEMENTATIONS
+    # perfbench/run.py records kernels.BACKEND among the machine facts of each report
+    assert kernels.BACKEND == "numpy"
