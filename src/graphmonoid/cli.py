@@ -79,6 +79,13 @@ def _load_graph(path: str):
     return g
 
 
+def _require_non_negative(args, *names: str) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if value < 0:
+            raise InputError(f"--{name} must be >= 0, got {value}")
+
+
 def _emit(doc: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(doc, sort_keys=True))
@@ -189,6 +196,7 @@ def _cmd_colimit(args) -> dict:
 
 
 def _cmd_continuity_check(args) -> dict:
+    _require_non_negative(args, "degree")
     chain = chain_from_json(_load_json(args.system))
     into_top = None
     if args.top is not None:
@@ -216,6 +224,7 @@ def _random_element(rng: random.Random, alphabet, max_degree: int) -> MonoidElem
 
 
 def _cmd_oracle_check(args) -> dict:
+    _require_non_negative(args, "samples", "degree")
     g = _load_graph(args.graph)
     p = presentation_of(g)
     rng = random.Random(args.seed)

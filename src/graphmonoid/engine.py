@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import kernels
-from .presentation import Generator, MonoidElement, Presentation
+from .presentation import Generator, MonoidElement, Presentation, element_to_json, generator_to_json
 
 DEFAULT_BUDGET = 100_000
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -44,7 +44,11 @@ class BudgetExceededError(EngineError):
 
 
 def resolve_budget(budget: int | None) -> int:
-    return DEFAULT_BUDGET if budget is None else int(budget)
+    if budget is None:
+        return DEFAULT_BUDGET
+    if budget < 0:
+        raise EngineError(f"budget must be >= 0, got {budget}")
+    return int(budget)
 
 
 Step = tuple[int, int]  # (relation index, +1 forward / -1 backward)
@@ -84,6 +88,22 @@ def _vec(x: MonoidElement, index: dict[Generator, int]) -> np.ndarray:
     return out
 
 
+def _relation_matrices(p: Presentation) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right sides of p's relations as int64 rows, built once per presentation.
+
+    The pair is kept on p beside its cached hash and index and is shared by
+    every caller, so both matrices are read-only.
+    """
+    pair = p.__dict__.get("_relation_matrices")
+    if pair is None:
+        index, g = p.index(), len(p.alphabet)
+        pair = tuple(kernels.as_matrix([_vec(rel[side], index) for rel in p.relations], g) for side in (0, 1))
+        for m in pair:
+            m.flags.writeable = False
+        p.__dict__["_relation_matrices"] = pair
+    return pair
+
+
 def _unvec(v: np.ndarray, alphabet: tuple[Generator, ...]) -> MonoidElement:
     return MonoidElement.from_counts(
         {alphabet[i]: int(v[i]) for i in np.nonzero(v)[0]}
@@ -113,7 +133,6 @@ def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
     S-pair budget runs out.
     """
     budget = resolve_budget(budget)
-    index = p.index()
     g = len(p.alphabet)
     # rule k is row k of lhs/rhs (the first n rows are in use) with proofs[k]
     lhs = np.empty((8, g), dtype=np.int64)
@@ -125,8 +144,8 @@ def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
     pairs: deque[tuple[int, int]] = deque()
     spairs = 0
 
-    for i, (u, v) in enumerate(p.relations):
-        equations.append((_vec(u, index), _vec(v, index), ((i, +1),)))
+    rel_lhs, rel_rhs = _relation_matrices(p)
+    equations.extend((rel_lhs[i], rel_rhs[i], ((i, +1),)) for i in range(rel_lhs.shape[0]))
 
     def reduce_trace(x: np.ndarray) -> tuple[np.ndarray, list[int]]:
         applied: list[int] = []
@@ -273,16 +292,13 @@ def _walk_chain(
     """Apply a chain from start and return the end vector.
 
     Raises EngineError when a step names an unknown relation or its relation
-    does not apply to the element reached so far.  When contexts is a list,
-    each step's context (the part of the element the relation instance leaves
-    untouched) is appended to it.  Steps are applied in blocks: a prefix sum
-    of the step differences gives the element before each step of a block.
+    does not apply to the element reached so far.  Steps are applied in
+    blocks: a prefix sum of the step differences gives the element before each
+    step of a block.  When contexts is a list, each block's contexts (row i is
+    the part of the element that step i leaves untouched) are appended to it.
     """
-    index = p.index()
-    g = len(p.alphabet)
-    a = kernels.as_matrix([_vec(l, index) for l, _ in p.relations], g)
-    b = kernels.as_matrix([_vec(r, index) for _, r in p.relations], g)
-    cur = _vec(start, index)
+    a, b = _relation_matrices(p)
+    cur = _vec(start, p.index())
     steps = np.array(chain, dtype=np.int64).reshape(-1, 2)
     for lo in range(0, steps.shape[0], _WALK_BLOCK):
         rel, forward = steps[lo : lo + _WALK_BLOCK, 0], steps[lo : lo + _WALK_BLOCK, 1:] > 0
@@ -297,7 +313,7 @@ def _walk_chain(
         if stuck.any():
             raise EngineError(f"relation {rel[stuck.argmax()]} does not apply at this chain position")
         if contexts is not None:
-            contexts.extend(ctx)
+            contexts.append(ctx)
         cur = before[-1] + delta[-1]
     return cur
 
@@ -308,9 +324,10 @@ def replay_chain(p: Presentation, start: MonoidElement, chain: tuple[Step, ...])
 
 
 def certificate_to_json(p: Presentation, start: MonoidElement, result: EqualityResult) -> dict:
-    """Serialize a certificate; chain steps carry their context element."""
-    from .presentation import element_to_json
+    """Serialize a certificate; chain steps carry their context element.
 
+    Made for json.dumps: the steps' contexts share one document per generator.
+    """
     if not result.equal:
         return {
             "kind": "separated",
@@ -318,15 +335,21 @@ def certificate_to_json(p: Presentation, start: MonoidElement, result: EqualityR
             "rhs_normal_form": element_to_json(result.rhs_normal_form),
         }
     chain = result.chain or ()
-    contexts: list[np.ndarray] = []
-    _walk_chain(p, start, chain, contexts)
+    blocks: list[np.ndarray] = []
+    _walk_chain(p, start, chain, blocks)
+    # a context's terms in canonical generator order, as element_to_json writes them
+    order = sorted(range(len(p.alphabet)), key=lambda i: p.alphabet[i].sort_key())
+    gens = [generator_to_json(p.alphabet[i]) for i in order]
+    contexts: list[dict] = []
+    for ctx in blocks:
+        ctx = ctx[:, order]
+        rows, cols = np.nonzero(ctx)
+        terms = [{"gen": gens[c], "mult": m} for c, m in zip(cols.tolist(), ctx[rows, cols].tolist())]
+        ends = np.searchsorted(rows, np.arange(1, ctx.shape[0] + 1)).tolist()
+        contexts.extend({"terms": terms[lo:hi]} for lo, hi in zip([0] + ends, ends))
     steps = [
-        {
-            "relation": rel,
-            "direction": "forward" if direction > 0 else "backward",
-            "context": element_to_json(_unvec(ctx, p.alphabet)),
-        }
-        for (rel, direction), ctx in zip(chain, contexts)
+        {"relation": rel, "direction": "forward" if direction > 0 else "backward", "context": context}
+        for (rel, direction), context in zip(chain, contexts)
     ]
     return {
         "kind": "chain",
@@ -354,11 +377,9 @@ def bfs_reach(
     """
     if depth < 0:
         raise EngineError("depth must be >= 0")
-    index = p.index()
     g = len(p.alphabet)
-    lhs = kernels.as_matrix([_vec(a, index) for a, _ in p.relations], g)
-    rhs = kernels.as_matrix([_vec(b, index) for _, b in p.relations], g)
-    start = _vec(x, index)
+    lhs, rhs = _relation_matrices(p)
+    start = _vec(x, p.index())
     seen = {start.tobytes()}
     reached = [start]
     frontier = start.reshape(1, g)

@@ -15,6 +15,7 @@ the word engine treats relations bidirectionally, so nothing is lost.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping
 
@@ -173,8 +174,34 @@ class Presentation:
                     if g not in known:
                         raise PresentationError(f"relation uses unknown generator {g}")
 
-    def index(self) -> dict[Generator, int]:
+    # A presentation keys the cache of completed systems and is queried many
+    # times over; what it derives from its fields is computed once and kept in
+    # the instance __dict__ (cached_property writes there past the frozen
+    # __setattr__; the engine keeps its relation matrices there too).
+    # Equality still compares the fields.
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.alphabet, self.relations))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # string hashes differ between processes: a copy or unpickled
+        # presentation derives its data afresh
+        return {"alphabet": self.alphabet, "relations": self.relations}
+
+    @cached_property
+    def _index(self) -> dict[Generator, int]:
         return {g: i for i, g in enumerate(self.alphabet)}
+
+    def index(self) -> dict[Generator, int]:
+        """Position of each generator in the alphabet.
+
+        One dict, built once and shared by every caller: read it, never mutate it.
+        """
+        return self._index
 
 
 def _nonempty_subsets(ids: tuple[str, ...]):

@@ -119,6 +119,28 @@ def test_budget_exhaustion_exit_code(files, capsys):
     assert json.loads(out)["undecided"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--budget", "-5", "equal", "--graph", "{graph}", "--lhs", "{x}", "--rhs", "{x}"],
+        ["oracle-check", "--graph", "{graph}", "--samples", "-1"],
+        ["oracle-check", "--graph", "{graph}", "--degree", "-1"],
+        ["continuity-check", "--system", "{system}", "--degree", "-1"],
+    ],
+    ids=["budget", "oracle-samples", "oracle-degree", "continuity-degree"],
+)
+def test_negative_counts_are_invalid_input(files, capsys, argv):
+    g = diamond()
+    paths = {
+        "graph": files("g.json", graph_to_json(g)),
+        "x": files("x.json", element_to_json(MonoidElement.single(vgen("v")))),
+        "system": files("sys.json", {"graphs": [graph_to_json(g)], "morphisms": []}),
+    }
+    code, out = invoke(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == EXIT_INVALID
+    assert "error" in json.loads(out)
+
+
 def test_desingularize_with_boundary(files, capsys):
     gp = files("g.json", graph_to_json(emitter_to_sink(1)))
     code, out = invoke(capsys, "desingularize", "--graph", gp, "--level", "2")

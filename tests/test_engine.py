@@ -4,6 +4,7 @@ import pytest
 from graphmonoid.engine import (
     BudgetExceededError,
     EngineError,
+    EqualityResult,
     certificate_to_json,
     complete,
     completed_system,
@@ -134,6 +135,46 @@ def test_replay_rejects_broken_chains():
         replay_chain(p, x, there_and_back + ((len(p.relations), +1),))
 
 
+def _reversed_alphabet_case():
+    # alphabet w, v, u: the reverse of the canonical generator order
+    p = pres("wvu", [(single("v"), single("w") + single("u")), (2 * single("u"), single("w"))])
+    u, v = 2 * single("v") + single("u"), 3 * single("w") + single("u")
+    result = equal(p, u, v)
+    assert result.equal and result.chain
+    return p, u, result
+
+
+def _long_chain_case():
+    p = presentation_of(diamond())
+    x = p.relations[0][0] + 2 * single("u")
+    there_and_back = ((0, +1), (0, -1)) * 600  # spans more than one block of the walk
+    return p, x, EqualityResult(True, x, x, there_and_back)
+
+
+def _empty_chain_case():
+    p = presentation_of(diamond())
+    return p, single("u"), EqualityResult(True, single("u"), single("u"), ())
+
+
+@pytest.mark.parametrize("case", [_reversed_alphabet_case, _long_chain_case, _empty_chain_case])
+def test_certificate_contexts_match_element_json(case):
+    # certificate_to_json writes contexts straight from the walk's rows; the
+    # reference goes through MonoidElement and element_to_json one step at a time
+    import json
+
+    from graphmonoid.engine import _unvec, _walk_chain
+    from graphmonoid.presentation import element_to_json
+
+    p, start, result = case()
+    blocks = []
+    _walk_chain(p, start, result.chain, blocks)
+    rows = [ctx for block in blocks for ctx in block]
+    want = [element_to_json(_unvec(ctx, p.alphabet)) for ctx in rows]
+    steps = certificate_to_json(p, start, result)["steps"]
+    assert len(steps) == len(result.chain) == len(want)
+    assert json.dumps([step["context"] for step in steps]) == json.dumps(want)
+
+
 def test_certificate_separates():
     p = presentation_of(diamond())
     result = equal(p, single("v"), single("u"))
@@ -215,6 +256,25 @@ def test_completeness_against_bfs_small():
                     assert nfs[i] == nfs[j], f"BFS joins {x} and {elems[j]}, engine separates"
                 elif saturated:
                     assert nfs[i] != nfs[j], f"engine joins {x} and {elems[j]}, BFS class is closed"
+
+
+def test_presentation_data_is_built_once():
+    import pickle
+
+    from conftest import emitter_mixed
+    from graphmonoid.engine import _relation_matrices, _vec
+
+    p, q = presentation_of(emitter_mixed(3)), presentation_of(emitter_mixed(3))
+    assert p is not q and p == q and hash(p) == hash(q)
+    assert completed_system(p) is completed_system(q)
+    assert p.index() is p.index()
+    lhs, rhs = _relation_matrices(p)
+    assert _relation_matrices(p)[0] is lhs and not lhs.flags.writeable
+    index = p.index()
+    assert np.array_equal(lhs, np.array([_vec(l, index) for l, _ in p.relations]))
+    assert np.array_equal(rhs, np.array([_vec(r, index) for _, r in p.relations]))
+    # a copy in another process must rehash: string hashes differ between processes
+    assert set(vars(pickle.loads(pickle.dumps(p)))) == {"alphabet", "relations"}
 
 
 def test_alphabet_mismatch_rejected():
