@@ -11,6 +11,8 @@ skipped; both reducts step to the same element, so such peaks always join.
 Every rule carries a proof: a chain of original-relation applications
 transforming its left side into its right side.  Equality certificates are
 assembled from those chains and replay step by step against the presentation.
+Wherever chains are joined, a step followed by its own inverse is cancelled,
+so no stored proof and no certificate holds such a pair.
 """
 
 from __future__ import annotations
@@ -126,6 +128,26 @@ def _invert(chain: tuple[Step, ...]) -> tuple[Step, ...]:
     return tuple((rel, -d) for rel, d in reversed(chain))
 
 
+def _cat(*parts: tuple[Step, ...]) -> tuple[Step, ...]:
+    """Concatenate chains, cancelling each step against a following inverse step.
+
+    A step and its inverse undo each other at any element, so the result
+    replays wherever the plain concatenation does.  Every part is expected to
+    hold no such pair already; cancellation then only happens where parts
+    meet, and the result is the free reduction of the concatenation.
+    """
+    out: list[Step] = []
+    for part in parts:
+        i = 0
+        for rel, d in part:  # stops at the first step that survives
+            if not out or out[-1] != (rel, -d):
+                break
+            out.pop()
+            i += 1
+        out.extend(part[i:])
+    return tuple(out)
+
+
 def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
     """Complete the presentation into a confluent rewrite system.
 
@@ -151,12 +173,6 @@ def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
         applied: list[int] = []
         return kernels.reduce(x, lhs[:n], rhs[:n], applied), applied
 
-    def proof_of(applied: list[int]) -> tuple[Step, ...]:
-        out: list[Step] = []
-        for k in applied:
-            out.extend(proofs[k])
-        return tuple(out)
-
     def add_rule(l: np.ndarray, r: np.ndarray, proof: tuple[Step, ...]) -> None:
         nonlocal lhs, rhs, alive, n
         if n == lhs.shape[0]:
@@ -167,13 +183,15 @@ def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
         proofs.append(proof)
         n += 1
 
-    def process_equation(u, v, chain):
+    def process_equation(u, v, *chain):
+        # chain: the parts of a u -> v chain, joined only if u, v yield a rule
         nfu, su = reduce_trace(u)
         nfv, sv = reduce_trace(v)
         cmp = _compare(nfu, nfv)
         if cmp == 0:
             return
-        full = _invert(proof_of(su)) + chain + proof_of(sv)  # nfu -> nfv
+        # nfu -> u -> v -> nfv
+        full = _cat(*[_invert(proofs[k]) for k in reversed(su)], *chain, *[proofs[k] for k in sv])
         if cmp > 0:
             add_rule(nfu, nfv, full)
         else:
@@ -191,7 +209,7 @@ def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
                 alive[k] = False
             else:
                 rhs[k], sr = reduce_trace(rhs[k])
-                proofs[k] += proof_of(sr)
+                proofs[k] = _cat(proofs[k], *[proofs[j] for j in sr])
         pairs.extend((int(k), k_new) for k in np.nonzero(alive[:k_new])[0])
 
     while equations or pairs:
@@ -211,7 +229,7 @@ def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
         peak = np.maximum(li, lj)
         u = peak - li + rhs[i]
         v = peak - lj + rhs[j]
-        process_equation(u, v, _invert(proofs[i]) + proofs[j])
+        process_equation(u, v, _invert(proofs[i]), proofs[j])
 
     final = sorted(
         np.nonzero(alive[:n])[0],
@@ -277,12 +295,8 @@ def equal(p: Presentation, u: MonoidElement, v: MonoidElement, budget: int | Non
     nfv = kernels.reduce(vv, rs.lhs, rs.rhs, sv)
     alphabet = p.alphabet
     if _compare(nfu, nfv) == 0:
-        chain: list[Step] = []
-        for k in su:
-            chain.extend(rs.proofs[k])
-        for k in reversed(sv):
-            chain.extend(_invert(rs.proofs[k]))
-        return EqualityResult(True, _unvec(nfu, alphabet), _unvec(nfv, alphabet), tuple(chain))
+        chain = _cat(*[rs.proofs[k] for k in su], *[_invert(rs.proofs[k]) for k in reversed(sv)])
+        return EqualityResult(True, _unvec(nfu, alphabet), _unvec(nfv, alphabet), chain)
     return EqualityResult(False, _unvec(nfu, alphabet), _unvec(nfv, alphabet), None)
 
 
@@ -403,6 +417,8 @@ def bfs_reach(
 
 def elements_up_to_degree(n_generators: int, degree: int) -> np.ndarray:
     """All exponent vectors of total degree <= degree, in deterministic order."""
+    if degree < 0:
+        raise EngineError(f"degree must be >= 0, got {degree}")
     rows = [np.zeros(n_generators, dtype=np.int64)]
     for d in range(1, degree + 1):
         for combo in combinations_with_replacement(range(n_generators), d):

@@ -166,6 +166,9 @@ class Presentation:
 
     def __post_init__(self):
         known = set(self.alphabet)
+        if len(known) != len(self.alphabet):
+            twice = next(g for i, g in enumerate(self.alphabet) if g in self.alphabet[:i])
+            raise PresentationError(f"alphabet lists generator {twice} twice")
         for lhs, rhs in self.relations:
             if not lhs or not rhs:
                 raise PresentationError("relation sides must be non-zero")

@@ -218,7 +218,7 @@ def test_completion_is_deterministic():
 
 @pytest.mark.parametrize(
     "k, spairs, rules, proof_steps, longest_proof",
-    [(4, 24, 22, 766, 83), (5, 50, 42, 28_702, 1_723)],
+    [(4, 24, 22, 136, 17), (5, 50, 42, 344, 27), (6, 90, 79, 768, 39)],
 )
 def test_completion_counters_are_pinned(k, spairs, rules, proof_steps, longest_proof):
     from conftest import emitter_mixed
@@ -229,6 +229,63 @@ def test_completion_counters_are_pinned(k, spairs, rules, proof_steps, longest_p
     assert rs.rule_count == rules
     assert sum(lengths) == proof_steps
     assert max(lengths) == longest_proof
+
+
+def test_cat_cancels_inverse_steps_across_junctions():
+    from graphmonoid.engine import _cat
+
+    # the middle part cancels whole, then the cancellation reaches the first part
+    assert _cat(((0, 1), (1, 1)), ((1, -1),), ((0, -1),)) == ()
+    assert _cat(((0, 1), (1, 1)), ((1, -1), (2, 1)), ((2, 1), (3, -1))) == ((0, 1), (2, 1), (2, 1), (3, -1))
+    # survivors keep their order; a repeated step or another relation is no inverse
+    assert _cat(((2, 1), (0, -1)), ((0, -1), (2, -1))) == ((2, 1), (0, -1), (0, -1), (2, -1))
+    assert _cat(((1, 1),), ((2, -1),)) == ((1, 1), (2, -1))
+    assert _cat() == _cat((), ()) == ()
+    assert _cat(((5, -1), (4, 1))) == ((5, -1), (4, 1))
+
+
+def _free_reduction(chain):
+    out = []
+    for rel, d in chain:
+        if out and out[-1] == (rel, -d):
+            out.pop()
+        else:
+            out.append((rel, d))
+    return tuple(out)
+
+
+def _has_inverse_pair(chain):
+    return any(a == (b[0], -b[1]) for a, b in zip(chain, chain[1:]))
+
+
+def test_proofs_and_chains_are_freely_reduced():
+    import random
+
+    from graphmonoid.engine import _invert, _vec
+    from graphmonoid import kernels
+    from conftest import emitter_mixed
+
+    rng = random.Random(31)
+    for g in (emitter_mixed(3), emitter_to_sink(2), diamond()):
+        p = presentation_of(g)
+        rs = completed_system(p)
+        assert not any(_has_inverse_pair(proof) for proof in rs.proofs)
+        chains = 0
+        for _ in range(40):
+            u = MonoidElement.from_counts({rng.choice(p.alphabet): rng.randint(0, 2) for _ in range(3)})
+            v = MonoidElement.from_counts({rng.choice(p.alphabet): rng.randint(0, 2) for _ in range(3)})
+            result = equal(p, u, v)
+            if not result.equal:
+                continue
+            chains += 1
+            su, sv = [], []
+            kernels.reduce(_vec(u, p.index()), rs.lhs, rs.rhs, su)
+            kernels.reduce(_vec(v, p.index()), rs.lhs, rs.rhs, sv)
+            plain = sum((rs.proofs[k] for k in su), ()) + sum((_invert(rs.proofs[k]) for k in reversed(sv)), ())
+            assert result.chain == _free_reduction(plain)
+            assert not _has_inverse_pair(result.chain)
+            assert replay_chain(p, u, result.chain) == v
+        assert chains > 0
 
 
 def test_budget_exhaustion_is_explicit():

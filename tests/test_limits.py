@@ -1,6 +1,6 @@
 import pytest
 
-from graphmonoid.engine import equal
+from graphmonoid.engine import EngineError, elements_up_to_degree, equal
 from graphmonoid.graphs import Graph, materialize_edges
 from graphmonoid.limits import (
     GraphChain,
@@ -231,6 +231,15 @@ def test_continuity_on_materializing_chain():
     report = check_continuity(emitter_chain(), degree=2)
     assert report.ok, (report.mismatches, report.uncovered_generators)
     assert report.levels == 3
+
+
+def test_continuity_rejects_negative_degree():
+    # a negative degree is invalid input, not a sample of the zero element alone
+    with pytest.raises(EngineError, match="degree"):
+        elements_up_to_degree(3, -1)
+    with pytest.raises(EngineError, match="degree"):
+        check_continuity(GraphChain.build([emitter_to_sink(2)], []), degree=-1)
+    assert elements_up_to_degree(3, 0).tolist() == [[0, 0, 0]]
 
 
 def test_continuity_example_pair():

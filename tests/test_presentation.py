@@ -159,3 +159,11 @@ def test_presentation_rejects_unknown_generator_in_relation():
 
     with pytest.raises(PresentationError):
         Presentation((vgen("v"),), ((single("v"), single("w")),))
+
+
+def test_presentation_rejects_repeated_generator_in_alphabet():
+    # the engine sizes vectors by distinct generators and matrices by alphabet entries
+    from graphmonoid.presentation import Presentation
+
+    with pytest.raises(PresentationError, match="twice"):
+        Presentation((vgen("v"), vgen("w"), vgen("v")), ((single("v"), single("w")),))
