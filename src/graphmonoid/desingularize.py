@@ -19,13 +19,12 @@ original graph and the monoid of its row-finite approximation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graphs import (
     Graph,
     GraphError,
     VertexClass,
-    is_singular,
     out_edges,
     require_valid,
     vertex_class,
@@ -69,16 +68,9 @@ class Desingularization:
     level: int
     graph: Graph
     boundary: frozenset[str]
-
-    def origin(self) -> dict[str, tuple[str, int]]:
-        """Map each tail vertex name back to (source vertex, tail index)."""
-        out = {}
-        for v in self.source.vertices:
-            out[w_name(v, 0)] = (v, 0)
-            if is_singular(self.source, v):
-                for n in range(1, self.level + 1):
-                    out[w_name(v, n)] = (v, n)
-        return out
+    # each tail vertex name -> (source vertex, tail index); determined by the
+    # fields above, so equality and hash ignore it
+    origin: dict[str, tuple[str, int]] = field(compare=False, repr=False)
 
     def mentions_boundary(self, y: MonoidElement) -> bool:
         return any(g.vertex in self.boundary for g in y.support())
@@ -92,8 +84,10 @@ def desingularize(g: Graph, level: int) -> Desingularization:
     vertices: list[str] = []
     edges: list[tuple[str, str, str]] = []
     boundary: set[str] = set()
+    origin: dict[str, tuple[str, int]] = {}
     for v in g.vertices:
         vertices.append(w_name(v, 0))
+        origin[w_name(v, 0)] = (v, 0)
         cls = vertex_class(g, v)
         if cls is VertexClass.REGULAR:
             for n, e in enumerate(out_edges(g, v)):
@@ -101,6 +95,7 @@ def desingularize(g: Graph, level: int) -> Desingularization:
             continue
         for n in range(1, level + 1):
             vertices.append(w_name(v, n))
+            origin[w_name(v, n)] = (v, n)
         boundary.add(w_name(v, level))
         for n in range(level):
             edges.append((g_name(v, n), w_name(v, n), w_name(v, n + 1)))
@@ -110,7 +105,7 @@ def desingularize(g: Graph, level: int) -> Desingularization:
                 edges.append((f_name(v, n), w_name(v, n), w_name(desc.range_at(n), 0)))
     tailed = Graph.build(vertices, edges)
     require_valid(tailed)
-    return Desingularization(g, level, tailed, frozenset(boundary))
+    return Desingularization(g, level, tailed, frozenset(boundary), origin)
 
 
 def _max_index(g: Graph, gen: Generator) -> int:
@@ -129,12 +124,12 @@ def required_truncation(g: Graph, x: MonoidElement) -> int:
 def phi(d: Desingularization, x: MonoidElement) -> MonoidElement:
     """Map an element of the source monoid into the tailed graph's monoid."""
     g = d.source
-    total = MonoidElement()
+    parts: list[MonoidElement] = []
     for gen, mult in x.terms:
         if not gen.is_cofinite:
             if gen.vertex not in g.vertices:
                 raise PresentationError(f"unknown vertex generator {gen}")
-            total = total + MonoidElement.single(Generator(w_name(gen.vertex, 0)), mult)
+            parts.append(MonoidElement.single(Generator(w_name(gen.vertex, 0)), mult))
             continue
         v = gen.vertex
         indices = sorted(g.edge_index(v, eid) for eid in gen.edges)
@@ -147,30 +142,28 @@ def phi(d: Desingularization, x: MonoidElement) -> MonoidElement:
             )
         in_s = set(indices)
         desc = g.descriptor(v)
-        image = MonoidElement.single(Generator(w_name(v, n + 1)))
-        image = image + elem_sum(
+        image = MonoidElement.single(Generator(w_name(v, n + 1))) + elem_sum(
             MonoidElement.single(Generator(w_name(desc.range_at(k), 0)))
             for k in range(n + 1)
             if k not in in_s
         )
-        total = total + image * mult
-    return total
+        parts.append(image * mult)
+    return elem_sum(parts)
 
 
 def psi(d: Desingularization, y: MonoidElement) -> MonoidElement:
     """Map an element of the tailed graph's monoid back to the source monoid."""
     g = d.source
-    origin = d.origin()
-    total = MonoidElement()
+    parts: list[MonoidElement] = []
     for gen, mult in y.terms:
         if gen.is_cofinite:
             raise PresentationError(f"tailed graph is row-finite; {gen} is not a vertex generator")
         try:
-            v, n = origin[gen.vertex]
+            v, n = d.origin[gen.vertex]
         except KeyError:
             raise PresentationError(f"{gen.vertex!r} is not a vertex of the tailed graph") from None
         if n == 0 or vertex_class(g, v) is VertexClass.SINK:
-            total = total + MonoidElement.single(Generator(v), mult)
+            parts.append(MonoidElement.single(Generator(v), mult))
             continue
         mat = g.materialized(v)
         if len(mat) < n:
@@ -178,8 +171,8 @@ def psi(d: Desingularization, y: MonoidElement) -> MonoidElement:
                 f"mapping w_{n}({v}) back needs edges e_0..e_{n - 1} of {v!r} "
                 f"materialized, only {len(mat)} are"
             )
-        total = total + MonoidElement.single(sgen(g, v, mat[:n]), mult)
-    return total
+        parts.append(MonoidElement.single(sgen(g, v, mat[:n]), mult))
+    return elem_sum(parts)
 
 
 def phi_generator_map(d: Desingularization) -> dict[Generator, MonoidElement]:
@@ -191,7 +184,7 @@ def phi_generator_map(d: Desingularization) -> dict[Generator, MonoidElement]:
 def psi_generator_map(d: Desingularization) -> dict[Generator, MonoidElement]:
     """Images of all tailed-graph generators for which the inverse map is defined."""
     out = {}
-    for name, (v, n) in sorted(d.origin().items()):
+    for name, (v, n) in sorted(d.origin.items()):
         gen = Generator(name)
         if n > 0 and vertex_class(d.source, v) is VertexClass.INFINITE_EMITTER:
             if len(d.source.materialized(v)) < n:

@@ -58,15 +58,14 @@ Step = tuple[int, int]  # (relation index, +1 forward / -1 backward)
 
 @dataclass(frozen=True, eq=False)
 class RewriteSystem:
+    # rules are oriented graded-lexicographically: total degree first, ties
+    # broken on the alphabet's canonical order
     presentation: Presentation
     lhs: np.ndarray  # (r, g) int64
     rhs: np.ndarray
     proofs: tuple[tuple[Step, ...], ...]
     completed: bool
     spairs_processed: int
-
-    # total degree first, ties broken on the alphabet's canonical order
-    term_order: str = "graded-lexicographic"
 
     @property
     def rule_count(self) -> int:

@@ -85,9 +85,6 @@ class Graph:
                 return e
         raise GraphError(f"unknown edge id {eid!r}")
 
-    def has_vertex(self, v: str) -> bool:
-        return v in self.vertices
-
     def descriptor(self, v: str) -> EdgeIndexDescriptor | None:
         for u, desc, _ in self.emitters:
             if u == v:
@@ -195,10 +192,6 @@ def vertex_class(g: Graph, v: str) -> VertexClass:
     return VertexClass.SINK
 
 
-def is_singular(g: Graph, v: str) -> bool:
-    return vertex_class(g, v) is not VertexClass.REGULAR
-
-
 def out_edges(g: Graph, v: str) -> tuple[Edge, ...]:
     """Materialized out-edges of v; index order for emitters, id order otherwise."""
     if v not in g.vertices:
@@ -293,13 +286,11 @@ def graph_from_json(data: dict) -> Graph:
     for v, entry in raw_em.items():
         if not isinstance(entry, dict):
             raise GraphError(f"emitter entry for {v!r} must be an object")
-        try:
-            desc = EdgeIndexDescriptor(
-                tuple(str(x) for x in entry.get("prefix", [])),
-                tuple(str(x) for x in entry["cycle"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise GraphError(f"malformed emitter entry for {v!r}: {exc}") from exc
+        prefix, cycle = entry.get("prefix", []), entry.get("cycle")
+        # a string would otherwise be read as a list of one-character vertex ids
+        if not isinstance(prefix, list) or not isinstance(cycle, list):
+            raise GraphError(f"emitter {v!r}: 'prefix' and 'cycle' must be arrays")
+        desc = EdgeIndexDescriptor(tuple(str(x) for x in prefix), tuple(str(x) for x in cycle))
         count = entry.get("materialized", 0)
         if isinstance(count, bool) or not isinstance(count, int):
             raise GraphError(f"emitter {v!r}: 'materialized' must be an integer, got {count!r}")

@@ -398,6 +398,12 @@ def _generator_matrix(
     return kernels.as_matrix(rows, len(cod.alphabet))
 
 
+def _first_rows(nf: np.ndarray) -> list[int]:
+    """For each row, the first row with the same normal form."""
+    first: dict[bytes, int] = {}
+    return [first.setdefault(row.tobytes(), r) for r, row in enumerate(nf)]
+
+
 def check_continuity(
     chain: GraphChain,
     into_top: GraphMorphism | None = None,
@@ -423,7 +429,7 @@ def check_continuity(
     injectivity is not checked; the number of merged classes per level is
     reported instead.
     """
-    colimit_graph(chain)  # raises unless every step is CK
+    colimit = colimit_graph(chain)  # raises unless every step is CK
     last = len(chain) - 1
     if into_top is None:
         into_top = identity_morphism(chain.graphs[last])
@@ -436,62 +442,38 @@ def check_continuity(
     top_graph = into_top.target
     top_p = presentation_of(top_graph)
     top_rs = completed_system(top_p, budget)
-    mid_p = presentation_of(chain.graphs[last])
+    mid_p = top_p if top_graph == chain.graphs[last] else presentation_of(chain.graphs[last])
     mid_rs = completed_system(mid_p, budget)
     mismatches: list[str] = []
     sizes: list[int] = []
     merges: list[int] = []
     covered: set[Generator] = set()
 
-    for i, g in enumerate(chain.graphs):
-        p_i = presentation_of(g)
+    for i, (g, to_last) in enumerate(zip(chain.graphs, colimit.injections)):
+        p_i = mid_p if i == last else presentation_of(g)
         rs_i = completed_system(p_i, budget)
-        mu_i = induced_monoid_morphism(chain.morphism(i, last))
-        phi_i = induced_monoid_morphism(compose(into_top, chain.morphism(i, last)))
+        mu_i = induced_monoid_morphism(to_last)
+        # checked on its own: a composite of CK morphisms need not be CK
+        phi_i = induced_monoid_morphism(compose(into_top, to_last))
         covered.update(img.support()[0] for img in phi_i.values())
-        to_mid = _generator_matrix(mu_i, p_i, mid_p)
-        to_top = _generator_matrix(phi_i, p_i, top_p)
         sample = elements_up_to_degree(len(p_i.alphabet), degree)
         sizes.append(sample.shape[0])
-        nf_here = kernels.nf_batch(sample, rs_i.lhs, rs_i.rhs)
-        nf_mid = kernels.nf_batch(sample @ to_mid, mid_rs.lhs, mid_rs.rhs)
-        nf_top = kernels.nf_batch(sample @ to_top, top_rs.lhs, top_rs.rhs)
-        sound: dict[bytes, tuple[bytes, int]] = {}
-        fwd: dict[bytes, tuple[bytes, int]] = {}
-        bwd: dict[bytes, tuple[bytes, int]] = {}
-        here_keys: set[bytes] = set()
-        mid_keys: set[bytes] = set()
-        for row in range(sample.shape[0]):
-            kh = nf_here[row].tobytes()
-            km = nf_mid[row].tobytes()
-            kt = nf_top[row].tobytes()
-            here_keys.add(kh)
-            mid_keys.add(km)
-            if kh in sound and sound[kh][0] != kt:
-                other = sound[kh][1]
-                mismatches.append(
-                    f"level {i}: elements #{other} and #{row} are equal at the level "
-                    f"but their images differ in the top graph"
-                )
-            else:
-                sound.setdefault(kh, (kt, row))
-            if km in fwd and fwd[km][0] != kt:
-                other = fwd[km][1]
-                mismatches.append(
-                    f"level {i}: elements #{other} and #{row} are equal in the limit "
-                    f"but their images differ in the top graph"
-                )
-            else:
-                fwd.setdefault(km, (kt, row))
-            if kt in bwd and bwd[kt][0] != km:
-                other = bwd[kt][1]
-                mismatches.append(
-                    f"level {i}: elements #{other} and #{row} have equal images in the "
-                    f"top graph but differ in the limit"
-                )
-            else:
-                bwd.setdefault(kt, (km, row))
-        merges.append(len(here_keys) - len(mid_keys))
+        mid_images = sample @ _generator_matrix(mu_i, p_i, mid_p)
+        top_images = sample @ _generator_matrix(phi_i, p_i, top_p)
+        here = _first_rows(kernels.nf_batch(sample, rs_i.lhs, rs_i.rhs))
+        mid = _first_rows(kernels.nf_batch(mid_images, mid_rs.lhs, mid_rs.rhs))
+        top = _first_rows(kernels.nf_batch(top_images, top_rs.lhs, top_rs.rhs))
+        # (classes, other side, message): rows in one class must agree on the other side
+        checks = (
+            (here, top, "are equal at the level but their images differ in the top graph"),
+            (mid, top, "are equal in the limit but their images differ in the top graph"),
+            (top, mid, "have equal images in the top graph but differ in the limit"),
+        )
+        for row in range(len(here)):
+            for first, other, text in checks:
+                if other[first[row]] != other[row]:
+                    mismatches.append(f"level {i}: elements #{first[row]} and #{row} {text}")
+        merges.append(len(set(here)) - len(set(mid)))
 
     uncovered = tuple(str(gen) for gen in top_p.alphabet if gen not in covered)
     return ContinuityReport(

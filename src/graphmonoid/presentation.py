@@ -104,10 +104,7 @@ class MonoidElement:
         return sum(m for _, m in self.terms)
 
     def __add__(self, other: "MonoidElement") -> "MonoidElement":
-        counts = self.counts()
-        for g, m in other.terms:
-            counts[g] = counts.get(g, 0) + m
-        return MonoidElement.from_counts(counts)
+        return elem_sum((self, other))
 
     def __mul__(self, n: int) -> "MonoidElement":
         if n < 0:
@@ -133,24 +130,25 @@ def elem_add(x: MonoidElement, y: MonoidElement) -> MonoidElement:
 
 
 def elem_sum(items: Iterable[MonoidElement]) -> MonoidElement:
-    total = ZERO
+    """Sum of any number of elements, counted in one dict and sorted once."""
+    counts: dict[Generator, int] = {}
     for it in items:
-        total = total + it
-    return total
+        for g, m in it.terms:
+            counts[g] = counts.get(g, 0) + m
+    return MonoidElement.from_counts(counts)
 
 
 def apply_generator_map(
     mapping: Mapping[Generator, MonoidElement], x: MonoidElement
 ) -> MonoidElement:
     """Additive extension of a generator assignment; a monoid morphism."""
-    total = ZERO
+    images = []
     for gen, mult in x.terms:
         try:
-            image = mapping[gen]
+            images.append(mapping[gen] * mult)
         except KeyError:
             raise PresentationError(f"generator {gen} outside the map's domain") from None
-        total = total + image * mult
-    return total
+    return elem_sum(images)
 
 
 def compose_generator_maps(

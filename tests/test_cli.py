@@ -99,8 +99,17 @@ _EMITTER = graph_to_json(emitter_to_sink(1))
         (_EMITTER, _term(1.7)),
         ({**_EMITTER, "infinite_emitters": {"v": {"cycle": ["w"], "materialized": "x"}}}, _term(1)),
         (_EMITTER, {"terms": [{"gen": {"kind": "v", "v": ["w"]}, "mult": 1}]}),
+        ({**_EMITTER, "infinite_emitters": {"v": {"cycle": "ww", "materialized": 1}}}, _term(1)),
     ],
-    ids=["string-mult", "terms-not-array", "mult-past-int64", "float-mult", "string-materialized", "list-vertex"],
+    ids=[
+        "string-mult",
+        "terms-not-array",
+        "mult-past-int64",
+        "float-mult",
+        "string-materialized",
+        "list-vertex",
+        "string-cycle",
+    ],
 )
 def test_hostile_json_is_invalid_input(files, capsys, graph, element):
     gp = files("g.json", graph)
@@ -244,6 +253,22 @@ def test_continuity_against_extension_top(files, capsys):
     doc = json.loads(out)
     assert doc["ok"] is False and doc["uncovered_generators"]  # e2 generators unreached
     assert doc["mismatches"] == []
+
+
+def test_continuity_refuses_non_ck_into(files, capsys):
+    # a graph morphism into a graph where the regular v has a second out-edge
+    small = single_edge()
+    big = {
+        "vertices": ["v", "w", "z"],
+        "edges": [{"id": "e", "src": "v", "dst": "w"}, {"id": "x", "src": "v", "dst": "z"}],
+        "infinite_emitters": {},
+    }
+    sp = files("sys.json", {"graphs": [graph_to_json(small)], "morphisms": []})
+    tp = files("top.json", big)
+    ip = files("into.json", {"vertex_map": {"v": "v", "w": "w"}, "edge_map": {"e": "e"}})
+    code, out = invoke(capsys, "continuity-check", "--system", sp, "--top", tp, "--into", ip)
+    assert code == EXIT_INVALID
+    assert "into_top is not CK" in json.loads(out)["error"]
 
 
 def test_induced_map_refuses_non_ck(files, capsys):

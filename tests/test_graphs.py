@@ -154,6 +154,11 @@ def test_json_rejects_malformed_sections():
         graph_from_json({"vertices": ["v"], "infinite_emitters": ["v"]})
     with pytest.raises(GraphError):
         graph_from_json({"vertices": ["v"], "infinite_emitters": {"v": "cycle"}})
+    # a string is not a list of one-character vertex ids
+    with pytest.raises(GraphError, match="arrays"):
+        graph_from_json({"vertices": ["v", "w"], "infinite_emitters": {"v": {"cycle": "ww"}}})
+    with pytest.raises(GraphError, match="arrays"):
+        graph_from_json({"vertices": ["v", "w"], "infinite_emitters": {"v": {"prefix": "ww", "cycle": ["w"]}}})
     with pytest.raises(GraphError):
         graph_from_json({"edges": []})
 

@@ -1,7 +1,7 @@
 import pytest
 
 from graphmonoid.engine import EngineError, elements_up_to_degree, equal
-from graphmonoid.graphs import Graph, materialize_edges
+from graphmonoid.graphs import EdgeIndexDescriptor, Graph, materialize_edges
 from graphmonoid.limits import (
     GraphChain,
     GraphMorphism,
@@ -292,3 +292,42 @@ def test_continuity_tolerates_levelwise_merges():
     report = check_continuity(chain, degree=2)
     assert report.ok, report.mismatches
     assert report.merged_classes[0] > 0
+
+
+def _self_loop_emitter(k):
+    base = Graph.build(["v"], [], {"v": (EdgeIndexDescriptor((), ("v",)), [])})
+    return materialize_edges(base, "v", k)
+
+
+def test_continuity_reports_a_merge_in_the_top_graph():
+    # materializing a second edge of a self-loop emitter merges classes that
+    # the one-level chain keeps apart; the report names the first pair found
+    g1, g2 = _self_loop_emitter(1), _self_loop_emitter(2)
+    chain = GraphChain.build([g1], [])
+    report = check_continuity(chain, into_top=inclusion(g1, g2), degree=2)
+    assert not report.ok
+    assert report.mismatches == (
+        "level 0: elements #2 and #5 have equal images in the top graph but differ in the limit",
+    )
+    assert report.merged_classes == (0,)
+    assert report.sample_sizes == (6,)
+    report = check_continuity(chain, into_top=inclusion(g1, g2), degree=3)
+    assert report.mismatches == (
+        "level 0: elements #2 and #5 have equal images in the top graph but differ in the limit",
+        "level 0: elements #2 and #9 have equal images in the top graph but differ in the limit",
+    )
+    assert report.merged_classes == (0,)
+
+
+def test_continuity_checks_each_composite_into_the_top_for_ck():
+    # v -> w, then v an emitter with e materialized, then with e and e1: each
+    # map is CK, but the composite sends the regular v to an emitter with
+    # two out-edges, so it is not
+    desc = EdgeIndexDescriptor((), ("w",))
+    plain = Graph.build(["v", "w"], [("e", "v", "w")])
+    one = Graph.build(["v", "w"], [("e", "v", "w")], {"v": (desc, ["e"])})
+    two = Graph.build(["v", "w"], [("e", "v", "w"), ("e1", "v", "w")], {"v": (desc, ["e", "e1"])})
+    chain = GraphChain.build([plain, one], [inclusion(plain, one)])
+    assert is_ck_morphism(chain.steps[0]).ok and is_ck_morphism(inclusion(one, two)).ok
+    with pytest.raises(MorphismError, match="not a CK-morphism: out-edges of regular vertex 'v' do not biject"):
+        check_continuity(chain, into_top=inclusion(one, two), degree=1)
