@@ -198,12 +198,11 @@ def _cmd_colimit(args) -> dict:
 def _cmd_continuity_check(args) -> dict:
     _require_non_negative(args, "degree")
     chain = chain_from_json(_load_json(args.system))
+    if (args.top is None) != (args.into is None):
+        raise InputError("--top and --into go together: the top graph and the morphism from the chain top into it")
     into_top = None
     if args.top is not None:
-        top = _load_graph(args.top)
-        if args.into is None:
-            raise InputError("--top needs --into with the morphism from the chain top")
-        into_top = morphism_from_json(_load_json(args.into), chain.graphs[-1], top)
+        into_top = morphism_from_json(_load_json(args.into), chain.graphs[-1], _load_graph(args.top))
     report = check_continuity(chain, into_top, degree=args.degree, budget=args.budget)
     return {
         "ok": report.ok,
@@ -211,6 +210,7 @@ def _cmd_continuity_check(args) -> dict:
         "sample_sizes": list(report.sample_sizes),
         "mismatches": list(report.mismatches),
         "uncovered_generators": list(report.uncovered_generators),
+        "merged_classes": list(report.merged_classes),
     }
 
 

@@ -12,11 +12,14 @@ Every rule carries a proof: a chain of original-relation applications
 transforming its left side into its right side.  Equality certificates are
 assembled from those chains and replay step by step against the presentation.
 Wherever chains are joined, a step followed by its own inverse is cancelled,
-so no stored proof and no certificate holds such a pair.
+so no stored proof and no certificate holds such a pair.  Reduction reports
+runs of one rule, and a run of t applications joins its rule's proof raised to
+the t-th power, so joining costs per run, not per application.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,6 +33,7 @@ from .presentation import Generator, MonoidElement, Presentation, element_to_jso
 DEFAULT_BUDGET = 100_000
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _WALK_BLOCK = 1024  # chain steps applied together when replaying a certificate
+_MAX_CHAIN = sys.maxsize // 8  # steps one tuple can hold: 8 bytes per step, sys.maxsize bytes in all
 
 
 class EngineError(ValueError):
@@ -77,15 +81,21 @@ class RewriteSystem:
 
 
 def _vec(x: MonoidElement, index: dict[Generator, int]) -> np.ndarray:
+    """x as an exponent vector; its total degree must fit in int64.
+
+    Reduction never raises the degree, so no component of a reduct and no
+    run of steps applied at once can leave the int64 range.
+    """
     out = np.zeros(len(index), dtype=np.int64)
+    degree = 0
     for gen, mult in x.terms:
+        degree += mult
+        if degree > _INT64_MAX:
+            raise EngineError(f"element of total degree {x.degree()} exceeds the int64 range")
         try:
-            k = index[gen]
+            out[index[gen]] = mult
         except KeyError:
             raise EngineError(f"element uses generator {gen} outside the alphabet") from None
-        if mult > _INT64_MAX:
-            raise EngineError(f"multiplicity {mult} of {gen} exceeds the int64 range")
-        out[k] = mult
     return out
 
 
@@ -113,7 +123,7 @@ def _unvec(v: np.ndarray, alphabet: tuple[Generator, ...]) -> MonoidElement:
 
 def _compare(u: np.ndarray, v: np.ndarray) -> int:
     """Graded-lex comparison: sign of u - v in the term order."""
-    du, dv = int(u.sum()), int(v.sum())
+    du, dv = sum(u.tolist()), sum(v.tolist())
     if du != dv:
         return 1 if du > dv else -1
     diff = u - v
@@ -147,6 +157,30 @@ def _cat(*parts: tuple[Step, ...]) -> tuple[Step, ...]:
     return tuple(out)
 
 
+def _split(p: tuple[Step, ...]) -> int:
+    """Length of the longest x with p = x + w + _invert(x)."""
+    n, k = len(p), 0
+    while k < n // 2 and p[k] == (p[n - 1 - k][0], -p[n - 1 - k][1]):
+        k += 1
+    return k
+
+
+def _power(p: tuple[Step, ...], t: int) -> tuple[Step, ...]:
+    """Free reduction of t copies of p, for p without an inverse pair.
+
+    With p = x + w + _invert(x) and x longest, the copies of w meet without
+    cancelling, so the result is x + w * t + _invert(x).
+    """
+    if t == 1:
+        return p
+    n, k = len(p), _split(p)
+    return p[:k] + p[k : n - k] * t + p[n - k :]
+
+
+def _power_length(p: tuple[Step, ...], t: int) -> int:
+    return len(p) + (t - 1) * (len(p) - 2 * _split(p))
+
+
 def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
     """Complete the presentation into a confluent rewrite system.
 
@@ -168,9 +202,9 @@ def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
     rel_lhs, rel_rhs = _relation_matrices(p)
     equations.extend((rel_lhs[i], rel_rhs[i], ((i, +1),)) for i in range(rel_lhs.shape[0]))
 
-    def reduce_trace(x: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        applied: list[int] = []
-        return kernels.reduce(x, lhs[:n], rhs[:n], applied), applied
+    def reduce_trace(x: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
+        runs: list[tuple[int, int]] = []
+        return kernels.reduce(x, lhs[:n], rhs[:n], runs), runs
 
     def add_rule(l: np.ndarray, r: np.ndarray, proof: tuple[Step, ...]) -> None:
         nonlocal lhs, rhs, alive, n
@@ -190,7 +224,9 @@ def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
         if cmp == 0:
             return
         # nfu -> u -> v -> nfv
-        full = _cat(*[_invert(proofs[k]) for k in reversed(su)], *chain, *[proofs[k] for k in sv])
+        full = _cat(
+            *[_power(_invert(proofs[k]), t) for k, t in reversed(su)], *chain, *[_power(proofs[k], t) for k, t in sv]
+        )
         if cmp > 0:
             add_rule(nfu, nfv, full)
         else:
@@ -208,7 +244,7 @@ def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
                 alive[k] = False
             else:
                 rhs[k], sr = reduce_trace(rhs[k])
-                proofs[k] = _cat(proofs[k], *[proofs[j] for j in sr])
+                proofs[k] = _cat(proofs[k], *[_power(proofs[j], t) for j, t in sr])
         pairs.extend((int(k), k_new) for k in np.nonzero(alive[:k_new])[0])
 
     while equations or pairs:
@@ -288,13 +324,25 @@ def equal(p: Presentation, u: MonoidElement, v: MonoidElement, budget: int | Non
     rs = completed_system(p, budget)
     index = p.index()
     uv, vv = _vec(u, index), _vec(v, index)
-    su: list[int] = []
-    sv: list[int] = []
+    su: list[tuple[int, int]] = []
+    sv: list[tuple[int, int]] = []
     nfu = kernels.reduce(uv, rs.lhs, rs.rhs, su)
     nfv = kernels.reduce(vv, rs.lhs, rs.rhs, sv)
     alphabet = p.alphabet
     if _compare(nfu, nfv) == 0:
-        chain = _cat(*[rs.proofs[k] for k in su], *[_invert(rs.proofs[k]) for k in reversed(sv)])
+        # the chain is u's proofs, then v's inverted; runs of one rule that
+        # meet in the middle cancel: p^a + p^-b reduces to p^(a-b)
+        while su and sv and su[-1][0] == sv[-1][0]:
+            (k, a), (_, b) = su.pop(), sv.pop()
+            if a != b:
+                (su if a > b else sv).append((k, abs(a - b)))
+        steps = sum(_power_length(rs.proofs[k], t) for k, t in su + sv)
+        if steps > _MAX_CHAIN:
+            raise EngineError(f"certificate chain of {steps} steps is longer than a tuple can hold ({_MAX_CHAIN})")
+        chain = _cat(
+            *[_power(rs.proofs[k], t) for k, t in su],
+            *[_power(_invert(rs.proofs[k]), t) for k, t in reversed(sv)],
+        )
         return EqualityResult(True, _unvec(nfu, alphabet), _unvec(nfv, alphabet), chain)
     return EqualityResult(False, _unvec(nfu, alphabet), _unvec(nfv, alphabet), None)
 

@@ -14,6 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 BACKEND = "numpy"
+# applications of one rule in a row before the rest of its run is computed:
+# computing a run costs about as much as eight single applications
+_RUN_AFTER = 8
 
 
 def as_matrix(rows, width) -> np.ndarray:
@@ -23,23 +26,65 @@ def as_matrix(rows, width) -> np.ndarray:
     return a.reshape(-1, width)
 
 
-def reduce(x: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, trace: list[int] | None = None) -> np.ndarray:
+def reduce(
+    x: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, trace: list[tuple[int, int]] | None = None
+) -> np.ndarray:
     """Reduce one vector to normal form, lowest-index applicable rule first.
 
-    When trace is a list, the index of every applied rule is appended to it,
-    in order of application.
+    Once one rule has applied _RUN_AFTER times in a row, the rest of its run
+    is applied in one step, so the cost follows the number of runs, not the
+    multiplicities of x.  When trace is a list, the runs are appended to it
+    as (rule index, times), in order of application; consecutive runs name
+    different rules.
     """
     y = x.copy()
     if lhs.shape[0] == 0:
         return y
+    i, times = -1, 0  # the run in progress
     while True:
         ok = (lhs <= y).all(axis=1)
-        i = int(ok.argmax())
-        if not ok[i]:
-            return y
+        k = int(ok.argmax())
+        if not ok[k]:
+            break
+        if k != i:
+            if trace is not None and times:
+                trace.append((i, times))
+            i, times = k, 0
+        elif times >= _RUN_AFTER:
+            d = rhs[i] - lhs[i]
+            t = _run_length(y, d, lhs[i], lhs[:i])
+            y += t * d
+            times += t
+            continue
         y += rhs[i] - lhs[i]
-        if trace is not None:
-            trace.append(i)
+        times += 1
+    if trace is not None and times:
+        trace.append((i, times))
+    return y
+
+
+def _run_length(y: np.ndarray, d: np.ndarray, own: np.ndarray, lower: np.ndarray) -> int:
+    """How often in a row the rule with left side own and step d applies from y.
+
+    The rule applies at y and no rule of lower does.  The run ends when the
+    rule stops applying or the first rule of lower starts to: rule j applies
+    after s more steps exactly when lower[j] - y <= s*d, which holds for s in
+    an interval [lo_j, hi_j].  A rule that decreases no component (which no
+    terminating system holds) is applied once.
+    """
+    neg = d < 0
+    if not neg.any():
+        return 1
+    t = int(((y[neg] - own[neg]) // -d[neg]).min()) + 1
+    if lower.shape[0]:
+        need = lower - y
+        pos = d > 0
+        lo = np.max(-(-need[:, pos] // d[pos]), axis=1, initial=0)
+        hi = (need[:, neg] // d[neg]).min(axis=1)
+        starts = lo[(lo <= hi) & (need[:, d == 0] <= 0).all(axis=1)]
+        if starts.size:
+            t = min(t, int(starts.min()))
+    return t
 
 
 def nf_batch(xs: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:

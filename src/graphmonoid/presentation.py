@@ -151,12 +151,6 @@ def apply_generator_map(
     return elem_sum(images)
 
 
-def compose_generator_maps(
-    outer: Mapping[Generator, MonoidElement], inner: Mapping[Generator, MonoidElement]
-) -> dict[Generator, MonoidElement]:
-    return {g: apply_generator_map(outer, img) for g, img in inner.items()}
-
-
 @dataclass(frozen=True)
 class Presentation:
     alphabet: tuple[Generator, ...]

@@ -227,7 +227,8 @@ def test_colimit_and_continuity(files, capsys):
     assert len(doc["injections"]) == 3
     code, out = invoke(capsys, "continuity-check", "--system", sp, "--degree", "2")
     assert code == EXIT_OK
-    assert json.loads(out)["ok"] is True
+    doc = json.loads(out)
+    assert doc["ok"] is True and doc["merged_classes"] == [0, 0, 0]
 
 
 def test_continuity_against_extension_top(files, capsys):
@@ -253,6 +254,56 @@ def test_continuity_against_extension_top(files, capsys):
     doc = json.loads(out)
     assert doc["ok"] is False and doc["uncovered_generators"]  # e2 generators unreached
     assert doc["mismatches"] == []
+
+
+def test_continuity_needs_top_and_into_together(files, capsys):
+    g = emitter_to_sink(1)
+    sp = files("sys.json", {"graphs": [graph_to_json(g)], "morphisms": []})
+    tp = files("top.json", graph_to_json(g))
+    # a morphism naming a vertex that does not exist must not be ignored
+    ip = files("into.json", {"vertex_map": {"nowhere": "v"}, "edge_map": {}})
+    for flags in (["--top", tp], ["--into", ip]):
+        code, out = invoke(capsys, "continuity-check", "--system", sp, *flags)
+        assert code == EXIT_INVALID
+        assert "--top and --into go together" in json.loads(out)["error"]
+
+
+def test_continuity_reports_merged_classes(files, capsys):
+    from graphmonoid.graphs import EdgeIndexDescriptor, Graph, materialize_edges
+    from graphmonoid.limits import chain_from_json, check_continuity
+
+    # materializing a second edge of a self-loop emitter merges level-0 classes
+    base = Graph.build(["v"], [], {"v": (EdgeIndexDescriptor((), ("v",)), [])})
+    g1, g2 = materialize_edges(base, "v", 1), materialize_edges(base, "v", 2)
+    step = {"vertex_map": {"v": "v"}, "edge_map": {e.id: e.id for e in g1.edges}}
+    system = {"graphs": [graph_to_json(g1), graph_to_json(g2)], "morphisms": [step]}
+    code, out = invoke(capsys, "continuity-check", "--system", files("sys.json", system))
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["ok"] is True and doc["merged_classes"][0] > 0
+    assert doc["merged_classes"] == list(check_continuity(chain_from_json(system)).merged_classes)
+
+
+def test_degree_and_chain_past_their_limits_are_invalid_input(files, capsys):
+    two_edges = {
+        "vertices": ["v", "w"],
+        "edges": [{"id": "e", "src": "v", "dst": "w"}, {"id": "f", "src": "v", "dst": "w"}],
+        "infinite_emitters": {},
+    }
+    v, w = {"kind": "v", "v": "v"}, {"kind": "v", "v": "w"}
+    gp = files("g.json", graph_to_json(single_edge()))
+    big = files("big.json", {"terms": [{"gen": v, "mult": 2**62}, {"gen": w, "mult": 2**62}]})
+    small = files("w.json", {"terms": [{"gen": w, "mult": 1}]})
+    runs = [
+        ("normal-form", "--graph", gp, "--element", big),
+        ("equal", "--graph", gp, "--lhs", big, "--rhs", small),
+        ("equal", "--graph", files("g2.json", two_edges), "--lhs", files("u.json", {"terms": [{"gen": v, "mult": 2**61}]}),
+         "--rhs", files("v.json", {"terms": [{"gen": w, "mult": 2**62}]})),
+    ]
+    for argv, message in zip(runs, ("exceeds the int64 range",) * 2 + ("longer than a tuple can hold",)):
+        code, out = invoke(capsys, *argv)
+        assert code == EXIT_INVALID
+        assert message in json.loads(out)["error"]
 
 
 def test_continuity_refuses_non_ck_into(files, capsys):

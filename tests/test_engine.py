@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphmonoid.engine import (
     BudgetExceededError,
@@ -281,11 +283,81 @@ def test_proofs_and_chains_are_freely_reduced():
             su, sv = [], []
             kernels.reduce(_vec(u, p.index()), rs.lhs, rs.rhs, su)
             kernels.reduce(_vec(v, p.index()), rs.lhs, rs.rhs, sv)
+            # every rule application of each side, runs expanded
+            su, sv = [k for k, t in su for _ in range(t)], [k for k, t in sv for _ in range(t)]
             plain = sum((rs.proofs[k] for k in su), ()) + sum((_invert(rs.proofs[k]) for k in reversed(sv)), ())
             assert result.chain == _free_reduction(plain)
             assert not _has_inverse_pair(result.chain)
             assert replay_chain(p, u, result.chain) == v
         assert chains > 0
+
+
+_STEPS = st.tuples(st.integers(0, 2), st.sampled_from((1, -1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_STEPS, max_size=12), st.integers(1, 6))
+def test_power_is_the_free_reduction_of_repeated_copies(steps, t):
+    from graphmonoid.engine import _power, _power_length
+
+    p = _free_reduction(steps)
+    assert _power(p, t) == _free_reduction(p * t)
+    assert _power_length(p, t) == len(_power(p, t))
+
+
+def _two_edges_to_a_sink():
+    from graphmonoid.graphs import Graph
+
+    return presentation_of(Graph.build(["v", "w"], [("e", "v", "w"), ("f", "v", "w")]))
+
+
+def test_large_multiplicity_reduces_in_one_run_per_rule():
+    from graphmonoid import kernels
+    from graphmonoid.engine import _vec
+
+    p = _two_edges_to_a_sink()
+    rs = completed_system(p)
+    m = 10**5
+    u, v = m * single("v"), 2 * m * single("w")
+    for x in (u, v):
+        runs = []
+        kernels.reduce(_vec(x, p.index()), rs.lhs, rs.rhs, runs)
+        assert len({k for k, _ in runs}) == len(runs)
+    result = equal(p, u, v)
+    assert result.equal and len(result.chain) == m
+    assert replay_chain(p, u, result.chain) == v
+
+
+def test_degree_past_int64_is_an_engine_error():
+    from graphmonoid.engine import bfs_reach
+
+    p = presentation_of(single_edge())
+    x = 2**62 * single("v") + 2**62 * single("w")  # each term fits in int64, the sum does not
+    rs = completed_system(p)
+    for call in (
+        lambda: normal_form(rs, x),
+        lambda: equal(p, x, single("w")),
+        lambda: equal(p, single("w"), x),
+        lambda: bfs_reach(p, x, 1),
+        lambda: replay_chain(p, x, ()),
+    ):
+        with pytest.raises(EngineError, match="total degree 9223372036854775808 exceeds the int64 range"):
+            call()
+    # one short of the limit still reduces, in one run
+    y = (2**62 - 1) * single("v") + 2**62 * single("w")
+    assert normal_form(rs, y) == (2**63 - 1) * single("w")
+
+
+def test_chain_longer_than_a_tuple_is_refused_before_it_is_built():
+    import sys
+
+    p = _two_edges_to_a_sink()
+    m = 2**61  # a chain of m steps needs 2**64 bytes of pointers
+    assert m > sys.maxsize // 8
+    with pytest.raises(EngineError, match=f"certificate chain of {m} steps is longer than a tuple can hold"):
+        equal(p, m * single("v"), 2 * m * single("w"))
+    # runs that cancel where the two sides meet leave nothing to build
+    assert equal(p, m * single("v"), m * single("v")).chain == ()
 
 
 def test_budget_exhaustion_is_explicit():

@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphmonoid import kernels
 
@@ -31,15 +33,74 @@ def test_reduce_trace_replays_to_normal_form():
     rng = np.random.default_rng(5)
     lhs, rhs = random_rules(rng, 4, 5)
     for row in rng.integers(0, 4, size=(10, 5)).astype(np.int64):
-        trace: list[int] = []
-        nf = kernels.reduce(row, lhs, rhs, trace)
+        runs: list[tuple[int, int]] = []
+        nf = kernels.reduce(row, lhs, rhs, runs)
         assert np.array_equal(nf, kernels.reduce(row, lhs, rhs))
         y = row.copy()
-        for k in trace:
+        for k in (k for k, t in runs for _ in range(t)):
             assert (lhs[k] <= y).all()
             assert not (lhs[:k] <= y).all(axis=1).any()  # lowest-index applicable rule
             y += rhs[k] - lhs[k]
         assert np.array_equal(y, nf)
+
+
+def step_by_step(x, lhs, rhs):
+    """Reference reducer: one rule application per step, lowest-index applicable rule first."""
+    y, trace = x.copy(), []
+    while True:
+        ok = (lhs <= y).all(axis=1)
+        if not ok.any():
+            return y, trace
+        k = int(ok.argmax())
+        y += rhs[k] - lhs[k]
+        trace.append(k)
+
+
+@st.composite
+def rules_and_vector(draw):
+    width = draw(st.integers(1, 4))
+    # large entries let a lower rule start to apply deep into a run
+    side = st.tuples(*[st.integers(0, 3) | st.integers(0, 20)] * width)
+    pairs = draw(st.lists(st.tuples(side, side).filter(lambda ab: ab[0] != ab[1]), min_size=1, max_size=4))
+    # each rule goes down in the graded-lex order, so reduction terminates
+    rules = [sorted(ab, key=lambda s: (sum(s), s), reverse=True) for ab in pairs]
+    lhs = np.array([l for l, _ in rules], dtype=np.int64)
+    rhs = np.array([r for _, r in rules], dtype=np.int64)
+    x = np.array(draw(st.tuples(*[st.integers(0, 10**4)] * width)), dtype=np.int64)
+    return lhs, rhs, x
+
+
+# rule 1 (a -> b) runs until b reaches 12 and rule 0 (12b -> c) applies mid-run
+_INTERRUPTED = np.array([[0, 12, 0], [1, 0, 0]]), np.array([[0, 0, 1], [0, 1, 0]])
+# while rule 1 (2b -> d) runs, rule 0 (b + 12d -> c) applies from the twelfth
+# step on for as long as a b is left: from 30b within the run, from 24b never
+_WINDOW = np.array([[0, 1, 0, 12], [0, 2, 0, 0]]), np.array([[0, 0, 1, 0], [0, 0, 0, 1]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(rules_and_vector())
+@example((*_INTERRUPTED, np.array([10**4, 0, 0])))
+@example((*_WINDOW, np.array([0, 30, 0, 0])))
+@example((*_WINDOW, np.array([0, 24, 0, 0])))
+def test_run_trace_expands_to_the_step_by_step_trace(case):
+    lhs, rhs, x = case
+    runs: list[tuple[int, int]] = []
+    nf = kernels.reduce(x, lhs, rhs, runs)
+    ref_nf, ref_trace = step_by_step(x, lhs, rhs)
+    assert np.array_equal(nf, ref_nf)
+    assert [k for k, t in runs for _ in range(t)] == ref_trace
+    assert all(t >= 1 for _, t in runs)
+    assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
+
+
+def test_a_lower_rule_interrupts_a_run():
+    runs: list[tuple[int, int]] = []
+    kernels.reduce(np.array([10**4, 0, 0]), *_INTERRUPTED, runs)
+    assert runs == [(1, 12), (0, 1)] * 833 + [(1, 4)]
+    for b, expected in ((30, [(1, 12), (0, 1), (1, 2)]), (24, [(1, 12)])):
+        runs = []
+        kernels.reduce(np.array([0, b, 0, 0]), *_WINDOW, runs)
+        assert runs == expected
 
 
 def test_normal_forms_are_irreducible():
