@@ -27,7 +27,6 @@ from .presentation import (
     PresentationError,
     ZERO,
     apply_generator_map,
-    elem_add,
     element_from_json,
     element_to_json,
     generators,

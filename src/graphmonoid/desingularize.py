@@ -127,7 +127,7 @@ def phi(d: Desingularization, x: MonoidElement) -> MonoidElement:
     parts: list[MonoidElement] = []
     for gen, mult in x.terms:
         if not gen.is_cofinite:
-            if gen.vertex not in g.vertices:
+            if not g.has_vertex(gen.vertex):
                 raise PresentationError(f"unknown vertex generator {gen}")
             parts.append(MonoidElement.single(Generator(w_name(gen.vertex, 0)), mult))
             continue

@@ -34,6 +34,7 @@ DEFAULT_BUDGET = 100_000
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _WALK_BLOCK = 1024  # chain steps applied together when replaying a certificate
 _MAX_CHAIN = sys.maxsize // 8  # steps one tuple can hold: 8 bytes per step, sys.maxsize bytes in all
+_COMPLETED_CACHE_SIZE = 512  # completed systems kept, least recently used evicted first
 
 
 class EngineError(ValueError):
@@ -280,7 +281,7 @@ def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_COMPLETED_CACHE_SIZE)
 def _completed(p: Presentation, budget: int) -> RewriteSystem:
     return complete(p, budget)
 

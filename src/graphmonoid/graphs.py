@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 
@@ -79,27 +80,53 @@ class Graph:
         )
         return cls(tuple(sorted(vertices)), es, ems)
 
-    def edge(self, eid: str) -> Edge:
+    # Lookups derived from the fields, built once and kept in the instance
+    # __dict__ (equality and hash still compare the fields); reversed, so
+    # that the first of repeated ids wins, as a scan would find it.
+
+    @cached_property
+    def _edge_by_id(self) -> dict[str, Edge]:
+        return {e.id: e for e in reversed(self.edges)}
+
+    @cached_property
+    def _emitter_by_vertex(self) -> dict[str, tuple[EdgeIndexDescriptor, tuple[str, ...]]]:
+        return {v: (desc, mat) for v, desc, mat in reversed(self.emitters)}
+
+    @cached_property
+    def _out_edges(self) -> dict[str, list[Edge]]:
+        out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         for e in self.edges:
-            if e.id == eid:
-                return e
-        raise GraphError(f"unknown edge id {eid!r}")
+            if e.src in out:
+                out[e.src].append(e)
+        return out
+
+    @cached_property
+    def validation(self) -> "ValidationReport":
+        """``validate_graph(self)``, computed once."""
+        return validate_graph(self)
+
+    def has_vertex(self, v: str) -> bool:
+        return v in self._out_edges
+
+    def edge(self, eid: str) -> Edge:
+        try:
+            return self._edge_by_id[eid]
+        except KeyError:
+            raise GraphError(f"unknown edge id {eid!r}") from None
 
     def descriptor(self, v: str) -> EdgeIndexDescriptor | None:
-        for u, desc, _ in self.emitters:
-            if u == v:
-                return desc
-        return None
+        desc, _ = self._emitter_by_vertex.get(v, (None, ()))
+        return desc
 
     def materialized(self, v: str) -> tuple[str, ...]:
         """Materialized out-edge ids of emitter v, in index order."""
-        for u, _, mat in self.emitters:
-            if u == v:
-                return mat
-        raise GraphError(f"{v!r} is not an infinite emitter")
+        try:
+            return self._emitter_by_vertex[v][1]
+        except KeyError:
+            raise GraphError(f"{v!r} is not an infinite emitter") from None
 
     def is_infinite_emitter(self, v: str) -> bool:
-        return any(u == v for u, _, _ in self.emitters)
+        return v in self._emitter_by_vertex
 
     def edge_index(self, v: str, eid: str) -> int:
         """Index n of materialized edge e_n of emitter v."""
@@ -122,19 +149,18 @@ class ValidationReport:
 def validate_graph(g: Graph) -> ValidationReport:
     """Report every invariant violation; an empty report means the graph is valid."""
     bad: list[str] = []
-    seen_v: set[str] = set()
+    vset: set[str] = set()
     for v in g.vertices:
-        if v in seen_v:
+        if v in vset:
             bad.append(f"duplicate vertex id {v!r}")
-        seen_v.add(v)
-    vset = set(g.vertices)
-    seen_e: set[str] = set()
+        vset.add(v)
     by_id: dict[str, Edge] = {}
+    by_src: dict[str, list[str]] = {}
     for e in g.edges:
-        if e.id in seen_e:
+        if e.id in by_id:
             bad.append(f"duplicate edge id {e.id!r}")
-        seen_e.add(e.id)
         by_id[e.id] = e
+        by_src.setdefault(e.src, []).append(e.id)
         if e.src not in vset:
             bad.append(f"edge {e.id!r} has unknown source {e.src!r}")
         if e.dst not in vset:
@@ -147,9 +173,8 @@ def validate_graph(g: Graph) -> ValidationReport:
         emitter_vs.add(v)
         if v not in vset:
             bad.append(f"emitter {v!r} is not a vertex")
-        for w in desc.prefix + desc.cycle:
-            if w not in vset:
-                bad.append(f"descriptor of {v!r} names unknown vertex {w!r}")
+        unknown = [w for w in desc.prefix + desc.cycle if w not in vset]
+        bad.extend(f"descriptor of {v!r} names unknown vertex {w!r}" for w in unknown)
         seen_mat: set[str] = set()
         for n, eid in enumerate(mat):
             if eid in seen_mat:
@@ -161,21 +186,20 @@ def validate_graph(g: Graph) -> ValidationReport:
                 continue
             if e.src != v:
                 bad.append(f"materialized edge {eid!r} of {v!r} has source {e.src!r}")
-            want = desc.range_at(n) if all(w in vset for w in desc.prefix + desc.cycle) else None
-            if want is not None and e.dst != want:
+            if not unknown and e.dst != desc.range_at(n):
                 bad.append(
                     f"materialized edge {eid!r} of {v!r} at index {n} has range "
-                    f"{e.dst!r}, descriptor prescribes {want!r}"
+                    f"{e.dst!r}, descriptor prescribes {desc.range_at(n)!r}"
                 )
         # every concrete out-edge of an emitter must be one of its indexed edges
-        for e in g.edges:
-            if e.src == v and e.id not in seen_mat:
-                bad.append(f"edge {e.id!r} leaves emitter {v!r} but is not in its materialized list")
+        for eid in by_src.get(v, ()):
+            if eid not in seen_mat:
+                bad.append(f"edge {eid!r} leaves emitter {v!r} but is not in its materialized list")
     return ValidationReport(tuple(bad))
 
 
 def require_valid(g: Graph) -> Graph:
-    rep = validate_graph(g)
+    rep = g.validation
     if not rep.ok:
         raise GraphError("invalid graph: " + "; ".join(rep.violations))
     return g
@@ -183,26 +207,20 @@ def require_valid(g: Graph) -> Graph:
 
 def vertex_class(g: Graph, v: str) -> VertexClass:
     """Classify v as regular, sink or infinite emitter."""
-    if v not in g.vertices:
+    if not g.has_vertex(v):
         raise GraphError(f"unknown vertex id {v!r}")
     if g.is_infinite_emitter(v):
         return VertexClass.INFINITE_EMITTER
-    if any(e.src == v for e in g.edges):
-        return VertexClass.REGULAR
-    return VertexClass.SINK
+    return VertexClass.REGULAR if g._out_edges[v] else VertexClass.SINK
 
 
 def out_edges(g: Graph, v: str) -> tuple[Edge, ...]:
     """Materialized out-edges of v; index order for emitters, id order otherwise."""
-    if v not in g.vertices:
+    if not g.has_vertex(v):
         raise GraphError(f"unknown vertex id {v!r}")
     if g.is_infinite_emitter(v):
         return tuple(g.edge(eid) for eid in g.materialized(v))
-    return tuple(e for e in g.edges if e.src == v)
-
-
-def materialized_edge_id(v: str, n: int) -> str:
-    return f"e{n}^{v}"
+    return tuple(g._out_edges[v])
 
 
 def materialize_edges(g: Graph, v: str, k: int) -> Graph:
@@ -210,26 +228,22 @@ def materialize_edges(g: Graph, v: str, k: int) -> Graph:
 
     Idempotent when k equals the current count; refuses to shrink.
     """
-    if not g.is_infinite_emitter(v):
-        raise GraphError(f"{v!r} is not an infinite emitter")
+    mat = g.materialized(v)  # raises unless v is an infinite emitter
     desc = g.descriptor(v)
-    mat = g.materialized(v)
     if k < len(mat):
         raise GraphError(f"cannot shrink materialized edges of {v!r} from {len(mat)} to {k}")
     if k == len(mat):
         return g
-    existing = {e.id for e in g.edges}
     new_edges = []
-    new_ids = []
     for n in range(len(mat), k):
-        eid = materialized_edge_id(v, n)
-        if eid in existing:
+        eid = f"e{n}^{v}"
+        if eid in g._edge_by_id:
             raise GraphError(f"generated edge id {eid!r} already in use")
         new_edges.append(Edge(eid, v, desc.range_at(n)))
-        new_ids.append(eid)
     edges = tuple(sorted(g.edges + tuple(new_edges), key=lambda e: e.id))
+    new_ids = tuple(e.id for e in new_edges)
     emitters = tuple(
-        (u, d, (m + tuple(new_ids)) if u == v else m) for u, d, m in g.emitters
+        (u, d, (m + new_ids) if u == v else m) for u, d, m in g.emitters
     )
     return Graph(g.vertices, edges, emitters)
 
@@ -277,11 +291,12 @@ def graph_from_json(data: dict) -> Graph:
         else:
             raise GraphError(f"malformed vertex entry {item!r}")
     edges = []
+    by_src: dict[str, list[str]] = {}
     for item in raw_es:
-        try:
-            edges.append((str(item["id"]), str(item["src"]), str(item["dst"])))
-        except (KeyError, TypeError) as exc:
-            raise GraphError(f"malformed edge entry {item!r}") from exc
+        if not isinstance(item, dict) or not all(isinstance(item.get(k), str) for k in ("id", "src", "dst")):
+            raise GraphError(f"malformed edge entry {item!r}")
+        edges.append((item["id"], item["src"], item["dst"]))
+        by_src.setdefault(item["src"], []).append(item["id"])
     emitters = {}
     for v, entry in raw_em.items():
         if not isinstance(entry, dict):
@@ -290,11 +305,13 @@ def graph_from_json(data: dict) -> Graph:
         # a string would otherwise be read as a list of one-character vertex ids
         if not isinstance(prefix, list) or not isinstance(cycle, list):
             raise GraphError(f"emitter {v!r}: 'prefix' and 'cycle' must be arrays")
-        desc = EdgeIndexDescriptor(tuple(str(x) for x in prefix), tuple(str(x) for x in cycle))
+        if not all(isinstance(x, str) for x in prefix + cycle):
+            raise GraphError(f"emitter {v!r}: 'prefix' and 'cycle' must list vertex ids as strings")
+        desc = EdgeIndexDescriptor(tuple(prefix), tuple(cycle))
         count = entry.get("materialized", 0)
         if isinstance(count, bool) or not isinstance(count, int):
             raise GraphError(f"emitter {v!r}: 'materialized' must be an integer, got {count!r}")
-        mat = [eid for eid, src, _ in edges if src == v]
+        mat = by_src.get(v, [])
         if len(mat) != count:
             raise GraphError(
                 f"emitter {v!r} declares {count} materialized edges but "

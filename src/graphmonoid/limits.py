@@ -11,13 +11,14 @@ engine there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import kernels
 from .engine import completed_system, elements_up_to_degree, equal
-from .graphs import Graph, VertexClass, out_edges, require_valid, validate_graph, vertex_class
+from .graphs import Graph, GraphError, VertexClass, out_edges, require_valid, vertex_class
 from .presentation import (
     Generator,
     MonoidElement,
@@ -55,23 +56,16 @@ class GraphMorphism:
             tuple(sorted(edge_map.items())),
         )
 
+    @cached_property
+    def _maps(self) -> tuple[dict[str, str], dict[str, str]]:
+        # built once and shared by every caller: read them, never mutate them
+        return dict(self.vertex_pairs), dict(self.edge_pairs)
+
     def vertex_map(self) -> dict[str, str]:
-        return dict(self.vertex_pairs)
+        return self._maps[0]
 
     def edge_map(self) -> dict[str, str]:
-        return dict(self.edge_pairs)
-
-    def v(self, vid: str) -> str:
-        for a, b in self.vertex_pairs:
-            if a == vid:
-                return b
-        raise MorphismError(f"vertex {vid!r} has no image")
-
-    def e(self, eid: str) -> str:
-        for a, b in self.edge_pairs:
-            if a == eid:
-                return b
-        raise MorphismError(f"edge {eid!r} has no image")
+        return self._maps[1]
 
 
 def identity_morphism(g: Graph) -> GraphMorphism:
@@ -95,27 +89,26 @@ def structural_violations(m: GraphMorphism) -> tuple[str, ...]:
     """Ways in which m fails to be a graph morphism at all."""
     bad: list[str] = []
     for g, label in ((m.source, "source"), (m.target, "target")):
-        rep = validate_graph(g)
+        rep = g.validation
         if not rep.ok:
             bad.append(f"{label} graph invalid: {rep.violations[0]}")
     vmap = m.vertex_map()
     emap = m.edge_map()
-    tverts = set(m.target.vertices)
-    teids = {e.id for e in m.target.edges}
     for v in m.source.vertices:
         if v not in vmap:
             bad.append(f"vertex {v!r} has no image")
-        elif vmap[v] not in tverts:
+        elif not m.target.has_vertex(vmap[v]):
             bad.append(f"vertex {v!r} maps to unknown vertex {vmap[v]!r}")
     for e in m.source.edges:
         if e.id not in emap:
             bad.append(f"edge {e.id!r} has no image")
             continue
         img = emap[e.id]
-        if img not in teids:
+        try:
+            te = m.target.edge(img)
+        except GraphError:
             bad.append(f"edge {e.id!r} maps to unknown edge {img!r}")
             continue
-        te = m.target.edge(img)
         if e.src in vmap and te.src != vmap[e.src]:
             bad.append(f"edge {e.id!r}: image source {te.src!r} != image of source {vmap[e.src]!r}")
         if e.dst in vmap and te.dst != vmap[e.dst]:
@@ -253,7 +246,6 @@ class MonoidChain:
             raise MorphismError("a chain of k presentations needs k-1 connecting maps")
         for i, step in enumerate(frozen):
             dom = dict(step)
-            lower = set(presentations[i].alphabet)
             upper = set(presentations[i + 1].alphabet)
             for gen in presentations[i].alphabet:
                 if gen not in dom:
@@ -489,7 +481,7 @@ def check_continuity(
 # -- JSON ---------------------------------------------------------------------
 
 def morphism_to_json(m: GraphMorphism) -> dict:
-    return {"vertex_map": m.vertex_map(), "edge_map": m.edge_map()}
+    return {"vertex_map": dict(m.vertex_pairs), "edge_map": dict(m.edge_pairs)}  # the caller owns it
 
 
 def morphism_from_json(data: dict, source: Graph, target: Graph) -> GraphMorphism:

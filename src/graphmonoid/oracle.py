@@ -10,6 +10,7 @@ route to equality against which the word engine is cross-checked.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -55,27 +56,22 @@ class SinkVector:
 
 
 def topological_order(g: Graph) -> tuple[str, ...]:
-    """Vertices in an order with every edge pointing forward; raises on cycles."""
+    """Vertices with every edge pointing forward, smallest ready vertex first; raises on cycles."""
     require_valid(g)
     if g.emitters:
         raise OracleError("graph has infinite emitters; the oracle needs row-finite input")
     indeg = {v: 0 for v in g.vertices}
     for e in g.edges:
         indeg[e.dst] += 1
-    ready = sorted(v for v, d in indeg.items() if d == 0)
+    ready = sorted(v for v, d in indeg.items() if d == 0)  # a sorted list is a heap
     order: list[str] = []
     while ready:
-        v = ready.pop(0)
+        v = heapq.heappop(ready)
         order.append(v)
-        changed = False
-        for e in g.edges:
-            if e.src == v:
-                indeg[e.dst] -= 1
-                if indeg[e.dst] == 0:
-                    ready.append(e.dst)
-                    changed = True
-        if changed:
-            ready.sort()
+        for e in out_edges(g, v):
+            indeg[e.dst] -= 1
+            if indeg[e.dst] == 0:
+                heapq.heappush(ready, e.dst)
     if len(order) != len(g.vertices):
         raise OracleError("graph has a cycle; the oracle needs acyclic input")
     return tuple(order)
@@ -98,7 +94,7 @@ def path_count_table(g: Graph) -> dict[str, SinkVector]:
 
 def path_count(g: Graph, v: str) -> SinkVector:
     """Number of directed paths from v to each sink; a sink counts its empty path."""
-    if v not in g.vertices:
+    if not g.has_vertex(v):
         raise GraphError(f"unknown vertex id {v!r}")
     return path_count_table(g)[v]
 

@@ -125,10 +125,6 @@ class MonoidElement:
 ZERO = MonoidElement()
 
 
-def elem_add(x: MonoidElement, y: MonoidElement) -> MonoidElement:
-    return x + y
-
-
 def elem_sum(items: Iterable[MonoidElement]) -> MonoidElement:
     """Sum of any number of elements, counted in one dict and sorted once."""
     counts: dict[Generator, int] = {}
@@ -266,7 +262,9 @@ def generator_from_json(data: dict, g: Graph | None = None) -> Generator:
     if kind == "v":
         return Generator(v)
     if kind == "vS":
-        ids = [str(x) for x in data.get("S", [])]
+        ids = data.get("S", [])
+        if not isinstance(ids, list) or not all(isinstance(x, str) for x in ids):
+            raise PresentationError(f"generator edge set must be an array of strings, got {ids!r}")
         if g is not None:
             return sgen(g, v, ids)
         return Generator(v, tuple(ids))

@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Criterion 7 (determinism) reruns the report builders of criteria 1-6 and
-demands byte-identical canonical JSON.
+demands byte-identical canonical JSON, equal to the pinned digests below.
 """
 
+import hashlib
 import json
 
 from acceptance_support import CRITERIA
@@ -11,6 +12,17 @@ from acceptance_support import CRITERIA
 _cache: dict[int, tuple[dict, float]] = {}
 
 TIME_LIMITS = {1: 60.0, 2: 60.0, 3: 120.0, 4: 60.0, 5: 60.0, 6: 60.0}
+
+# first 16 hex digits of the sha256 of each canonical report; a change to any
+# verdict, count or certificate in a report changes its digest
+REPORT_DIGESTS = {
+    1: "29504a103ee54d04",
+    2: "60485cca362b23a6",
+    3: "5ca15dcc9a0a8d98",
+    4: "2c3da83fcc0314ce",
+    5: "1fed8ad3287b16e4",
+    6: "f1ea094f77e26475",
+}
 
 
 def _run(n: int) -> tuple[dict, float]:
@@ -69,4 +81,6 @@ def test_criterion_7_determinism():
     second = {n: json.dumps(CRITERIA[n]()[0], sort_keys=True) for n in CRITERIA}
     for n in CRITERIA:
         assert first[n] == second[n], f"criterion {n} report is not reproducible"
+        digest = hashlib.sha256(first[n].encode()).hexdigest()[:16]
+        assert digest == REPORT_DIGESTS[n], f"criterion {n} report digest {digest} is not the pinned one"
     print("PASS criterion 7: reports for criteria 1-6 reproduce byte-identically")

@@ -1,12 +1,16 @@
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphmonoid.cli import EXIT_INVALID, EXIT_OK, EXIT_UNDECIDED, run
-from graphmonoid.graphs import graph_to_json
+from graphmonoid.graphs import EdgeIndexDescriptor, Graph, graph_to_json
 from graphmonoid.presentation import MonoidElement, element_to_json, sgen, vgen
 
-from conftest import diamond, emitter_to_sink, single_edge
+from conftest import diamond, emitter_mixed, emitter_to_sink, single_edge
 
 
 @pytest.fixture
@@ -88,6 +92,14 @@ def _term(mult):
 
 
 _EMITTER = graph_to_json(emitter_to_sink(1))
+# emitter v with materialized edges a and b: a string or object S would name them
+_EMITTER_AB = graph_to_json(
+    Graph.build(["v", "w"], [("a", "v", "w"), ("b", "v", "w")], {"v": (EdgeIndexDescriptor((), ("w",)), ["a", "b"])})
+)
+
+
+def _vs_term(s):
+    return {"terms": [{"gen": {"kind": "vS", "v": "v", "S": s}, "mult": 1}]}
 
 
 @pytest.mark.parametrize(
@@ -100,6 +112,12 @@ _EMITTER = graph_to_json(emitter_to_sink(1))
         ({**_EMITTER, "infinite_emitters": {"v": {"cycle": ["w"], "materialized": "x"}}}, _term(1)),
         (_EMITTER, {"terms": [{"gen": {"kind": "v", "v": ["w"]}, "mult": 1}]}),
         ({**_EMITTER, "infinite_emitters": {"v": {"cycle": "ww", "materialized": 1}}}, _term(1)),
+        (_EMITTER_AB, _vs_term("ab")),
+        (_EMITTER_AB, _vs_term({"a": 0, "b": 0})),
+        (_EMITTER_AB, _vs_term(["a", 0])),
+        ({"vertices": ["v", "w"], "edges": [{"id": None, "src": "v", "dst": "w"}]}, _term(1)),
+        ({"vertices": ["v", "w"], "edges": [{"id": "e", "src": "v", "dst": 1}]}, _term(1)),
+        ({**_EMITTER, "infinite_emitters": {"v": {"prefix": [1], "cycle": ["w"], "materialized": 1}}}, _term(1)),
     ],
     ids=[
         "string-mult",
@@ -109,6 +127,12 @@ _EMITTER = graph_to_json(emitter_to_sink(1))
         "string-materialized",
         "list-vertex",
         "string-cycle",
+        "string-edge-set",
+        "object-edge-set",
+        "number-in-edge-set",
+        "null-edge-id",
+        "number-edge-range",
+        "number-in-prefix",
     ],
 )
 def test_hostile_json_is_invalid_input(files, capsys, graph, element):
@@ -117,6 +141,58 @@ def test_hostile_json_is_invalid_input(files, capsys, graph, element):
     code, out = invoke(capsys, "normal-form", "--graph", gp, "--element", xp)
     assert code == EXIT_INVALID
     assert "error" in json.loads(out)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_G = emitter_mixed(2)
+_DOCS = {
+    "graph": graph_to_json(_G),
+    "element": element_to_json(
+        MonoidElement.single(vgen("u"), 2) + MonoidElement.single(sgen(_G, "v", ["e0", "e1"]))
+    ),
+}
+
+
+def _positions(doc, path=()):
+    """Every position in a JSON document, the root included."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _positions(value, path + (key,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_field_replaced_by_any_json_is_answered_or_invalid(tmp_path_factory, data):
+    which = data.draw(st.sampled_from(sorted(_DOCS)))
+    path = data.draw(st.sampled_from(list(_positions(_DOCS[which]))))
+    value = data.draw(_JSON)
+    docs = copy.deepcopy(_DOCS)
+    if path:
+        node = docs[which]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    else:
+        docs[which] = value
+    d = tmp_path_factory.mktemp("hostile")
+    for name, doc in docs.items():
+        (d / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    graph, element = str(d / "graph.json"), str(d / "element.json")
+    for argv in (
+        ["validate", "--graph", graph],
+        ["present", "--graph", graph],
+        ["normal-form", "--graph", graph, "--element", element],
+    ):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = run(argv)
+        assert code in (EXIT_OK, EXIT_INVALID), (argv, out.getvalue())
+        assert isinstance(json.loads(out.getvalue()), dict)
 
 
 def test_budget_exhaustion_exit_code(files, capsys):

@@ -406,6 +406,17 @@ def test_presentation_data_is_built_once():
     assert set(vars(pickle.loads(pickle.dumps(p)))) == {"alphabet", "relations"}
 
 
+
+def test_completed_systems_cache_is_bounded():
+    from graphmonoid import engine
+
+    bound = engine._COMPLETED_CACHE_SIZE
+    assert bound == 512
+    for i in range(bound + 1):
+        completed_system(presentation_of(single_edge(f"v{i}", "w")))
+    info = engine._completed.cache_info()
+    assert info.maxsize == info.currsize == bound
+
 def test_alphabet_mismatch_rejected():
     p = presentation_of(single_sink())
     with pytest.raises(EngineError):

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from graphmonoid.graphs import (
     Edge,
@@ -16,6 +16,8 @@ from graphmonoid.graphs import (
     validate_graph,
     vertex_class,
 )
+
+from graphmonoid.oracle import OracleError, topological_order
 
 from conftest import diamond, emitter_to_sink, single_edge, single_sink
 
@@ -161,6 +163,12 @@ def test_json_rejects_malformed_sections():
         graph_from_json({"vertices": ["v", "w"], "infinite_emitters": {"v": {"prefix": "ww", "cycle": ["w"]}}})
     with pytest.raises(GraphError):
         graph_from_json({"edges": []})
+    # edge fields and descriptor entries are strings, never converted with str()
+    for edge in ({"id": None, "src": "v", "dst": "w"}, {"id": "e", "src": 0, "dst": "w"}, {"id": "e", "src": "v"}):
+        with pytest.raises(GraphError, match="malformed edge entry"):
+            graph_from_json({"vertices": ["v", "w"], "edges": [edge]})
+    with pytest.raises(GraphError, match="strings"):
+        graph_from_json({"vertices": ["v", "w"], "infinite_emitters": {"v": {"cycle": [None]}}})
 
 
 def test_json_boundary_annotation():
@@ -171,3 +179,141 @@ def test_json_boundary_annotation():
     assert {"id": "w", "boundary": True} in doc["vertices"]
     assert graph_from_json(json.loads(json.dumps(doc))) == g
     assert boundary_from_json(doc) == frozenset({"w"})
+
+
+# -- the graph's lookups against the scans they replaced -----------------------
+
+def _scan_edge(g, eid):
+    for e in g.edges:
+        if e.id == eid:
+            return e
+    raise GraphError(f"unknown edge id {eid!r}")
+
+
+def _scan_descriptor(g, v):
+    for u, desc, _ in g.emitters:
+        if u == v:
+            return desc
+    return None
+
+
+def _scan_materialized(g, v):
+    for u, _, mat in g.emitters:
+        if u == v:
+            return mat
+    raise GraphError(f"{v!r} is not an infinite emitter")
+
+
+def _scan_is_infinite_emitter(g, v):
+    return any(u == v for u, _, _ in g.emitters)
+
+
+def _scan_vertex_class(g, v):
+    if v not in g.vertices:
+        raise GraphError(f"unknown vertex id {v!r}")
+    if _scan_is_infinite_emitter(g, v):
+        return VertexClass.INFINITE_EMITTER
+    if any(e.src == v for e in g.edges):
+        return VertexClass.REGULAR
+    return VertexClass.SINK
+
+
+def _scan_out_edges(g, v):
+    if v not in g.vertices:
+        raise GraphError(f"unknown vertex id {v!r}")
+    if _scan_is_infinite_emitter(g, v):
+        return tuple(_scan_edge(g, eid) for eid in _scan_materialized(g, v))
+    return tuple(e for e in g.edges if e.src == v)
+
+
+def _scan_topological_order(g):
+    report = validate_graph(g)
+    if not report.ok:
+        raise GraphError("invalid graph: " + "; ".join(report.violations))
+    if g.emitters:
+        raise OracleError("graph has infinite emitters; the oracle needs row-finite input")
+    indeg = {v: 0 for v in g.vertices}
+    for e in g.edges:
+        indeg[e.dst] += 1
+    ready = sorted(v for v, d in indeg.items() if d == 0)
+    order = []
+    while ready:
+        v = ready.pop(0)
+        order.append(v)
+        for e in g.edges:
+            if e.src == v:
+                indeg[e.dst] -= 1
+                if indeg[e.dst] == 0:
+                    ready.append(e.dst)
+        ready.sort()
+    if len(order) != len(g.vertices):
+        raise OracleError("graph has a cycle; the oracle needs acyclic input")
+    return tuple(order)
+
+
+def _outcome(f, *args):
+    try:
+        return "value", f(*args)
+    except (GraphError, OracleError) as exc:
+        return type(exc), str(exc)
+
+
+_NAMES = ["a", "b", "c", "d"]
+_IDS = ["e0", "e1", "e2", "e3"]
+_descriptors = st.builds(
+    EdgeIndexDescriptor,
+    st.lists(st.sampled_from(_NAMES + ["x"]), max_size=2).map(tuple),
+    st.lists(st.sampled_from(_NAMES + ["x"]), min_size=1, max_size=2).map(tuple),
+)
+
+
+@st.composite
+def _valid_graphs(draw):
+    """Unique ids; acyclic or not; emitters materialized through materialize_edges."""
+    names = _NAMES[: draw(st.integers(1, len(_NAMES)))]
+    emitters = draw(st.lists(st.sampled_from(names), max_size=2, unique=True))
+    acyclic = draw(st.booleans())
+    edges = []
+    for i, j in draw(st.lists(st.tuples(st.integers(0, len(names) - 1), st.integers(0, len(names) - 1)), max_size=7)):
+        if acyclic:
+            if i == j:
+                continue
+            i, j = min(i, j), max(i, j)
+        if names[i] not in emitters:
+            edges.append((f"e{len(edges)}", names[i], names[j]))
+    cycle = tuple(draw(st.lists(st.sampled_from(names), min_size=1, max_size=2)))
+    g = Graph.build(names, edges, {v: (EdgeIndexDescriptor((), cycle), []) for v in emitters})
+    for v in emitters:
+        g = materialize_edges(g, v, draw(st.integers(0, 3)))
+    return g
+
+
+# repeated vertex and edge ids, edges from or to unknown vertices, emitters
+# that are not vertices or list unknown, repeated or foreign edges
+_any_graphs = st.builds(
+    Graph,
+    st.lists(st.sampled_from(_NAMES), max_size=4).map(tuple),
+    st.lists(
+        st.builds(Edge, st.sampled_from(_IDS), st.sampled_from(_NAMES + ["x"]), st.sampled_from(_NAMES + ["x"])),
+        max_size=6,
+    ).map(tuple),
+    st.lists(
+        st.tuples(st.sampled_from(_NAMES + ["x"]), _descriptors, st.lists(st.sampled_from(_IDS + ["f"]), max_size=3).map(tuple)),
+        max_size=2,
+    ).map(tuple),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=st.one_of(_valid_graphs(), _any_graphs))
+def test_lookups_match_the_scans_they_replace(g):
+    for eid in _IDS + ["e4", "e0^a", "f"]:
+        assert _outcome(g.edge, eid) == _outcome(_scan_edge, g, eid)
+    for v in _NAMES + ["x"]:
+        assert _outcome(g.descriptor, v) == _outcome(_scan_descriptor, g, v)
+        assert _outcome(g.materialized, v) == _outcome(_scan_materialized, g, v)
+        assert g.is_infinite_emitter(v) == _scan_is_infinite_emitter(g, v)
+        assert _outcome(vertex_class, g, v) == _outcome(_scan_vertex_class, g, v)
+        assert _outcome(out_edges, g, v) == _outcome(_scan_out_edges, g, v)
+    assert g.validation == validate_graph(g)
+    assert _outcome(topological_order, g) == _outcome(_scan_topological_order, g)

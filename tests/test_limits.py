@@ -83,7 +83,7 @@ def test_composition_of_ck_is_ck():
     chain = emitter_chain()
     composed = compose(chain.steps[1], chain.steps[0])
     assert is_ck_morphism(composed).ok
-    assert composed.v("v") == "v" and composed.e("e0") == "e0"
+    assert composed.vertex_map()["v"] == "v" and composed.edge_map()["e0"] == "e0"
 
 
 def test_induced_map_identity():
