@@ -442,25 +442,22 @@ def bfs_reach(
     g = len(p.alphabet)
     lhs, rhs = _relation_matrices(p)
     start = _vec(x, p.index())
+    row = np.dtype((np.void, start.itemsize * g))  # a row's bytes as one hashable key
     seen = {start.tobytes()}
-    reached = [start]
     frontier = start.reshape(1, g)
     saturated = lhs.shape[0] == 0
     for _ in range(depth):
-        fresh = []
-        for row in kernels.expand_frontier(frontier, lhs, rhs):
-            key = row.tobytes()
-            if key not in seen:
-                seen.add(key)
-                fresh.append(row)
+        cand = kernels.expand_frontier(frontier, lhs, rhs)
+        fresh = set(cand.view(row).ravel().tolist()) - seen
         if not fresh:
             saturated = True
             break
-        reached.extend(fresh)
+        seen |= fresh
         if max_size is not None and len(seen) > max_size:
             break  # capped before closing the class: not saturated
-        frontier = np.stack(fresh)
-    return set(map(tuple, np.stack(reached).tolist())), saturated
+        frontier = np.frombuffer(b"".join(fresh), np.int64).reshape(len(fresh), g)
+    rows = np.frombuffer(b"".join(seen), np.int64).reshape(len(seen), g)
+    return set(map(tuple, rows.tolist())), saturated
 
 
 def elements_up_to_degree(n_generators: int, degree: int) -> np.ndarray:

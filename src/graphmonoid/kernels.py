@@ -107,16 +107,12 @@ def nf_batch(xs: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def expand_frontier(front: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """One bidirectional congruence step from every frontier row (with duplicates)."""
-    g = front.shape[1]
-    parts = []
-    for a, b in ((lhs, rhs), (rhs, lhs)):
-        if a.shape[0] == 0 or front.shape[0] == 0:
-            continue
-        mask = (front[:, None, :] >= a[None, :, :]).all(axis=2)
-        ii, kk = np.nonzero(mask)
-        if ii.size:
-            parts.append(front[ii] - a[kk] + b[kk])
-    if not parts:
-        return np.empty((0, g), dtype=np.int64)
-    return np.concatenate(parts, axis=0)
+    """One bidirectional congruence step from every frontier row (with duplicates, in no set order).
+
+    Both directions are one broadcast over the stacked sides: a row steps
+    by (lhs; rhs) -> (rhs; lhs) wherever that side is at most the row.
+    """
+    src = np.concatenate((lhs, rhs))
+    dst = np.concatenate((rhs, lhs))
+    ii, kk = np.nonzero((front[:, None, :] >= src[None, :, :]).all(axis=2))
+    return front[ii] - src[kk] + dst[kk]

@@ -486,10 +486,13 @@ def morphism_to_json(m: GraphMorphism) -> dict:
 
 def morphism_from_json(data: dict, source: Graph, target: Graph) -> GraphMorphism:
     try:
-        vmap = {str(k): str(v) for k, v in data["vertex_map"].items()}
-        emap = {str(k): str(v) for k, v in data.get("edge_map", {}).items()}
+        vmap = dict(data["vertex_map"].items())
+        emap = dict(data.get("edge_map", {}).items())
     except (KeyError, TypeError, AttributeError) as exc:
         raise MorphismError(f"malformed morphism document: {exc}") from exc
+    for k, v in (*vmap.items(), *emap.items()):
+        if not (isinstance(k, str) and isinstance(v, str)):
+            raise MorphismError(f"malformed morphism entry {k!r}: {v!r}; ids must be strings")
     return GraphMorphism.build(source, target, vmap, emap)
 
 

@@ -77,39 +77,55 @@ def topological_order(g: Graph) -> tuple[str, ...]:
     return tuple(order)
 
 
-def path_count_table(g: Graph) -> dict[str, SinkVector]:
-    """Path-count vectors of every vertex, one reverse-topological sweep."""
-    order = topological_order(g)
-    table: dict[str, SinkVector] = {}
-    for v in reversed(order):
-        if vertex_class(g, v) is VertexClass.SINK:
-            table[v] = SinkVector(((v, 1),))
-        else:
-            total = SinkVector()
-            for e in out_edges(g, v):
-                total = total + table[e.dst]
-            table[v] = total
+def _path_counts(g: Graph) -> dict[str, SinkVector]:
+    """Path-count vectors of every vertex, one reverse-topological sweep, built once per graph.
+
+    The table is kept in g's __dict__ beside its lookups and is shared by
+    every caller, so the dict itself is never handed out.  A graph the
+    oracle rejects raises on every call and caches nothing.
+    """
+    table = g.__dict__.get("_path_counts")
+    if table is None:
+        table = {}
+        for v in reversed(topological_order(g)):
+            if vertex_class(g, v) is VertexClass.SINK:
+                table[v] = SinkVector(((v, 1),))
+            else:
+                table[v] = _weighted_sum((table[e.dst], 1) for e in out_edges(g, v))
+        g.__dict__["_path_counts"] = table
     return table
+
+
+def _weighted_sum(terms: Iterable[tuple[SinkVector, int]]) -> SinkVector:
+    """Σ mult·sv over (sv, mult) terms, added into one dict."""
+    total: dict[str, int] = {}
+    for sv, mult in terms:
+        for w, n in sv.counts:
+            total[w] = total.get(w, 0) + n * mult
+    return SinkVector.from_dict(total)
+
+
+def path_count_table(g: Graph) -> dict[str, SinkVector]:
+    """Path-count vectors of every vertex, as a fresh dict."""
+    return dict(_path_counts(g))
 
 
 def path_count(g: Graph, v: str) -> SinkVector:
     """Number of directed paths from v to each sink; a sink counts its empty path."""
     if not g.has_vertex(v):
         raise GraphError(f"unknown vertex id {v!r}")
-    return path_count_table(g)[v]
+    return _path_counts(g)[v]
 
 
 def gamma_acyclic(g: Graph, x: MonoidElement) -> SinkVector:
     """Additive extension of path counting to elements over vertex generators."""
-    table = path_count_table(g)
-    total = SinkVector()
-    for gen, mult in x.terms:
+    table = _path_counts(g)
+    for gen, _ in x.terms:
         if gen.is_cofinite:
             raise OracleError(f"{gen} is a cofinite generator; the oracle domain is row-finite")
         if gen.vertex not in table:
             raise GraphError(f"unknown vertex generator {gen}")
-        total = total + table[gen.vertex] * mult
-    return total
+    return _weighted_sum((table[gen.vertex], mult) for gen, mult in x.terms)
 
 
 @dataclass(frozen=True)
@@ -149,12 +165,9 @@ def sink_transfer(m: GraphMorphism, sv: SinkVector) -> SinkVector:
     The unit at a source sink w contributes the target path-count vector of
     its image; this is the matrix the morphism induces on free sink bases.
     """
-    table = path_count_table(m.target)
+    table = _path_counts(m.target)
     vmap = m.vertex_map()
-    total = SinkVector()
-    for w, mult in sv.counts:
-        total = total + table[vmap[w]] * mult
-    return total
+    return _weighted_sum((table[vmap[w]], mult) for w, mult in sv.counts)
 
 
 @dataclass(frozen=True)
@@ -173,8 +186,8 @@ def check_naturality(m: GraphMorphism) -> NaturalityReport:
     Both graphs must be finite acyclic row-finite; checked exactly on every
     vertex generator of the source.
     """
-    topological_order(m.source)
-    topological_order(m.target)
+    _path_counts(m.source)
+    _path_counts(m.target)
     gen_map = induced_monoid_morphism(m)
     checked = 0
     bad: list[str] = []

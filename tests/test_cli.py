@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphmonoid.cli import EXIT_INVALID, EXIT_OK, EXIT_UNDECIDED, run
+from graphmonoid.engine import completed_system
 from graphmonoid.graphs import EdgeIndexDescriptor, Graph, graph_to_json
-from graphmonoid.presentation import MonoidElement, element_to_json, sgen, vgen
+from graphmonoid.presentation import MonoidElement, element_to_json, presentation_of, sgen, vgen
 
 from conftest import diamond, emitter_mixed, emitter_to_sink, single_edge
 
@@ -102,22 +103,32 @@ def _vs_term(s):
     return {"terms": [{"gen": {"kind": "vS", "v": "v", "S": s}, "mult": 1}]}
 
 
+_EDGE_E = {"vertices": ["v", "w"], "edges": [{"id": "e", "src": "v", "dst": "w"}]}
+_EDGE_1 = {"vertices": ["v", "w"], "edges": [{"id": "1", "src": "v", "dst": "w"}]}
+
+
+def _nf(graph, element):
+    return "normal-form", {"graph": graph, "element": element}
+
+
 @pytest.mark.parametrize(
-    "graph, element",
+    "command, docs",
     [
-        (_EMITTER, _term("x")),
-        (_EMITTER, {"terms": 5}),
-        (_EMITTER, _term(2**63)),
-        (_EMITTER, _term(1.7)),
-        ({**_EMITTER, "infinite_emitters": {"v": {"cycle": ["w"], "materialized": "x"}}}, _term(1)),
-        (_EMITTER, {"terms": [{"gen": {"kind": "v", "v": ["w"]}, "mult": 1}]}),
-        ({**_EMITTER, "infinite_emitters": {"v": {"cycle": "ww", "materialized": 1}}}, _term(1)),
-        (_EMITTER_AB, _vs_term("ab")),
-        (_EMITTER_AB, _vs_term({"a": 0, "b": 0})),
-        (_EMITTER_AB, _vs_term(["a", 0])),
-        ({"vertices": ["v", "w"], "edges": [{"id": None, "src": "v", "dst": "w"}]}, _term(1)),
-        ({"vertices": ["v", "w"], "edges": [{"id": "e", "src": "v", "dst": 1}]}, _term(1)),
-        ({**_EMITTER, "infinite_emitters": {"v": {"prefix": [1], "cycle": ["w"], "materialized": 1}}}, _term(1)),
+        _nf(_EMITTER, _term("x")),
+        _nf(_EMITTER, {"terms": 5}),
+        _nf(_EMITTER, _term(2**63)),
+        _nf(_EMITTER, _term(1.7)),
+        _nf({**_EMITTER, "infinite_emitters": {"v": {"cycle": ["w"], "materialized": "x"}}}, _term(1)),
+        _nf(_EMITTER, {"terms": [{"gen": {"kind": "v", "v": ["w"]}, "mult": 1}]}),
+        _nf({**_EMITTER, "infinite_emitters": {"v": {"cycle": "ww", "materialized": 1}}}, _term(1)),
+        _nf(_EMITTER_AB, _vs_term("ab")),
+        _nf(_EMITTER_AB, _vs_term({"a": 0, "b": 0})),
+        _nf(_EMITTER_AB, _vs_term(["a", 0])),
+        _nf({"vertices": ["v", "w"], "edges": [{"id": None, "src": "v", "dst": "w"}]}, _term(1)),
+        _nf({"vertices": ["v", "w"], "edges": [{"id": "e", "src": "v", "dst": 1}]}, _term(1)),
+        _nf({**_EMITTER, "infinite_emitters": {"v": {"prefix": [1], "cycle": ["w"], "materialized": 1}}}, _term(1)),
+        ("ck-check", {"source": {"vertices": ["v"]}, "target": {"vertices": ["1"]}, "morphism": {"vertex_map": {"v": 1}}}),
+        ("ck-check", {"source": _EDGE_E, "target": _EDGE_1, "morphism": {"vertex_map": {"v": "v", "w": "w"}, "edge_map": {"e": 1}}}),
     ],
     ids=[
         "string-mult",
@@ -133,12 +144,15 @@ def _vs_term(s):
         "null-edge-id",
         "number-edge-range",
         "number-in-prefix",
+        "number-vertex-map-value",
+        "number-edge-map-value",
     ],
 )
-def test_hostile_json_is_invalid_input(files, capsys, graph, element):
-    gp = files("g.json", graph)
-    xp = files("x.json", element)
-    code, out = invoke(capsys, "normal-form", "--graph", gp, "--element", xp)
+def test_hostile_json_is_invalid_input(files, capsys, command, docs):
+    argv = [command]
+    for flag, doc in docs.items():
+        argv += [f"--{flag}", files(f"{flag}.json", doc)]
+    code, out = invoke(capsys, *argv)
     assert code == EXIT_INVALID
     assert "error" in json.loads(out)
 
@@ -202,6 +216,30 @@ def test_budget_exhaustion_exit_code(files, capsys):
     code, out = invoke(capsys, "--budget", "0", "equal", "--graph", gp, "--lhs", u, "--rhs", u)
     assert code == EXIT_UNDECIDED
     assert json.loads(out)["undecided"] is True
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from([emitter_mixed, emitter_to_sink]), k=st.integers(2, 4), data=st.data())
+def test_budget_below_the_needed_spairs_exits_undecided(tmp_path_factory, family, k, data):
+    g = family(k)
+    p = presentation_of(g)
+    need = completed_system(p).spairs_processed
+    budget = data.draw(st.integers(0, need - 1), label="budget")
+    d = tmp_path_factory.mktemp("budget")
+    docs = {"graph": graph_to_json(g)}
+    for side in ("lhs", "rhs"):
+        docs[side] = element_to_json(MonoidElement.single(data.draw(st.sampled_from(p.alphabet), label=side)))
+    argv = ["equal"]
+    for name, doc in docs.items():
+        (d / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+        argv += [f"--{name}", str(d / f"{name}.json")]
+    for b, want in ((budget, EXIT_UNDECIDED), (need, EXIT_OK)):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = run(["--budget", str(b), *argv])
+        doc = json.loads(out.getvalue())
+        assert code == want, doc
+        assert ("error" in doc and doc["undecided"] is True) if want == EXIT_UNDECIDED else "equal" in doc
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphmonoid.engine import (
     BudgetExceededError,
     EngineError,
     EqualityResult,
+    bfs_reach,
     certificate_to_json,
     complete,
     completed_system,
@@ -385,6 +386,90 @@ def test_completeness_against_bfs_small():
                     assert nfs[i] == nfs[j], f"BFS joins {x} and {elems[j]}, engine separates"
                 elif saturated:
                     assert nfs[i] != nfs[j], f"engine joins {x} and {elems[j]}, BFS class is closed"
+
+
+def _expand_two_pass(front, lhs, rhs):
+    """expand_frontier as one pass per direction."""
+    parts = [np.empty((0, front.shape[1]), dtype=np.int64)]
+    for a, b in ((lhs, rhs), (rhs, lhs)):
+        ii, kk = np.nonzero((front[:, None, :] >= a[None, :, :]).all(axis=2))
+        parts.append(front[ii] - a[kk] + b[kk])
+    return np.concatenate(parts)
+
+
+def _bfs_reach_by_rows(p, x, depth, max_size=None):
+    """bfs_reach as a loop that deduplicates one row at a time."""
+    from graphmonoid.engine import _relation_matrices, _vec
+
+    lhs, rhs = _relation_matrices(p)
+    start = _vec(x, p.index())
+    seen, reached, frontier = {start.tobytes()}, [start], start.reshape(1, -1)
+    saturated = lhs.shape[0] == 0
+    for _ in range(depth):
+        fresh = []
+        for row in _expand_two_pass(frontier, lhs, rhs):
+            if row.tobytes() not in seen:
+                seen.add(row.tobytes())
+                fresh.append(row)
+        if not fresh:
+            saturated = True
+            break
+        reached.extend(fresh)
+        if max_size is not None and len(seen) > max_size:
+            break
+        frontier = np.stack(fresh)
+    return set(map(tuple, np.stack(reached).tolist())), saturated
+
+
+@st.composite
+def _small_presentations(draw):
+    gens = [vgen(f"x{i}") for i in range(draw(st.integers(1, 3)))]
+    side = st.dictionaries(st.sampled_from(gens), st.integers(1, 2), min_size=1).map(MonoidElement.from_counts)
+    rels = draw(st.lists(st.tuples(side, side), max_size=3))
+    x = draw(st.dictionaries(st.sampled_from(gens), st.integers(1, 3)).map(MonoidElement.from_counts))
+    return Presentation(tuple(gens), tuple(rels)), x
+
+
+_DOUBLING = pres("vw", [(single("v"), 2 * single("v")), (single("w"), 2 * single("w"))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_presentations(), st.integers(0, 6), st.none() | st.integers(0, 40))
+@example((_DOUBLING, single("v") + single("w")), 3, 4)  # level sizes 1, 2, 3: the cap falls inside level 2
+def test_bfs_reach_matches_the_row_by_row_loop(px, depth, max_size):
+    p, x = px
+    assert bfs_reach(p, x, depth, max_size) == _bfs_reach_by_rows(p, x, depth, max_size)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_presentations(), st.data())
+def test_expand_frontier_matches_two_passes(px, data):
+    from graphmonoid import kernels
+    from graphmonoid.engine import _relation_matrices
+
+    p, _ = px
+    g = len(p.alphabet)
+    front = np.array(
+        data.draw(st.lists(st.lists(st.integers(0, 3), min_size=g, max_size=g), max_size=6)), dtype=np.int64
+    ).reshape(-1, g)
+    lhs, rhs = _relation_matrices(p)
+    got = kernels.expand_frontier(front, lhs, rhs)
+    assert got.dtype == np.int64 and got.shape[1] == g
+    assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, _expand_two_pass(front, lhs, rhs).tolist()))
+
+
+def test_bfs_reach_cap_keeps_the_level_it_falls_in():
+    reach = {(1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (1, 3)}
+    assert bfs_reach(_DOUBLING, single("v") + single("w"), 3, 4) == (reach, False)
+
+
+def test_bfs_reach_without_relations():
+    from graphmonoid.graphs import Graph
+
+    assert bfs_reach(presentation_of(Graph()), MonoidElement(), 3) == ({()}, True)
+    p = pres("vw", [])
+    assert bfs_reach(p, 2 * single("v"), 3) == ({(2, 0)}, True)
+    assert bfs_reach(p, MonoidElement(), 0) == ({(0, 0)}, True)
 
 
 def test_presentation_data_is_built_once():

@@ -201,3 +201,68 @@ def extend_dag(rng: random.Random, e: Graph) -> GraphMorphism:
             edges.append((f"t{i}", s, fresh))
     f = Graph.build(vertices, edges)
     return GraphMorphism.build(e, f, {v: v for v in e.vertices}, {x.id: x.id for x in e.edges})
+
+
+def path_graph(n: int) -> Graph:
+    names = [f"v{i:05d}" for i in range(n)]
+    return Graph.build(names, [(f"e{i:05d}", names[i], names[i + 1]) for i in range(n - 1)])
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Graphs that path counting sorted topologically, one entry per sweep."""
+    import graphmonoid.oracle as oracle
+
+    seen: list[Graph] = []
+    real = oracle.topological_order
+
+    def counted(g):
+        seen.append(g)
+        return real(g)
+
+    monkeypatch.setattr(oracle, "topological_order", counted)
+    return seen
+
+
+def test_naturality_builds_each_table_once(sweeps):
+    rng = random.Random(3)
+    for _ in range(5):
+        m = extend_dag(rng, random_dag(rng))
+        del sweeps[:]
+        assert check_naturality(m).ok
+        assert len(sweeps) == 2 and sweeps[0] is m.source and sweeps[1] is m.target
+        assert check_naturality(m).ok and len(sweeps) == 2
+
+
+def test_cross_check_builds_the_table_once(sweeps):
+    g = diamond()
+    gens = [vgen(v) for v in g.vertices]
+    pairs = [(MonoidElement.single(a), MonoidElement.single(b)) for a in gens for b in gens]
+    assert cross_check(g, pairs).agreements == len(pairs)
+    assert sweeps == [g]
+
+
+def test_naturality_on_a_long_path_is_one_table(sweeps):
+    g = path_graph(1600)
+    m = GraphMorphism.build(g, g, {v: v for v in g.vertices}, {e.id: e.id for e in g.edges})
+    report = check_naturality(m)
+    assert report.ok and report.checked == 1600
+    assert len(sweeps) == len({id(x) for x in (m.source, m.target)}) == 1
+
+
+def test_returned_table_is_a_copy():
+    g = diamond()
+    table = path_count_table(g)
+    table["v"] = SinkVector((("u", 99),))
+    del table["u"]
+    assert path_count(g, "v").as_dict() == {"u": 2}
+    assert gamma_acyclic(g, single("v") + single("u")).as_dict() == {"u": 3}
+    assert path_count_table(g)["v"].as_dict() == {"u": 2}
+
+
+def test_rejected_graphs_raise_on_every_call(sweeps):
+    for g in (rose(1), emitter_to_sink(1)):
+        for _ in range(2):
+            with pytest.raises(OracleError):
+                gamma_acyclic(g, MonoidElement())
+    assert len(sweeps) == 4
