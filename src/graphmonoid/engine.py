@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import sys
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -68,6 +69,7 @@ class RewriteSystem:
     presentation: Presentation
     lhs: np.ndarray  # (r, g) int64
     rhs: np.ndarray
+    rules: tuple[kernels.Rule, ...]  # row k of lhs/rhs, compiled for kernels.reduce
     proofs: tuple[tuple[Step, ...], ...]
     completed: bool
     spairs_processed: int
@@ -81,13 +83,14 @@ class RewriteSystem:
         return _unvec(self.lhs[k], p.alphabet), _unvec(self.rhs[k], p.alphabet)
 
 
-def _vec(x: MonoidElement, index: dict[Generator, int]) -> np.ndarray:
-    """x as an exponent vector; its total degree must fit in int64.
+def _vec(x: MonoidElement, index: dict[Generator, int]) -> list[int]:
+    """x as an exponent vector, a list of ints; its total degree must fit in int64.
 
     Reduction never raises the degree, so no component of a reduct and no
-    run of steps applied at once can leave the int64 range.
+    run of steps applied at once can leave the int64 range, and the vector
+    fits an int64 row of the relation matrices.
     """
-    out = np.zeros(len(index), dtype=np.int64)
+    out = [0] * len(index)
     degree = 0
     for gen, mult in x.terms:
         degree += mult
@@ -116,22 +119,25 @@ def _relation_matrices(p: Presentation) -> tuple[np.ndarray, np.ndarray]:
     return pair
 
 
-def _unvec(v: np.ndarray, alphabet: tuple[Generator, ...]) -> MonoidElement:
-    return MonoidElement.from_counts(
-        {alphabet[i]: int(v[i]) for i in np.nonzero(v)[0]}
-    )
+def _unvec(v: Iterable[int], alphabet: tuple[Generator, ...]) -> MonoidElement:
+    """The element with exponent vector v (a list of ints or an int64 row)."""
+    return MonoidElement.from_counts({alphabet[i]: c for i, c in enumerate(v) if c})
 
 
-def _compare(u: np.ndarray, v: np.ndarray) -> int:
+def _compare(u: list[int], v: list[int]) -> int:
     """Graded-lex comparison: sign of u - v in the term order."""
-    du, dv = sum(u.tolist()), sum(v.tolist())
+    du, dv = sum(u), sum(v)
     if du != dv:
         return 1 if du > dv else -1
-    diff = u - v
-    nz = np.nonzero(diff)[0]
-    if nz.size == 0:
-        return 0
-    return 1 if diff[nz[0]] > 0 else -1
+    return (u > v) - (u < v)  # lists compare at their first differing component
+
+
+def _stepped(x: list[int], rule: kernels.Rule) -> list[int]:
+    """x after one application of rule, which must apply to x."""
+    y = x.copy()
+    for c, d in rule[1]:
+        y[c] += d
+    return y
 
 
 def _invert(chain: tuple[Step, ...]) -> tuple[Step, ...]:
@@ -189,33 +195,20 @@ def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
     S-pair budget runs out.
     """
     budget = resolve_budget(budget)
-    g = len(p.alphabet)
-    # rule k is row k of lhs/rhs (the first n rows are in use) with proofs[k]
-    lhs = np.empty((8, g), dtype=np.int64)
-    rhs = np.empty((8, g), dtype=np.int64)
-    alive = np.zeros(8, dtype=bool)
+    # rule k has the sides lhs[k] and rhs[k], compiled as rules[k], and proofs[k];
+    # a retired rule keeps its index and a left side that never applies
+    lhs: list[list[int]] = []
+    rhs: list[list[int]] = []
+    rules: list[kernels.Rule] = []
+    alive: list[bool] = []
     proofs: list[tuple[Step, ...]] = []
-    n = 0
-    equations: deque[tuple[np.ndarray, np.ndarray, tuple[Step, ...]]] = deque()
+    equations: deque[tuple[list[int], list[int], tuple[Step, ...]]] = deque()
     pairs: deque[tuple[int, int]] = deque()
     spairs = 0
 
-    rel_lhs, rel_rhs = _relation_matrices(p)
-    equations.extend((rel_lhs[i], rel_rhs[i], ((i, +1),)) for i in range(rel_lhs.shape[0]))
-
-    def reduce_trace(x: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    def reduce_trace(x: list[int]) -> tuple[list[int], list[tuple[int, int]]]:
         runs: list[tuple[int, int]] = []
-        return kernels.reduce(x, lhs[:n], rhs[:n], runs), runs
-
-    def add_rule(l: np.ndarray, r: np.ndarray, proof: tuple[Step, ...]) -> None:
-        nonlocal lhs, rhs, alive, n
-        if n == lhs.shape[0]:
-            lhs = np.concatenate([lhs, np.empty_like(lhs)])
-            rhs = np.concatenate([rhs, np.empty_like(rhs)])
-            alive = np.concatenate([alive, np.zeros_like(alive)])
-        lhs[n], rhs[n], alive[n] = l, r, True
-        proofs.append(proof)
-        n += 1
+        return kernels.reduce(x, rules, runs), runs
 
     def process_equation(u, v, *chain):
         # chain: the parts of a u -> v chain, joined only if u, v yield a rule
@@ -228,26 +221,33 @@ def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
         full = _cat(
             *[_power(_invert(proofs[k]), t) for k, t in reversed(su)], *chain, *[_power(proofs[k], t) for k, t in sv]
         )
-        if cmp > 0:
-            add_rule(nfu, nfv, full)
-        else:
-            add_rule(nfv, nfu, _invert(full))
-        k_new = n - 1
-        new = lhs[k_new]
-        old = alive[:k_new]
-        retire = old & (new <= lhs[:k_new]).all(axis=1)
-        collapse = old & ~retire & (new <= rhs[:k_new]).all(axis=1)
+        if cmp < 0:
+            nfu, nfv, full = nfv, nfu, _invert(full)
+        k_new = len(rules)
+        new = kernels.compile_rule(nfu, nfv)
+        lhs.append(nfu)
+        rhs.append(nfv)
+        rules.append(new)
+        alive.append(True)
+        proofs.append(full)
         # in index order: a collapse reduces with the rules not yet retired
-        for k in np.nonzero(retire | collapse)[0]:
-            if retire[k]:
-                equations.append((lhs[k].copy(), rhs[k].copy(), proofs[k]))
-                lhs[k] = _INT64_MAX  # no vector reaches a retired rule
+        for k in range(k_new):
+            if not alive[k]:
+                continue
+            l, r = lhs[k], rhs[k]
+            if all(l[c] >= n for c, n in new[0]):
+                equations.append((l, r, proofs[k]))
+                rules[k] = kernels.RETIRED
                 alive[k] = False
-            else:
-                rhs[k], sr = reduce_trace(rhs[k])
+            elif all(r[c] >= n for c, n in new[0]):
+                rhs[k], sr = reduce_trace(r)
+                rules[k] = kernels.compile_rule(l, rhs[k])
                 proofs[k] = _cat(proofs[k], *[_power(proofs[j], t) for j, t in sr])
-        pairs.extend((int(k), k_new) for k in np.nonzero(alive[:k_new])[0])
+        pairs.extend((k, k_new) for k in range(k_new) if alive[k])
 
+    index = p.index()
+    for i, (u, v) in enumerate(p.relations):
+        process_equation(_vec(u, index), _vec(v, index), ((i, +1),))
     while equations or pairs:
         if equations:
             process_equation(*equations.popleft())
@@ -256,25 +256,22 @@ def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
         if not (alive[i] and alive[j]):
             continue
         li, lj = lhs[i], lhs[j]
-        if not np.minimum(li, lj).any():
+        if not any(lj[c] for c, _ in rules[i][0]):
             # disjoint supports: both reducts step to rhs_i + rhs_j, peak joins
             continue
         spairs += 1
         if spairs > budget:
             raise BudgetExceededError(spairs, budget)
-        peak = np.maximum(li, lj)
-        u = peak - li + rhs[i]
-        v = peak - lj + rhs[j]
-        process_equation(u, v, _invert(proofs[i]), proofs[j])
+        peak = list(map(max, li, lj))
+        process_equation(_stepped(peak, rules[i]), _stepped(peak, rules[j]), _invert(proofs[i]), proofs[j])
 
-    final = sorted(
-        np.nonzero(alive[:n])[0],
-        key=lambda k: (int(lhs[k].sum()), tuple(lhs[k]), tuple(rhs[k])),
-    )
+    final = sorted((k for k in range(len(rules)) if alive[k]), key=lambda k: (sum(lhs[k]), lhs[k], rhs[k]))
+    g = len(p.alphabet)
     return RewriteSystem(
         presentation=p,
-        lhs=lhs[final],
-        rhs=rhs[final],
+        lhs=kernels.as_matrix([lhs[k] for k in final], g),
+        rhs=kernels.as_matrix([rhs[k] for k in final], g),
+        rules=tuple(rules[k] for k in final),
         proofs=tuple(proofs[k] for k in final),
         completed=True,
         spairs_processed=spairs,
@@ -295,7 +292,7 @@ def normal_form(rs: RewriteSystem, x: MonoidElement) -> MonoidElement:
     if not rs.completed:
         raise EngineError("rewrite system is not completed")
     v = _vec(x, rs.presentation.index())
-    return _unvec(kernels.reduce(v, rs.lhs, rs.rhs), rs.presentation.alphabet)
+    return _unvec(kernels.reduce(v, rs.rules), rs.presentation.alphabet)
 
 
 @dataclass(frozen=True)
@@ -324,13 +321,12 @@ def equal(p: Presentation, u: MonoidElement, v: MonoidElement, budget: int | Non
     """
     rs = completed_system(p, budget)
     index = p.index()
-    uv, vv = _vec(u, index), _vec(v, index)
     su: list[tuple[int, int]] = []
     sv: list[tuple[int, int]] = []
-    nfu = kernels.reduce(uv, rs.lhs, rs.rhs, su)
-    nfv = kernels.reduce(vv, rs.lhs, rs.rhs, sv)
+    nfu = kernels.reduce(_vec(u, index), rs.rules, su)
+    nfv = kernels.reduce(_vec(v, index), rs.rules, sv)
     alphabet = p.alphabet
-    if _compare(nfu, nfv) == 0:
+    if nfu == nfv:
         # the chain is u's proofs, then v's inverted; runs of one rule that
         # meet in the middle cancel: p^a + p^-b reduces to p^(a-b)
         while su and sv and su[-1][0] == sv[-1][0]:
@@ -360,7 +356,7 @@ def _walk_chain(
     the part of the element that step i leaves untouched) are appended to it.
     """
     a, b = _relation_matrices(p)
-    cur = _vec(start, p.index())
+    cur = np.array(_vec(start, p.index()), dtype=np.int64)
     steps = np.array(chain, dtype=np.int64).reshape(-1, 2)
     for lo in range(0, steps.shape[0], _WALK_BLOCK):
         rel, forward = steps[lo : lo + _WALK_BLOCK, 0], steps[lo : lo + _WALK_BLOCK, 1:] > 0
@@ -425,7 +421,7 @@ def congruence_bfs(
 ) -> set[MonoidElement]:
     """All elements reachable from x by at most depth bidirectional relation steps."""
     reached, _ = bfs_reach(p, x, depth, max_size)
-    return {_unvec(np.array(t, dtype=np.int64), p.alphabet) for t in reached}
+    return {_unvec(t, p.alphabet) for t in reached}
 
 
 def bfs_reach(
@@ -441,7 +437,7 @@ def bfs_reach(
         raise EngineError("depth must be >= 0")
     g = len(p.alphabet)
     lhs, rhs = _relation_matrices(p)
-    start = _vec(x, p.index())
+    start = np.array(_vec(x, p.index()), dtype=np.int64)
     row = np.dtype((np.void, start.itemsize * g))  # a row's bytes as one hashable key
     seen = {start.tobytes()}
     frontier = start.reshape(1, g)

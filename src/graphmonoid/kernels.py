@@ -1,22 +1,40 @@
 """Exponent-vector kernels: normal-form reduction and congruence-step expansion.
 
-These inner loops dominate completion, equality checks and BFS oracles.  They
-are plain numpy, vectorised over the rules of a system.
+These inner loops dominate completion, equality checks and BFS oracles.
 
-All arrays are int64.  Rule matrices come in lhs/rhs pairs of shape (r, g);
-vectors and frontiers have g columns.  A rule applies to a vector when its
-left side is componentwise at most the vector, and reduction always applies
-the lowest-index applicable rule.
+Reduction works on one element at a time: a plain list of Python ints,
+reduced by rules compiled once into sparse form (compile_rule).  The systems
+are small (tens of rules, tens of generators) and a reduction takes few
+steps, so a step costs a short scan over the rules' supports, with no array
+call.  The batch kernels, nf_batch and expand_frontier, are numpy, vectorised
+over the rules: the BFS oracle and the batch cross-checks use them, and
+nf_batch reduces independently of reduce().
+
+A rule applies to a vector when its left side is componentwise at most the
+vector, and reduction always applies the lowest-index applicable rule.
+Arrays are int64: rule matrices come in lhs/rhs pairs of shape (r, g), and
+frontiers have g columns.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 BACKEND = "numpy"
-# applications of one rule in a row before the rest of its run is computed:
-# computing a run costs about as much as eight single applications
+# applications of one rule in a row before the rest of its run is computed in
+# one step: most runs are shorter and never pay for that computation
 _RUN_AFTER = 8
+
+# A compiled rule: its left side's support with counts, ((column, count), ...),
+# and the nonzero entries of rhs - lhs, ((column, difference), ...), both in
+# column order.
+Rule = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
+
+# a left side no vector reaches: reduction keeps every component of an input
+# whose degree fits in int64 below 2**63
+RETIRED: Rule = (((0, 1 << 63),), ())
 
 
 def as_matrix(rows, width) -> np.ndarray:
@@ -26,64 +44,89 @@ def as_matrix(rows, width) -> np.ndarray:
     return a.reshape(-1, width)
 
 
-def reduce(
-    x: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, trace: list[tuple[int, int]] | None = None
-) -> np.ndarray:
+def compile_rule(lhs: Sequence[int], rhs: Sequence[int]) -> Rule:
+    """The rule lhs -> rhs in the sparse form reduce() reads."""
+    return (
+        tuple((c, n) for c, n in enumerate(lhs) if n),
+        tuple((c, b - a) for c, (a, b) in enumerate(zip(lhs, rhs)) if a != b),
+    )
+
+
+def compile_rules(lhs: np.ndarray, rhs: np.ndarray) -> tuple[Rule, ...]:
+    """The rows of a pair of rule matrices, compiled in order."""
+    return tuple(map(compile_rule, lhs.tolist(), rhs.tolist()))
+
+
+def reduce(x: Sequence[int], rules: Sequence[Rule], trace: list[tuple[int, int]] | None = None) -> list[int]:
     """Reduce one vector to normal form, lowest-index applicable rule first.
 
-    Once one rule has applied _RUN_AFTER times in a row, the rest of its run
-    is applied in one step, so the cost follows the number of runs, not the
-    multiplicities of x.  When trace is a list, the runs are appended to it
-    as (rule index, times), in order of application; consecutive runs name
-    different rules.
+    Returns a new list; x is not changed.  Once one rule has applied
+    _RUN_AFTER times in a row, the rest of its run is applied in one step, so
+    the cost follows the number of runs, not the multiplicities of x.  When
+    trace is a list, the runs are appended to it as (rule index, times), in
+    order of application; consecutive runs name different rules.
     """
-    y = x.copy()
-    if lhs.shape[0] == 0:
-        return y
+    y = list(x)
     i, times = -1, 0  # the run in progress
     while True:
-        ok = (lhs <= y).all(axis=1)
-        k = int(ok.argmax())
-        if not ok[k]:
-            break
+        for k, (need, step) in enumerate(rules):
+            for c, n in need:
+                if y[c] < n:
+                    break
+            else:
+                break  # rule k applies
+        else:
+            break  # no rule applies
         if k != i:
             if trace is not None and times:
                 trace.append((i, times))
             i, times = k, 0
         elif times >= _RUN_AFTER:
-            d = rhs[i] - lhs[i]
-            t = _run_length(y, d, lhs[i], lhs[:i])
-            y += t * d
+            t = _run_length(y, rules, i)
+            for c, d in step:
+                y[c] += t * d
             times += t
             continue
-        y += rhs[i] - lhs[i]
+        for c, d in step:
+            y[c] += d
         times += 1
     if trace is not None and times:
         trace.append((i, times))
     return y
 
 
-def _run_length(y: np.ndarray, d: np.ndarray, own: np.ndarray, lower: np.ndarray) -> int:
-    """How often in a row the rule with left side own and step d applies from y.
+def _run_length(y: list[int], rules: Sequence[Rule], i: int) -> int:
+    """How often in a row rule i applies from y.
 
-    The rule applies at y and no rule of lower does.  The run ends when the
-    rule stops applying or the first rule of lower starts to: rule j applies
-    after s more steps exactly when lower[j] - y <= s*d, which holds for s in
-    an interval [lo_j, hi_j].  A rule that decreases no component (which no
-    terminating system holds) is applied once.
+    Rule i applies at y and no lower rule does.  The run ends when rule i
+    stops applying or a lower rule j starts to: j applies after s more steps
+    exactly when y[c] + s*d[c] >= n for every (c, n) of its left side, which
+    holds for s in an interval [lo, hi].  Columns outside j's support need no
+    check: while rule i applies they stay at least its left side, so at
+    least 0.  A rule that decreases no component (which no terminating system
+    holds) is applied once.
     """
-    neg = d < 0
-    if not neg.any():
+    need, step = rules[i]
+    own = dict(need)
+    bounds = [(y[c] - own[c]) // -d for c, d in step if d < 0]
+    if not bounds:
         return 1
-    t = int(((y[neg] - own[neg]) // -d[neg]).min()) + 1
-    if lower.shape[0]:
-        need = lower - y
-        pos = d > 0
-        lo = np.max(-(-need[:, pos] // d[pos]), axis=1, initial=0)
-        hi = (need[:, neg] // d[neg]).min(axis=1)
-        starts = lo[(lo <= hi) & (need[:, d == 0] <= 0).all(axis=1)]
-        if starts.size:
-            t = min(t, int(starts.min()))
+    t = min(bounds) + 1
+    delta = dict(step)
+    for lower, _ in rules[:i]:
+        lo, hi = 0, t  # a start at t or later does not shorten the run
+        for c, n in lower:
+            d, gap = delta.get(c, 0), n - y[c]
+            if d > 0:
+                lo = max(lo, -(-gap // d))
+            elif d < 0:
+                hi = min(hi, gap // d)
+            elif gap > 0:
+                break
+            if lo > hi:
+                break
+        else:
+            t = lo
     return t
 
 

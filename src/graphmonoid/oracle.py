@@ -209,4 +209,14 @@ def sink_vector_to_json(sv: SinkVector) -> dict:
 
 
 def sink_vector_from_json(data: dict) -> SinkVector:
-    return SinkVector.from_dict({str(k): int(v) for k, v in data.items()})
+    """Read sink ids mapped to path counts; every count must be an integer >= 0."""
+    if not isinstance(data, dict):
+        raise OracleError(f"sink vector must be an object, got {data!r}")
+    for sink, count in data.items():
+        if not isinstance(sink, str):
+            raise OracleError(f"sink id must be a string, got {sink!r}")
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise OracleError(f"path count of sink {sink!r} must be an integer, got {count!r}")
+        if count < 0:
+            raise OracleError(f"path count of sink {sink!r} must be >= 0, got {count}")
+    return SinkVector.from_dict(data)

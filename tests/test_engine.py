@@ -74,8 +74,10 @@ def test_acyclic_normal_form():
 
 
 def test_uncompleted_system_refused():
+    from dataclasses import replace
+
     rs = complete(pres("v", []))
-    broken = type(rs)(rs.presentation, rs.lhs, rs.rhs, rs.proofs, False, 0)
+    broken = replace(rs, completed=False)
     with pytest.raises(EngineError):
         normal_form(broken, single("v"))
 
@@ -234,6 +236,28 @@ def test_completion_counters_are_pinned(k, spairs, rules, proof_steps, longest_p
     assert max(lengths) == longest_proof
 
 
+def _completion_corpus():
+    import random
+
+    from acceptance_support import graph_level, mixed_corpus, small_graph_family
+    from conftest import emitter_mixed
+    from graphmonoid.desingularize import desingularize
+
+    graphs = mixed_corpus(random.Random(0))
+    tailed = [desingularize(g, graph_level(g)).graph for g in graphs]
+    return graphs + tailed + small_graph_family() + [emitter_mixed(k) for k in range(2, 7)]
+
+
+def test_completion_keeps_its_compiled_rules_in_step_with_its_matrices():
+    # completion retires and collapses rules on this corpus; every rule it
+    # keeps must read as a fresh compile of the final matrices
+    from graphmonoid import kernels
+
+    for g in _completion_corpus():
+        rs = complete(presentation_of(g))
+        assert rs.rules == kernels.compile_rules(rs.lhs, rs.rhs)
+
+
 def test_cat_cancels_inverse_steps_across_junctions():
     from graphmonoid.engine import _cat
 
@@ -282,8 +306,8 @@ def test_proofs_and_chains_are_freely_reduced():
                 continue
             chains += 1
             su, sv = [], []
-            kernels.reduce(_vec(u, p.index()), rs.lhs, rs.rhs, su)
-            kernels.reduce(_vec(v, p.index()), rs.lhs, rs.rhs, sv)
+            kernels.reduce(_vec(u, p.index()), rs.rules, su)
+            kernels.reduce(_vec(v, p.index()), rs.rules, sv)
             # every rule application of each side, runs expanded
             su, sv = [k for k, t in su for _ in range(t)], [k for k, t in sv for _ in range(t)]
             plain = sum((rs.proofs[k] for k in su), ()) + sum((_invert(rs.proofs[k]) for k in reversed(sv)), ())
@@ -322,7 +346,7 @@ def test_large_multiplicity_reduces_in_one_run_per_rule():
     u, v = m * single("v"), 2 * m * single("w")
     for x in (u, v):
         runs = []
-        kernels.reduce(_vec(x, p.index()), rs.lhs, rs.rhs, runs)
+        kernels.reduce(_vec(x, p.index()), rs.rules, runs)
         assert len({k for k, _ in runs}) == len(runs)
     result = equal(p, u, v)
     assert result.equal and len(result.chain) == m
@@ -347,6 +371,20 @@ def test_degree_past_int64_is_an_engine_error():
     # one short of the limit still reduces, in one run
     y = (2**62 - 1) * single("v") + 2**62 * single("w")
     assert normal_form(rs, y) == (2**63 - 1) * single("w")
+
+
+def test_normal_form_at_degree_2_62_is_one_run():
+    from graphmonoid import kernels
+    from graphmonoid.engine import _vec
+
+    p = presentation_of(single_edge())
+    rs, index, m = completed_system(p), p.index(), 2**62
+    runs = []
+    assert kernels.reduce(_vec(m * single("v"), index), rs.rules, runs) == _vec(m * single("w"), index)
+    assert runs == [(0, m)]
+    assert normal_form(rs, m * single("v")) == m * single("w")
+    with pytest.raises(EngineError, match="exceeds the int64 range"):
+        _vec(2**63 * single("v"), index)
 
 
 def test_chain_longer_than_a_tuple_is_refused_before_it_is_built():
@@ -402,7 +440,7 @@ def _bfs_reach_by_rows(p, x, depth, max_size=None):
     from graphmonoid.engine import _relation_matrices, _vec
 
     lhs, rhs = _relation_matrices(p)
-    start = _vec(x, p.index())
+    start = np.array(_vec(x, p.index()), dtype=np.int64)
     seen, reached, frontier = {start.tobytes()}, [start], start.reshape(1, -1)
     saturated = lhs.shape[0] == 0
     for _ in range(depth):

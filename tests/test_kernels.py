@@ -25,27 +25,30 @@ def test_batch_matches_vector():
     lhs, rhs = random_rules(rng, 3, 5)
     xs = rng.integers(0, 4, size=(12, 5)).astype(np.int64)
     batch = kernels.nf_batch(xs, lhs, rhs)
+    rules = kernels.compile_rules(lhs, rhs)
     for i, row in enumerate(xs):
-        assert np.array_equal(batch[i], kernels.reduce(row, lhs, rhs))
+        assert batch[i].tolist() == kernels.reduce(row.tolist(), rules)
 
 
 def test_reduce_trace_replays_to_normal_form():
     rng = np.random.default_rng(5)
     lhs, rhs = random_rules(rng, 4, 5)
+    rules = kernels.compile_rules(lhs, rhs)
     for row in rng.integers(0, 4, size=(10, 5)).astype(np.int64):
         runs: list[tuple[int, int]] = []
-        nf = kernels.reduce(row, lhs, rhs, runs)
-        assert np.array_equal(nf, kernels.reduce(row, lhs, rhs))
+        nf = kernels.reduce(row.tolist(), rules, runs)
+        assert nf == kernels.reduce(row.tolist(), rules)
         y = row.copy()
         for k in (k for k, t in runs for _ in range(t)):
             assert (lhs[k] <= y).all()
             assert not (lhs[:k] <= y).all(axis=1).any()  # lowest-index applicable rule
             y += rhs[k] - lhs[k]
-        assert np.array_equal(y, nf)
+        assert y.tolist() == nf
 
 
 def step_by_step(x, lhs, rhs):
-    """Reference reducer: one rule application per step, lowest-index applicable rule first."""
+    """Reference reducer on the rule matrices: one numpy rule application per
+    step, lowest-index applicable rule first."""
     y, trace = x.copy(), []
     while True:
         ok = (lhs <= y).all(axis=1)
@@ -85,9 +88,9 @@ _WINDOW = np.array([[0, 1, 0, 12], [0, 2, 0, 0]]), np.array([[0, 0, 1, 0], [0, 0
 def test_run_trace_expands_to_the_step_by_step_trace(case):
     lhs, rhs, x = case
     runs: list[tuple[int, int]] = []
-    nf = kernels.reduce(x, lhs, rhs, runs)
+    nf = kernels.reduce(x.tolist(), kernels.compile_rules(lhs, rhs), runs)
     ref_nf, ref_trace = step_by_step(x, lhs, rhs)
-    assert np.array_equal(nf, ref_nf)
+    assert nf == ref_nf.tolist()
     assert [k for k, t in runs for _ in range(t)] == ref_trace
     assert all(t >= 1 for _, t in runs)
     assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
@@ -95,12 +98,26 @@ def test_run_trace_expands_to_the_step_by_step_trace(case):
 
 def test_a_lower_rule_interrupts_a_run():
     runs: list[tuple[int, int]] = []
-    kernels.reduce(np.array([10**4, 0, 0]), *_INTERRUPTED, runs)
+    kernels.reduce([10**4, 0, 0], kernels.compile_rules(*_INTERRUPTED), runs)
     assert runs == [(1, 12), (0, 1)] * 833 + [(1, 4)]
     for b, expected in ((30, [(1, 12), (0, 1), (1, 2)]), (24, [(1, 12)])):
         runs = []
-        kernels.reduce(np.array([0, b, 0, 0]), *_WINDOW, runs)
+        kernels.reduce([0, b, 0, 0], kernels.compile_rules(*_WINDOW), runs)
         assert runs == expected
+
+
+def test_rules_compile_to_their_supports_and_steps():
+    # rule 1 of _WINDOW, 2b -> d: support {b: 2}, step -2 at b and +1 at d
+    assert kernels.compile_rules(*_WINDOW) == (
+        (((1, 1), (3, 12)), ((1, -1), (2, 1), (3, -12))),
+        (((1, 2),), ((1, -2), (3, 1))),
+    )
+    x = [2**62, 2**62 - 1, 0]
+    assert kernels.reduce(x, [kernels.RETIRED]) == x
+    # a retired rule below a running rule does not cut the run short
+    runs: list[tuple[int, int]] = []
+    assert kernels.reduce(x, [kernels.RETIRED, kernels.compile_rule([0, 1, 0], [1, 0, 0])], runs) == [2**63 - 1, 0, 0]
+    assert runs == [(1, 2**62 - 1)]
 
 
 def test_normal_forms_are_irreducible():
@@ -123,7 +140,8 @@ def test_expand_both_directions():
 def test_empty_rules_are_identities():
     empty = np.empty((0, 3), dtype=np.int64)
     x = np.array([1, 2, 3], dtype=np.int64)
-    assert np.array_equal(kernels.reduce(x, empty, empty), x)
+    assert kernels.compile_rules(empty, empty) == ()
+    assert kernels.reduce([1, 2, 3], ()) == [1, 2, 3]
     assert kernels.expand_frontier(x.reshape(1, 3), empty, empty).shape == (0, 3)
 
 

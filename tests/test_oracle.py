@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -178,6 +179,25 @@ def test_sink_vector_json_round_trip():
     sv = gamma_acyclic(diamond(), 2 * single("v") + single("w1"))
     assert sink_vector_from_json(sink_vector_to_json(sv)) == sv
     assert sink_vector_to_json(sv) == {"u": 5}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"u": 1.7, "w": "3", "z": True, "y": -2}, "path count of sink 'u' must be an integer, got 1.7"),
+        ({"w": "3"}, "path count of sink 'w' must be an integer, got '3'"),
+        ({"z": True}, "path count of sink 'z' must be an integer, got True"),
+        ({"y": -2}, "path count of sink 'y' must be >= 0, got -2"),
+        ({1: 2}, "sink id must be a string, got 1"),
+        ([["u", 1]], "sink vector must be an object"),
+    ],
+)
+def test_sink_vector_json_rejects_what_it_would_coerce(data, message):
+    from graphmonoid.oracle import sink_vector_from_json
+
+    with pytest.raises(OracleError, match=re.escape(message)):
+        sink_vector_from_json(data)
+    assert sink_vector_from_json({"u": 2, "w": 0}) == SinkVector.from_dict({"u": 2})
 
 
 def test_naturality_on_seeded_morphisms():
