@@ -15,11 +15,19 @@ original graph and the monoid of its row-finite approximation:
                missing from S, where n is the largest index in S;
   from_tailed: b_{w_0(v)} -> a_v,
                b_{w_n(v)} -> a_{v, {e_0..e_{n-1}}} for emitters, a_v for sinks.
+
+phi and psi are their additive extensions.  Each Desingularization keeps one
+image table per map, built once per approximation: a generator's image is
+computed the first time it is asked for and then read, and phi and psi sum
+mult * image over the terms in one pass (``apply_generator_map``).  A generator
+whose image raises (TruncationError, MaterializationError, PresentationError,
+GraphError) gets no entry, so the error is raised again on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 from .graphs import (
     Graph,
@@ -33,7 +41,8 @@ from .presentation import (
     Generator,
     MonoidElement,
     PresentationError,
-    elem_sum,
+    apply_generator_map,
+    generators,
     sgen,
 )
 
@@ -62,6 +71,23 @@ def g_name(v: str, n: int) -> str:
     return f"g{n}^{v}"
 
 
+class _ImageTable(dict):
+    """Generator -> image, computed by ``image(gen)`` on the first lookup.
+
+    A generator whose image raises gets no entry, so every lookup raises
+    afresh. ``image`` does not hold the table's owner, so the two form no
+    reference cycle.
+    """
+
+    def __init__(self, image):
+        super().__init__()
+        self.image = image
+
+    def __missing__(self, gen: Generator) -> MonoidElement:
+        value = self[gen] = self.image(gen)
+        return value
+
+
 @dataclass(frozen=True)
 class Desingularization:
     source: Graph
@@ -74,6 +100,20 @@ class Desingularization:
 
     def mentions_boundary(self, y: MonoidElement) -> bool:
         return any(g.vertex in self.boundary for g in y.support())
+
+    # The generator images of phi and psi, each computed on its first lookup
+    # and kept in the instance __dict__ (as Graph keeps its lookups); equality
+    # and hash still compare the fields.
+
+    @cached_property
+    def _to_tailed(self) -> _ImageTable:
+        """Source generator -> its image under phi."""
+        return _ImageTable(partial(_to_tailed_image, self.source, self.level))
+
+    @cached_property
+    def _from_tailed(self) -> _ImageTable:
+        """Tailed generator -> its image under psi."""
+        return _ImageTable(partial(_from_tailed_image, self.source, self.origin))
 
 
 def desingularize(g: Graph, level: int) -> Desingularization:
@@ -121,64 +161,62 @@ def required_truncation(g: Graph, x: MonoidElement) -> int:
     return max(2, best + 2)
 
 
+def _to_tailed_image(g: Graph, level: int, gen: Generator) -> MonoidElement:
+    if not gen.is_cofinite:
+        if not g.has_vertex(gen.vertex):
+            raise PresentationError(f"unknown vertex generator {gen}")
+        return MonoidElement.single(Generator(w_name(gen.vertex, 0)))
+    v = gen.vertex
+    indices = sorted(g.edge_index(v, eid) for eid in gen.edges)
+    n = indices[-1]
+    if n + 1 > level:
+        raise TruncationError(
+            f"level {level} too small for edge index {n} of {v!r}; "
+            f"required truncation is {n + 2}",
+            required=n + 2,
+        )
+    in_s = set(indices)
+    desc = g.descriptor(v)
+    counts = {Generator(w_name(v, n + 1)): 1}
+    for k in range(n + 1):
+        if k not in in_s:
+            key = Generator(w_name(desc.range_at(k), 0))
+            counts[key] = counts.get(key, 0) + 1
+    return MonoidElement.from_counts(counts)
+
+
+def _from_tailed_image(
+    g: Graph, origin: dict[str, tuple[str, int]], gen: Generator
+) -> MonoidElement:
+    if gen.is_cofinite:
+        raise PresentationError(f"tailed graph is row-finite; {gen} is not a vertex generator")
+    try:
+        v, n = origin[gen.vertex]
+    except KeyError:
+        raise PresentationError(f"{gen.vertex!r} is not a vertex of the tailed graph") from None
+    if n == 0 or vertex_class(g, v) is VertexClass.SINK:
+        return MonoidElement.single(Generator(v))
+    mat = g.materialized(v)
+    if len(mat) < n:
+        raise MaterializationError(
+            f"mapping w_{n}({v}) back needs edges e_0..e_{n - 1} of {v!r} "
+            f"materialized, only {len(mat)} are"
+        )
+    return MonoidElement.single(sgen(g, v, mat[:n]))
+
+
 def phi(d: Desingularization, x: MonoidElement) -> MonoidElement:
     """Map an element of the source monoid into the tailed graph's monoid."""
-    g = d.source
-    parts: list[MonoidElement] = []
-    for gen, mult in x.terms:
-        if not gen.is_cofinite:
-            if not g.has_vertex(gen.vertex):
-                raise PresentationError(f"unknown vertex generator {gen}")
-            parts.append(MonoidElement.single(Generator(w_name(gen.vertex, 0)), mult))
-            continue
-        v = gen.vertex
-        indices = sorted(g.edge_index(v, eid) for eid in gen.edges)
-        n = indices[-1]
-        if n + 1 > d.level:
-            raise TruncationError(
-                f"level {d.level} too small for edge index {n} of {v!r}; "
-                f"required truncation is {n + 2}",
-                required=n + 2,
-            )
-        in_s = set(indices)
-        desc = g.descriptor(v)
-        image = MonoidElement.single(Generator(w_name(v, n + 1))) + elem_sum(
-            MonoidElement.single(Generator(w_name(desc.range_at(k), 0)))
-            for k in range(n + 1)
-            if k not in in_s
-        )
-        parts.append(image * mult)
-    return elem_sum(parts)
+    return apply_generator_map(d._to_tailed, x)
 
 
 def psi(d: Desingularization, y: MonoidElement) -> MonoidElement:
     """Map an element of the tailed graph's monoid back to the source monoid."""
-    g = d.source
-    parts: list[MonoidElement] = []
-    for gen, mult in y.terms:
-        if gen.is_cofinite:
-            raise PresentationError(f"tailed graph is row-finite; {gen} is not a vertex generator")
-        try:
-            v, n = d.origin[gen.vertex]
-        except KeyError:
-            raise PresentationError(f"{gen.vertex!r} is not a vertex of the tailed graph") from None
-        if n == 0 or vertex_class(g, v) is VertexClass.SINK:
-            parts.append(MonoidElement.single(Generator(v), mult))
-            continue
-        mat = g.materialized(v)
-        if len(mat) < n:
-            raise MaterializationError(
-                f"mapping w_{n}({v}) back needs edges e_0..e_{n - 1} of {v!r} "
-                f"materialized, only {len(mat)} are"
-            )
-        parts.append(MonoidElement.single(sgen(g, v, mat[:n]), mult))
-    return elem_sum(parts)
+    return apply_generator_map(d._from_tailed, y)
 
 
 def phi_generator_map(d: Desingularization) -> dict[Generator, MonoidElement]:
-    from .presentation import generators
-
-    return {gen: phi(d, MonoidElement.single(gen)) for gen in generators(d.source)}
+    return {gen: d._to_tailed[gen] for gen in generators(d.source)}
 
 
 def psi_generator_map(d: Desingularization) -> dict[Generator, MonoidElement]:
@@ -189,5 +227,5 @@ def psi_generator_map(d: Desingularization) -> dict[Generator, MonoidElement]:
         if n > 0 and vertex_class(d.source, v) is VertexClass.INFINITE_EMITTER:
             if len(d.source.materialized(v)) < n:
                 continue
-        out[gen] = psi(d, MonoidElement.single(gen))
+        out[gen] = d._from_tailed[gen]
     return out

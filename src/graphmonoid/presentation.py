@@ -14,6 +14,7 @@ the word engine treats relations bidirectionally, so nothing is lost.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -67,6 +68,16 @@ def sgen(g: Graph, v: str, edge_ids: Iterable[str]) -> Generator:
     return Generator(v, tuple(eid for _, eid in indexed))
 
 
+def _integer(m, what: str) -> int:
+    """m as a Python int: ints and numpy integers pass, floats and bools do not."""
+    if not isinstance(m, bool):
+        try:
+            return operator.index(m)
+        except TypeError:
+            pass
+    raise PresentationError(f"{what} must be an integer, got {m!r}")
+
+
 @dataclass(frozen=True)
 class MonoidElement:
     """Finite formal sum of generators with positive integer multiplicities."""
@@ -77,10 +88,12 @@ class MonoidElement:
     def from_counts(cls, counts: Mapping[Generator, int]) -> "MonoidElement":
         items = []
         for gen, mult in counts.items():
+            if type(mult) is not int:
+                mult = _integer(mult, f"multiplicity of {gen}")
             if mult < 0:
                 raise PresentationError(f"negative multiplicity for {gen}")
             if mult:
-                items.append((gen, int(mult)))
+                items.append((gen, mult))
         items.sort(key=lambda t: t[0].sort_key())
         return cls(tuple(items))
 
@@ -107,6 +120,8 @@ class MonoidElement:
         return elem_sum((self, other))
 
     def __mul__(self, n: int) -> "MonoidElement":
+        if type(n) is not int:
+            n = _integer(n, "scalar")
         if n < 0:
             raise PresentationError("multiplicity must be non-negative")
         return MonoidElement.from_counts({g: m * n for g, m in self.terms})
@@ -137,14 +152,22 @@ def elem_sum(items: Iterable[MonoidElement]) -> MonoidElement:
 def apply_generator_map(
     mapping: Mapping[Generator, MonoidElement], x: MonoidElement
 ) -> MonoidElement:
-    """Additive extension of a generator assignment; a monoid morphism."""
-    images = []
+    """Additive extension of a generator assignment; a monoid morphism.
+
+    mult * image is summed over x's terms in one dict, which is sorted once.
+    A mapping may fill itself on a miss (``__missing__``) and raise its own
+    error there; a plain KeyError means the generator is outside its domain.
+    """
+    counts: dict[Generator, int] = {}
+    get = counts.get
     for gen, mult in x.terms:
         try:
-            images.append(mapping[gen] * mult)
+            image = mapping[gen]
         except KeyError:
             raise PresentationError(f"generator {gen} outside the map's domain") from None
-    return elem_sum(images)
+        for g, m in image.terms:
+            counts[g] = get(g, 0) + m * mult
+    return MonoidElement.from_counts(counts)
 
 
 @dataclass(frozen=True)

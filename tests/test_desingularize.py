@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from graphmonoid.desingularize import (
@@ -9,18 +11,29 @@ from graphmonoid.desingularize import (
     psi,
     psi_generator_map,
     required_truncation,
+    w_name,
 )
 from graphmonoid.engine import equal
-from graphmonoid.graphs import GraphError, graph_to_json, out_edges, validate_graph
+from graphmonoid.graphs import (
+    GraphError,
+    VertexClass,
+    graph_to_json,
+    out_edges,
+    validate_graph,
+    vertex_class,
+)
 from graphmonoid.presentation import (
     Generator,
     MonoidElement,
+    PresentationError,
+    elem_sum,
     generators,
     presentation_of,
     sgen,
     vgen,
 )
 
+from acceptance_support import graph_level, mixed_corpus
 from conftest import emitter_mixed, emitter_to_sink, single_edge, single_sink
 
 
@@ -207,3 +220,149 @@ def test_tailing_preserves_path_counts_on_dags():
         for v in e.vertices:
             renamed = {w_name(s, 3): c for s, c in table_e[v].as_dict().items()}
             assert table_f[w_name(v, 0)].as_dict() == renamed
+
+
+# -- the image tables against the per-term maps they replaced ------------------
+
+def reference_phi(d, x):
+    """phi as it was computed term by term, before the image tables."""
+    g = d.source
+    parts = []
+    for gen, mult in x.terms:
+        if not gen.is_cofinite:
+            if not g.has_vertex(gen.vertex):
+                raise PresentationError(f"unknown vertex generator {gen}")
+            parts.append(MonoidElement.single(Generator(w_name(gen.vertex, 0)), mult))
+            continue
+        v = gen.vertex
+        indices = sorted(g.edge_index(v, eid) for eid in gen.edges)
+        n = indices[-1]
+        if n + 1 > d.level:
+            raise TruncationError(
+                f"level {d.level} too small for edge index {n} of {v!r}; "
+                f"required truncation is {n + 2}",
+                required=n + 2,
+            )
+        in_s = set(indices)
+        desc = g.descriptor(v)
+        image = MonoidElement.single(Generator(w_name(v, n + 1))) + elem_sum(
+            MonoidElement.single(Generator(w_name(desc.range_at(k), 0)))
+            for k in range(n + 1)
+            if k not in in_s
+        )
+        parts.append(image * mult)
+    return elem_sum(parts)
+
+
+def reference_psi(d, y):
+    """psi as it was computed term by term, before the image tables."""
+    g = d.source
+    parts = []
+    for gen, mult in y.terms:
+        if gen.is_cofinite:
+            raise PresentationError(f"tailed graph is row-finite; {gen} is not a vertex generator")
+        try:
+            v, n = d.origin[gen.vertex]
+        except KeyError:
+            raise PresentationError(f"{gen.vertex!r} is not a vertex of the tailed graph") from None
+        if n == 0 or vertex_class(g, v) is VertexClass.SINK:
+            parts.append(MonoidElement.single(Generator(v), mult))
+            continue
+        mat = g.materialized(v)
+        if len(mat) < n:
+            raise MaterializationError(
+                f"mapping w_{n}({v}) back needs edges e_0..e_{n - 1} of {v!r} "
+                f"materialized, only {len(mat)} are"
+            )
+        parts.append(MonoidElement.single(sgen(g, v, mat[:n]), mult))
+    return elem_sum(parts)
+
+
+def reference_psi_generator_map(d):
+    out = {}
+    for name, (v, n) in sorted(d.origin.items()):
+        gen = Generator(name)
+        if n > 0 and vertex_class(d.source, v) is VertexClass.INFINITE_EMITTER:
+            if len(d.source.materialized(v)) < n:
+                continue
+        out[gen] = reference_psi(d, MonoidElement.single(gen))
+    return out
+
+
+def outcome(f, d, x):
+    """The image, or the error's type, message and required level."""
+    try:
+        return f(d, x)
+    except (TruncationError, MaterializationError, PresentationError, GraphError) as exc:
+        return type(exc), str(exc), getattr(exc, "required", None)
+
+
+def seeded_elements(rng, alphabet, count):
+    """Elements of up to four generators with multiplicities up to 2^40."""
+    out = []
+    for _ in range(count):
+        gens = rng.sample(alphabet, min(len(alphabet), rng.randint(1, 4)))
+        out.append(MonoidElement.from_counts({gen: rng.randint(1, 2**40) for gen in gens}))
+    return out
+
+
+def test_image_tables_match_the_per_term_maps():
+    rng = random.Random(2024)
+    graphs = mixed_corpus(random.Random(0))
+    graphs += [emitter_mixed(k) for k in range(2, 6)]
+    graphs += [emitter_to_sink(k) for k in range(1, 5)]
+    checked = 0
+    for g in graphs:
+        p = presentation_of(g)
+        # one level below the required one, too, where phi raises TruncationError
+        for level in (graph_level(g) - 1, graph_level(g), graph_level(g) + 1):
+            d = desingularize(g, level)
+            pf = presentation_of(d.graph)
+            assert phi_generator_map(d) == {
+                gen: reference_phi(d, MonoidElement.single(gen)) for gen in generators(g)
+            }
+            assert psi_generator_map(d) == reference_psi_generator_map(d)
+            xs = [MonoidElement.single(gen) for gen in p.alphabet]
+            xs += seeded_elements(rng, p.alphabet, 20)
+            xs += [side for rel in p.relations for side in rel]
+            ys = [MonoidElement.single(gen) for gen in pf.alphabet]
+            ys += seeded_elements(rng, pf.alphabet, 20)
+            ys += [side for rel in pf.relations for side in rel]
+            for x in xs:
+                assert outcome(phi, d, x) == outcome(reference_phi, d, x), x
+            for y in ys:
+                assert outcome(psi, d, y) == outcome(reference_psi, d, y), y
+            checked += len(xs) + len(ys)
+    assert checked > 5000
+
+
+@pytest.mark.parametrize(
+    "graph, level, forward, good, bad, error",
+    [
+        # a_{v,{e2}} needs level 3 (required truncation 4)
+        (emitter_to_sink(3), 2, True, Generator("v", ("e0",)), Generator("v", ("e2",)), TruncationError),
+        # w2(v) needs e_0, e_1 of v materialized, only e_0 is
+        (emitter_to_sink(1), 3, False, Generator("w1(v)"), Generator("w2(v)"), MaterializationError),
+        (emitter_to_sink(2), 3, True, Generator("v"), Generator("nope"), PresentationError),
+        (emitter_to_sink(2), 3, False, Generator("w0(v)"), Generator("nope"), PresentationError),
+        (emitter_to_sink(2), 3, False, Generator("w1(v)"), Generator("w0(v)", ("f0^v",)), PresentationError),
+        (emitter_to_sink(2), 3, True, Generator("v", ("e1",)), Generator("v", ("x",)), GraphError),
+    ],
+    ids=["truncation", "materialization", "unknown-vertex", "unknown-tail-vertex", "cofinite-to-psi", "unknown-edge"],
+)
+def test_failed_generators_are_not_cached(graph, level, forward, good, bad, error):
+    d = desingularize(graph, level)
+    f, table = (phi, d._to_tailed) if forward else (psi, d._from_tailed)
+    x, y = MonoidElement.single(good, 3), MonoidElement.single(bad)
+    first = f(d, x)
+    raised = []
+    for _ in range(2):
+        with pytest.raises(error) as err:
+            f(d, y)
+        raised.append((str(err.value), getattr(err.value, "required", None)))
+        assert bad not in table
+    assert raised[0] == raised[1]
+    if error is TruncationError:
+        assert raised[0][1] == 4
+    assert f(d, x) == first
+    assert good in table

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from graphmonoid.engine import EngineError, elements_up_to_degree, equal
@@ -5,6 +7,7 @@ from graphmonoid.graphs import EdgeIndexDescriptor, Graph, materialize_edges
 from graphmonoid.limits import (
     GraphChain,
     GraphMorphism,
+    LimitElement,
     MonoidChain,
     MorphismError,
     check_continuity,
@@ -20,7 +23,10 @@ from graphmonoid.limits import (
 )
 from graphmonoid.presentation import (
     MonoidElement,
+    Presentation,
+    PresentationError,
     apply_generator_map,
+    elem_sum,
     presentation_of,
     sgen,
     vgen,
@@ -207,6 +213,53 @@ def test_universal_map_factors_injections():
         for gen in p_i.alphabet:
             le = limit.inject(i, MonoidElement.single(gen))
             assert psi(le) == maps[i][gen]
+
+
+def _per_term(mapping, x):
+    """The additive extension as a sum of per-term products, the reference."""
+    return elem_sum(mapping[gen] * mult for gen, mult in x.terms)
+
+
+def test_limit_maps_match_a_sum_of_per_term_products():
+    rng = random.Random(17)
+    chain = monoid_chain(emitter_chain((1, 2, 3, 4)))
+    limit = colimit_monoid(chain)
+    top = len(chain) - 1
+    targets = [vgen(f"t{i}") for i in range(5)]
+    target = Presentation(tuple(targets), ())
+    # a seeded map on the top level, pulled back along the chain: a compatible family
+    h = {
+        gen: MonoidElement.from_counts({rng.choice(targets): rng.randint(1, 2**20) for _ in range(3)})
+        for gen in chain.presentations[top].alphabet
+    }
+
+    def up(i, j, x):
+        for k in range(i, j):
+            x = _per_term(chain.step_map(k), x)
+        return x
+
+    maps = [
+        {gen: _per_term(h, up(i, top, MonoidElement.single(gen))) for gen in p.alphabet}
+        for i, p in enumerate(chain.presentations)
+    ]
+    u = universal_map(limit, target, maps)
+    for i, p in enumerate(chain.presentations):
+        for _ in range(25):
+            x = MonoidElement.from_counts(
+                {rng.choice(p.alphabet): rng.randint(1, 2**40) for _ in range(rng.randint(0, 4))}
+            )
+            for j in range(i, len(chain)):
+                assert chain.map_up(i, j, x) == up(i, j, x)
+            assert u(limit.inject(i, x)) == _per_term(maps[i], x) == _per_term(h, up(i, top, x))
+    unmapped = single("nope")
+    with pytest.raises(PresentationError):
+        chain.map_up(0, 1, unmapped)
+    with pytest.raises(PresentationError):
+        u(LimitElement(0, unmapped))
+    partial = [dict(m) for m in maps]
+    del partial[0][chain.presentations[0].alphabet[0]]
+    with pytest.raises(PresentationError):
+        universal_map(limit, target, partial)
 
 
 def test_universal_map_rejects_incompatible_family():

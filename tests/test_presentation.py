@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +12,7 @@ from graphmonoid.presentation import (
     PresentationError,
     ZERO,
     apply_generator_map,
+    elem_sum,
     element_from_json,
     element_to_json,
     generators,
@@ -125,6 +128,44 @@ def test_apply_generator_map_is_additive(x, y):
 def test_apply_generator_map_missing_generator():
     with pytest.raises(PresentationError):
         apply_generator_map({}, single("v"))
+
+
+def test_apply_generator_map_matches_a_sum_of_per_term_products():
+    rng = random.Random(5)
+    sources = [vgen(f"s{i}") for i in range(8)]
+    targets = [vgen(f"t{i}") for i in range(6)] + [Generator("t0", ("e0", "e1"))]
+    for _ in range(200):
+        mapping = {
+            gen: MonoidElement.from_counts(
+                {rng.choice(targets): rng.randint(0, 2**20) for _ in range(rng.randint(0, 4))}
+            )
+            for gen in sources
+        }
+        x = MonoidElement.from_counts(
+            {rng.choice(sources): rng.randint(1, 2**40) for _ in range(rng.randint(0, 5))}
+        )
+        expected = elem_sum(mapping[gen] * mult for gen, mult in x.terms)
+        assert apply_generator_map(mapping, x) == expected
+        with pytest.raises(PresentationError, match="outside the map's domain"):
+            apply_generator_map(mapping, x + single("unmapped"))
+
+
+def test_multiplicities_must_be_integers():
+    av = vgen("v")
+    for bad in (0.4, 1.7, 2.0, True, False, "1", None, np.float64(2.0), np.True_):
+        with pytest.raises(PresentationError):
+            MonoidElement.from_counts({av: bad})
+        with pytest.raises(PresentationError):
+            single("v") * bad
+        with pytest.raises(PresentationError):
+            MonoidElement.single(av, bad)
+    with pytest.raises(PresentationError):
+        2.5 * single("v")
+    for good in (np.int64(3), np.int32(3), np.uint8(3), 3):
+        x = MonoidElement.from_counts({av: good})
+        assert x == MonoidElement.single(av, 3) == single("v") * good
+        assert type(x.terms[0][1]) is int and type((single("v") * good).terms[0][1]) is int
+    assert not MonoidElement.from_counts({av: np.int64(0)})
 
 
 def test_sgen_sorts_by_edge_index():
