@@ -15,6 +15,11 @@ Wherever chains are joined, a step followed by its own inverse is cancelled,
 so no stored proof and no certificate holds such a pair.  Reduction reports
 runs of one rule, and a run of t applications joins its rule's proof raised to
 the t-th power, so joining costs per run, not per application.
+
+The query path (completion, reduction, equality, certificates and their
+replay) works on Python ints and never imports numpy.  numpy is imported only
+by the batch oracles: bfs_reach, elements_up_to_degree and a system's rule
+matrices, built on first access for the batch reducer.
 """
 
 from __future__ import annotations
@@ -23,17 +28,18 @@ import sys
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations_with_replacement
-
-import numpy as np
+from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement, compress
+from typing import TYPE_CHECKING
 
 from . import kernels
 from .presentation import Generator, MonoidElement, Presentation, element_to_json, generator_to_json
 
+if TYPE_CHECKING:
+    import numpy as np
+
 DEFAULT_BUDGET = 100_000
-_INT64_MAX = int(np.iinfo(np.int64).max)
-_WALK_BLOCK = 1024  # chain steps applied together when replaying a certificate
+_INT64_MAX = (1 << 63) - 1
 _MAX_CHAIN = sys.maxsize // 8  # steps one tuple can hold: 8 bytes per step, sys.maxsize bytes in all
 _COMPLETED_CACHE_SIZE = 512  # completed systems kept, least recently used evicted first
 
@@ -67,20 +73,38 @@ class RewriteSystem:
     # rules are oriented graded-lexicographically: total degree first, ties
     # broken on the alphabet's canonical order
     presentation: Presentation
-    lhs: np.ndarray  # (r, g) int64
-    rhs: np.ndarray
-    rules: tuple[kernels.Rule, ...]  # row k of lhs/rhs, compiled for kernels.reduce
+    rules: tuple[kernels.Rule, ...]  # compiled for kernels.reduce
     proofs: tuple[tuple[Step, ...], ...]
     completed: bool
     spairs_processed: int
 
     @property
     def rule_count(self) -> int:
-        return self.lhs.shape[0]
+        return len(self.rules)
 
     def rule(self, k: int) -> tuple[MonoidElement, MonoidElement]:
-        p = self.presentation
-        return _unvec(self.lhs[k], p.alphabet), _unvec(self.rhs[k], p.alphabet)
+        alphabet = self.presentation.alphabet
+        lhs, rhs = kernels.rule_sides(self.rules[k], len(alphabet))
+        return _unvec(lhs, alphabet), _unvec(rhs, alphabet)
+
+    @cached_property
+    def _matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        g = len(self.presentation.alphabet)
+        sides = [kernels.rule_sides(rule, g) for rule in self.rules]
+        pair = tuple(kernels.as_matrix([side[i] for side in sides], g) for i in (0, 1))
+        for m in pair:
+            m.flags.writeable = False
+        return pair
+
+    @property
+    def lhs(self) -> np.ndarray:
+        """Left sides as a read-only (r, g) int64 matrix, row k for rule k, for the
+        batch kernels; built with the right sides on first access."""
+        return self._matrices[0]
+
+    @property
+    def rhs(self) -> np.ndarray:
+        return self._matrices[1]
 
 
 def _vec(x: MonoidElement, index: dict[Generator, int]) -> list[int]:
@@ -101,6 +125,23 @@ def _vec(x: MonoidElement, index: dict[Generator, int]) -> list[int]:
         except KeyError:
             raise EngineError(f"element uses generator {gen} outside the alphabet") from None
     return out
+
+
+def _relation_rules(p: Presentation) -> tuple[tuple[kernels.Rule, ...], tuple[kernels.Rule, ...]]:
+    """p's relations compiled forward (left side to right) and backward, built once per presentation.
+
+    Kept on p as its relation matrices are, and read by every chain walk.
+    """
+    pair = p.__dict__.get("_relation_rules")
+    if pair is None:
+        index = p.index()
+        sides = [(_vec(u, index), _vec(v, index)) for u, v in p.relations]
+        pair = (
+            tuple(kernels.compile_rule(a, b) for a, b in sides),
+            tuple(kernels.compile_rule(b, a) for a, b in sides),
+        )
+        p.__dict__["_relation_rules"] = pair
+    return pair
 
 
 def _relation_matrices(p: Presentation) -> tuple[np.ndarray, np.ndarray]:
@@ -266,11 +307,8 @@ def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
         process_equation(_stepped(peak, rules[i]), _stepped(peak, rules[j]), _invert(proofs[i]), proofs[j])
 
     final = sorted((k for k in range(len(rules)) if alive[k]), key=lambda k: (sum(lhs[k]), lhs[k], rhs[k]))
-    g = len(p.alphabet)
     return RewriteSystem(
         presentation=p,
-        lhs=kernels.as_matrix([lhs[k] for k in final], g),
-        rhs=kernels.as_matrix([rhs[k] for k in final], g),
         rules=tuple(rules[k] for k in final),
         proofs=tuple(proofs[k] for k in final),
         completed=True,
@@ -298,15 +336,38 @@ def normal_form(rs: RewriteSystem, x: MonoidElement) -> MonoidElement:
 @dataclass(frozen=True)
 class EqualityResult:
     """Decision plus certificate: a replayable chain when equal, separating
-    normal forms when not."""
+    normal forms when not.
+
+    The normal forms are kept as exponent vectors over alphabet and the chain
+    as runs of proofs: (k, t) stands for proofs[k] joined t times, inverted
+    when t < 0.  The elements and the chain are built on first access, so a
+    caller that reads only the verdict pays for neither.
+    """
 
     equal: bool
-    lhs_normal_form: MonoidElement
-    rhs_normal_form: MonoidElement
-    chain: tuple[Step, ...] | None = None
+    alphabet: tuple[Generator, ...]
+    lhs_vector: tuple[int, ...]
+    rhs_vector: tuple[int, ...]
+    proofs: tuple[tuple[Step, ...], ...] = ()
+    runs: tuple[tuple[int, int], ...] = ()
 
     def __bool__(self) -> bool:
         return self.equal
+
+    @cached_property
+    def lhs_normal_form(self) -> MonoidElement:
+        return _unvec(self.lhs_vector, self.alphabet)
+
+    @cached_property
+    def rhs_normal_form(self) -> MonoidElement:
+        return _unvec(self.rhs_vector, self.alphabet)
+
+    @cached_property
+    def chain(self) -> tuple[Step, ...] | None:
+        if not self.equal:
+            return None
+        proofs = self.proofs
+        return _cat(*[_power(proofs[k] if t > 0 else _invert(proofs[k]), abs(t)) for k, t in self.runs])
 
     @property
     def normal_form(self) -> MonoidElement | None:
@@ -325,54 +386,56 @@ def equal(p: Presentation, u: MonoidElement, v: MonoidElement, budget: int | Non
     sv: list[tuple[int, int]] = []
     nfu = kernels.reduce(_vec(u, index), rs.rules, su)
     nfv = kernels.reduce(_vec(v, index), rs.rules, sv)
-    alphabet = p.alphabet
-    if nfu == nfv:
-        # the chain is u's proofs, then v's inverted; runs of one rule that
-        # meet in the middle cancel: p^a + p^-b reduces to p^(a-b)
-        while su and sv and su[-1][0] == sv[-1][0]:
-            (k, a), (_, b) = su.pop(), sv.pop()
-            if a != b:
-                (su if a > b else sv).append((k, abs(a - b)))
-        steps = sum(_power_length(rs.proofs[k], t) for k, t in su + sv)
-        if steps > _MAX_CHAIN:
-            raise EngineError(f"certificate chain of {steps} steps is longer than a tuple can hold ({_MAX_CHAIN})")
-        chain = _cat(
-            *[_power(rs.proofs[k], t) for k, t in su],
-            *[_power(_invert(rs.proofs[k]), t) for k, t in reversed(sv)],
-        )
-        return EqualityResult(True, _unvec(nfu, alphabet), _unvec(nfv, alphabet), chain)
-    return EqualityResult(False, _unvec(nfu, alphabet), _unvec(nfv, alphabet), None)
+    if nfu != nfv:
+        return EqualityResult(False, p.alphabet, tuple(nfu), tuple(nfv))
+    # the chain is u's proofs, then v's inverted; runs of one rule that
+    # meet in the middle cancel: p^a + p^-b reduces to p^(a-b)
+    while su and sv and su[-1][0] == sv[-1][0]:
+        (k, a), (_, b) = su.pop(), sv.pop()
+        if a != b:
+            (su if a > b else sv).append((k, abs(a - b)))
+    steps = sum(_power_length(rs.proofs[k], t) for k, t in su + sv)
+    if steps > _MAX_CHAIN:
+        raise EngineError(f"certificate chain of {steps} steps is longer than a tuple can hold ({_MAX_CHAIN})")
+    runs = (*su, *[(k, -t) for k, t in reversed(sv)])
+    return EqualityResult(True, p.alphabet, tuple(nfu), tuple(nfv), rs.proofs, runs)
 
 
 def _walk_chain(
-    p: Presentation, start: MonoidElement, chain: tuple[Step, ...], contexts: list[np.ndarray] | None = None
-) -> np.ndarray:
-    """Apply a chain from start and return the end vector.
+    p: Presentation, start: MonoidElement, chain: Iterable[Step], contexts: list[list[int]] | None = None
+) -> list[int]:
+    """Apply a chain from start, one relation instance at a time, and return the end vector.
 
-    Raises EngineError when a step names an unknown relation or its relation
-    does not apply to the element reached so far.  Steps are applied in
-    blocks: a prefix sum of the step differences gives the element before each
-    step of a block.  When contexts is a list, each block's contexts (row i is
-    the part of the element that step i leaves untouched) are appended to it.
+    Raises EngineError when a step is not a pair of a relation index (an int
+    in range, not a bool) and a direction of exactly +1 or -1, or when its
+    relation does not apply to the element reached so far.  When contexts is
+    a list, each step's context (the part of the element the step leaves
+    untouched) is appended to it.  The sums are Python ints: no step can
+    overflow.
     """
-    a, b = _relation_matrices(p)
-    cur = np.array(_vec(start, p.index()), dtype=np.int64)
-    steps = np.array(chain, dtype=np.int64).reshape(-1, 2)
-    for lo in range(0, steps.shape[0], _WALK_BLOCK):
-        rel, forward = steps[lo : lo + _WALK_BLOCK, 0], steps[lo : lo + _WALK_BLOCK, 1:] > 0
-        unknown = (rel < 0) | (rel >= a.shape[0])
-        if unknown.any():
-            raise EngineError(f"chain names unknown relation {rel[unknown.argmax()]}")
-        src = np.where(forward, a[rel], b[rel])
-        delta = np.where(forward, b[rel], a[rel]) - src
-        before = cur + np.cumsum(delta, axis=0) - delta
-        ctx = before - src
-        stuck = (ctx < 0).any(axis=1)
-        if stuck.any():
-            raise EngineError(f"relation {rel[stuck.argmax()]} does not apply at this chain position")
+    forward, backward = _relation_rules(p)
+    n = len(forward)
+    cur = _vec(start, p.index())
+    for step in chain:
+        try:
+            rel, d = step
+        except (TypeError, ValueError):
+            raise EngineError(f"chain step {step!r} is not a (relation, direction) pair") from None
+        if type(rel) is not int or not 0 <= rel < n:
+            raise EngineError(f"chain names unknown relation {rel!r}")
+        if type(d) is not int or (d != 1 and d != -1):
+            raise EngineError(f"chain step direction {d!r} is not +1 or -1")
+        need, delta = forward[rel] if d == 1 else backward[rel]
+        for c, m in need:
+            if cur[c] < m:
+                raise EngineError(f"relation {rel} does not apply at this chain position")
         if contexts is not None:
+            ctx = cur.copy()
+            for c, m in need:
+                ctx[c] -= m
             contexts.append(ctx)
-        cur = before[-1] + delta[-1]
+        for c, m in delta:
+            cur[c] += m
     return cur
 
 
@@ -393,21 +456,23 @@ def certificate_to_json(p: Presentation, start: MonoidElement, result: EqualityR
             "rhs_normal_form": element_to_json(result.rhs_normal_form),
         }
     chain = result.chain or ()
-    blocks: list[np.ndarray] = []
-    _walk_chain(p, start, chain, blocks)
-    # a context's terms in canonical generator order, as element_to_json writes them
-    order = sorted(range(len(p.alphabet)), key=lambda i: p.alphabet[i].sort_key())
-    gens = [generator_to_json(p.alphabet[i]) for i in order]
-    contexts: list[dict] = []
-    for ctx in blocks:
-        ctx = ctx[:, order]
-        rows, cols = np.nonzero(ctx)
-        terms = [{"gen": gens[c], "mult": m} for c, m in zip(cols.tolist(), ctx[rows, cols].tolist())]
-        ends = np.searchsorted(rows, np.arange(1, ctx.shape[0] + 1)).tolist()
-        contexts.extend({"terms": terms[lo:hi]} for lo, hi in zip([0] + ends, ends))
+    contexts: list[list[int]] = []
+    _walk_chain(p, start, chain, contexts)
+    # a context's terms in canonical generator order, as element_to_json writes
+    # them; presentation_of's alphabet is in that order already
+    alphabet = p.alphabet
+    order = sorted(range(len(alphabet)), key=lambda i: alphabet[i].sort_key())
+    if order != list(range(len(order))):
+        contexts = [[ctx[i] for i in order] for ctx in contexts]
+    gens = [generator_to_json(alphabet[i]) for i in order]
+    columns = range(len(order))
     steps = [
-        {"relation": rel, "direction": "forward" if direction > 0 else "backward", "context": context}
-        for (rel, direction), context in zip(chain, contexts)
+        {
+            "relation": rel,
+            "direction": "forward" if direction > 0 else "backward",
+            "context": {"terms": [{"gen": gens[c], "mult": ctx[c]} for c in compress(columns, ctx)]},
+        }
+        for (rel, direction), ctx in zip(chain, contexts)
     ]
     return {
         "kind": "chain",
@@ -435,6 +500,8 @@ def bfs_reach(
     """
     if depth < 0:
         raise EngineError("depth must be >= 0")
+    import numpy as np
+
     g = len(p.alphabet)
     lhs, rhs = _relation_matrices(p)
     start = np.array(_vec(x, p.index()), dtype=np.int64)
@@ -460,6 +527,8 @@ def elements_up_to_degree(n_generators: int, degree: int) -> np.ndarray:
     """All exponent vectors of total degree <= degree, in deterministic order."""
     if degree < 0:
         raise EngineError(f"degree must be >= 0, got {degree}")
+    import numpy as np
+
     rows = [np.zeros(n_generators, dtype=np.int64)]
     for d in range(1, degree + 1):
         for combo in combinations_with_replacement(range(n_generators), d):

@@ -8,7 +8,8 @@ are small (tens of rules, tens of generators) and a reduction takes few
 steps, so a step costs a short scan over the rules' supports, with no array
 call.  The batch kernels, nf_batch and expand_frontier, are numpy, vectorised
 over the rules: the BFS oracle and the batch cross-checks use them, and
-nf_batch reduces independently of reduce().
+nf_batch reduces independently of reduce().  numpy is imported inside the
+functions that use it, so reduction alone never loads it.
 
 A rule applies to a vector when its left side is componentwise at most the
 vector, and reduction always applies the lowest-index applicable rule.
@@ -19,8 +20,10 @@ frontiers have g columns.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 BACKEND = "numpy"
 # applications of one rule in a row before the rest of its run is computed in
@@ -38,6 +41,8 @@ RETIRED: Rule = (((0, 1 << 63),), ())
 
 
 def as_matrix(rows, width) -> np.ndarray:
+    import numpy as np
+
     a = np.asarray(rows, dtype=np.int64)
     if a.size == 0:
         return np.empty((0, width), dtype=np.int64)
@@ -55,6 +60,17 @@ def compile_rule(lhs: Sequence[int], rhs: Sequence[int]) -> Rule:
 def compile_rules(lhs: np.ndarray, rhs: np.ndarray) -> tuple[Rule, ...]:
     """The rows of a pair of rule matrices, compiled in order."""
     return tuple(map(compile_rule, lhs.tolist(), rhs.tolist()))
+
+
+def rule_sides(rule: Rule, width: int) -> tuple[list[int], list[int]]:
+    """The dense left and right sides of a compiled rule: compile_rule undone."""
+    lhs = [0] * width
+    for c, n in rule[0]:
+        lhs[c] = n
+    rhs = lhs.copy()
+    for c, d in rule[1]:
+        rhs[c] += d
+    return lhs, rhs
 
 
 def reduce(x: Sequence[int], rules: Sequence[Rule], trace: list[tuple[int, int]] | None = None) -> list[int]:
@@ -132,6 +148,8 @@ def _run_length(y: list[int], rules: Sequence[Rule], i: int) -> int:
 
 def nf_batch(xs: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Reduce every row of xs to normal form, as reduce() does one vector."""
+    import numpy as np
+
     out = xs.copy()
     if lhs.shape[0] == 0 or out.shape[0] == 0:
         return out
@@ -155,6 +173,8 @@ def expand_frontier(front: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> np.n
     Both directions are one broadcast over the stacked sides: a row steps
     by (lhs; rhs) -> (rhs; lhs) wherever that side is at most the row.
     """
+    import numpy as np
+
     src = np.concatenate((lhs, rhs))
     dst = np.concatenate((rhs, lhs))
     ii, kk = np.nonzero((front[:, None, :] >= src[None, :, :]).all(axis=2))

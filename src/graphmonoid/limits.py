@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import kernels
 from .engine import completed_system, elements_up_to_degree, equal
@@ -28,6 +26,9 @@ from .presentation import (
     presentation_of,
     sgen,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class MorphismError(ValueError):
@@ -383,7 +384,7 @@ def _generator_matrix(
     cod_index = cod.index()
     rows = []
     for gen in dom.alphabet:
-        row = np.zeros(len(cod.alphabet), dtype=np.int64)
+        row = [0] * len(cod.alphabet)
         for tgen, mult in mapping[gen].terms:
             row[cod_index[tgen]] += mult
         rows.append(row)

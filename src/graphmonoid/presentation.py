@@ -191,7 +191,8 @@ class Presentation:
     # A presentation keys the cache of completed systems and is queried many
     # times over; what it derives from its fields is computed once and kept in
     # the instance __dict__ (cached_property writes there past the frozen
-    # __setattr__; the engine keeps its relation matrices there too).
+    # __setattr__; the engine keeps its compiled relations and relation
+    # matrices there too).
     # Equality still compares the fields.
 
     @cached_property

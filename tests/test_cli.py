@@ -474,3 +474,56 @@ def test_text_format(files, capsys):
 def test_unknown_flag_is_invalid(files, capsys):
     gp = files("g.json", graph_to_json(diamond()))
     assert run(["validate", "--graph", gp, "--nonsense"]) == EXIT_INVALID
+
+
+_FRESH_RUN = """
+import json, sys
+from graphmonoid.cli import run
+code = run(sys.argv[1:])
+print(json.dumps({"exit": code, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def _run_fresh(*argv):
+    # the CLI in a new interpreter, as a shell would start it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_RUN, *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    *out, status = proc.stdout.splitlines()
+    return json.loads(status), json.loads("\n".join(out))
+
+
+def test_query_commands_never_import_numpy(files):
+    g = emitter_mixed(3)
+    gp = files("g.json", graph_to_json(g))
+    u = MonoidElement.single(vgen("v")) + MonoidElement.single(vgen("w"))
+    v = MonoidElement.single(sgen(g, "v", ["e0", "e2"])) + 3 * MonoidElement.single(vgen("w"))
+    up, vp = files("u.json", element_to_json(u)), files("v.json", element_to_json(v))
+    docs = []
+    for argv in (
+        ["validate", "--graph", gp],
+        ["present", "--graph", gp],
+        ["normal-form", "--graph", gp, "--element", up],
+        ["equal", "--graph", gp, "--lhs", up, "--rhs", up],
+        ["equal", "--graph", gp, "--lhs", up, "--rhs", vp],
+    ):
+        status, doc = _run_fresh(*argv)
+        assert status == {"exit": EXIT_OK, "numpy": False}, argv
+        docs.append(doc)
+    assert docs[0]["valid"] is True and docs[-1]["equal"] is True
+    assert len(docs[-1]["certificate"]["steps"]) == 11
+
+
+def test_continuity_check_runs_in_a_fresh_interpreter(files):
+    # the batch reducer loads numpy on first use, inside the command
+    graphs = [emitter_to_sink(k) for k in (1, 2)]
+    morph = {"vertex_map": {v: v for v in graphs[0].vertices}, "edge_map": {e.id: e.id for e in graphs[0].edges}}
+    sp = files("sys.json", {"graphs": [graph_to_json(g) for g in graphs], "morphisms": [morph]})
+    status, doc = _run_fresh("continuity-check", "--system", sp, "--degree", "2")
+    assert status["exit"] == EXIT_OK and doc["ok"] is True

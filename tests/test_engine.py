@@ -132,7 +132,7 @@ def test_certificate_replays():
 def test_replay_rejects_broken_chains():
     p = presentation_of(diamond())
     x = p.relations[0][0]
-    there_and_back = ((0, +1), (0, -1)) * 600  # spans more than one block of the walk
+    there_and_back = ((0, +1), (0, -1)) * 600
     assert replay_chain(p, x, there_and_back) == x
     with pytest.raises(EngineError, match="does not apply"):
         replay_chain(p, x, there_and_back + ((0, -1),))
@@ -149,35 +149,177 @@ def _reversed_alphabet_case():
     return p, u, result
 
 
+def _result_with_chain(p, x, chain):
+    # an equality result whose chain is one proof, joined once
+    from graphmonoid.engine import _vec
+
+    vec = tuple(_vec(x, p.index()))
+    return EqualityResult(True, p.alphabet, vec, vec, (chain,), ((0, 1),) if chain else ())
+
+
 def _long_chain_case():
     p = presentation_of(diamond())
     x = p.relations[0][0] + 2 * single("u")
-    there_and_back = ((0, +1), (0, -1)) * 600  # spans more than one block of the walk
-    return p, x, EqualityResult(True, x, x, there_and_back)
+    return p, x, _result_with_chain(p, x, ((0, +1), (0, -1)) * 600)
 
 
 def _empty_chain_case():
     p = presentation_of(diamond())
-    return p, single("u"), EqualityResult(True, single("u"), single("u"), ())
+    return p, single("u"), _result_with_chain(p, single("u"), ())
+
+
+def _reference_walk(p, start, chain):
+    """Replay chain from start one step at a time on generator counts.
+
+    Returns the end element and each step's context, the part of the element
+    the step leaves untouched; raises EngineError as the engine's walk does.
+    """
+    cur = start.counts()
+    contexts = []
+    for rel, d in chain:
+        if not 0 <= rel < len(p.relations):
+            raise EngineError(f"chain names unknown relation {rel}")
+        src, dst = p.relations[rel] if d == 1 else p.relations[rel][::-1]
+        for gen, m in src.terms:
+            if cur.get(gen, 0) < m:
+                raise EngineError(f"relation {rel} does not apply at this chain position")
+            cur[gen] -= m
+        contexts.append(MonoidElement.from_counts(cur))
+        for gen, m in dst.terms:
+            cur[gen] = cur.get(gen, 0) + m
+    return MonoidElement.from_counts(cur), contexts
+
+
+def _reference_certificate(p, start, result):
+    from graphmonoid.presentation import element_to_json
+
+    _, contexts = _reference_walk(p, start, result.chain)
+    steps = [
+        {"relation": rel, "direction": "forward" if d == 1 else "backward", "context": element_to_json(ctx)}
+        for (rel, d), ctx in zip(result.chain, contexts)
+    ]
+    return {"kind": "chain", "normal_form": element_to_json(result.lhs_normal_form), "steps": steps}
 
 
 @pytest.mark.parametrize("case", [_reversed_alphabet_case, _long_chain_case, _empty_chain_case])
 def test_certificate_contexts_match_element_json(case):
-    # certificate_to_json writes contexts straight from the walk's rows; the
+    # certificate_to_json writes contexts straight from the walk's vectors; the
     # reference goes through MonoidElement and element_to_json one step at a time
     import json
 
-    from graphmonoid.engine import _unvec, _walk_chain
-    from graphmonoid.presentation import element_to_json
-
     p, start, result = case()
-    blocks = []
-    _walk_chain(p, start, result.chain, blocks)
-    rows = [ctx for block in blocks for ctx in block]
-    want = [element_to_json(_unvec(ctx, p.alphabet)) for ctx in rows]
-    steps = certificate_to_json(p, start, result)["steps"]
-    assert len(steps) == len(result.chain) == len(want)
-    assert json.dumps([step["context"] for step in steps]) == json.dumps(want)
+    doc = certificate_to_json(p, start, result)
+    assert len(doc["steps"]) == len(result.chain)
+    assert json.dumps(doc) == json.dumps(_reference_certificate(p, start, result))
+
+
+def _query_corpus():
+    import random
+
+    from acceptance_support import mixed_corpus
+    from conftest import emitter_mixed
+
+    return mixed_corpus(random.Random(0)) + [emitter_mixed(k) for k in range(2, 6)]
+
+
+def test_certificates_and_replays_match_the_step_by_step_reference():
+    import json
+    import random
+
+    rng = random.Random(41)
+    chains = stuck_steps = 0
+    for g in _query_corpus():
+        p = presentation_of(g)
+        pairs = []
+        for _ in range(10):
+            u = MonoidElement.from_counts({rng.choice(p.alphabet): rng.randint(0, 2) for _ in range(3)})
+            v = MonoidElement.from_counts({rng.choice(p.alphabet): rng.randint(0, 2) for _ in range(3)})
+            pairs.append((u, v))
+        for _ in range(10 if p.relations else 0):
+            x = MonoidElement.from_counts({rng.choice(p.alphabet): rng.randint(0, 2) for _ in range(2)})
+            lhs, rhs = rng.choice(p.relations)
+            pairs.append((x + lhs, x + rhs))
+        for u, v in pairs:
+            result = equal(p, u, v)
+            if not result.equal:
+                continue
+            chains += 1
+            end, _ = _reference_walk(p, u, result.chain)
+            assert end == v == replay_chain(p, u, result.chain)
+            assert json.dumps(certificate_to_json(p, u, result)) == json.dumps(_reference_certificate(p, u, result))
+            # an unknown relation, then a step that does not apply, at the end of the chain
+            n = len(p.relations)
+            stuck = [
+                ((k, d), f"relation {k} does not apply at this chain position")
+                for k in range(n)
+                for d in (1, -1)
+                if any(v.exponent(gen) < m for gen, m in p.relations[k][0 if d == 1 else 1].terms)
+            ]
+            stuck_steps += bool(stuck)
+            for bad, message in [((n, 1), f"chain names unknown relation {n}")] + stuck[:1]:
+                chain = result.chain + (bad,)
+                with pytest.raises(EngineError) as want:
+                    _reference_walk(p, u, chain)
+                with pytest.raises(EngineError) as got:
+                    replay_chain(p, u, chain)
+                assert str(got.value) == str(want.value) == message
+    assert chains > 100 and stuck_steps > 100
+
+
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        ((0, 5), "direction 5 is not"),
+        ((0, 0), "direction 0 is not"),
+        ((0, 1.0), "direction 1.0 is not"),
+        ((0, True), "direction True is not"),
+        ((0.5, 1), "unknown relation 0.5"),
+        (("0", 1), "unknown relation '0'"),
+        ((True, 1), "unknown relation True"),
+        ((2**70, 1), f"unknown relation {2**70}"),
+        ((-1, 1), "unknown relation -1"),
+        ((0,), "is not a \\(relation, direction\\) pair"),
+        ((0, 1, 1), "is not a \\(relation, direction\\) pair"),
+        (0, "is not a \\(relation, direction\\) pair"),
+    ],
+)
+def test_replay_rejects_malformed_steps(step, message):
+    p = presentation_of(diamond())
+    x = p.relations[0][0]
+    assert replay_chain(p, x, ((0, 1), (0, -1))) == x
+    with pytest.raises(EngineError, match=message):
+        replay_chain(p, x, ((0, 1), step))
+    with pytest.raises(EngineError, match=message):
+        certificate_to_json(p, x, _result_with_chain(p, x, ((0, 1), step)))
+
+
+def test_equality_results_build_their_elements_and_chain_on_first_access():
+    from graphmonoid.engine import _cat, _invert, _power, _vec
+    from graphmonoid import kernels
+    from conftest import emitter_mixed
+
+    g = emitter_mixed(3)
+    p = presentation_of(g)
+    rs = completed_system(p)
+    u = single("v") + single("w")
+    v = MonoidElement.single(sgen(g, "v", ["e0", "e2"])) + 3 * single("w")
+    for x, y in ((u, v), (u, u), (v, single("w"))):
+        result = equal(p, x, y)
+        assert not {"lhs_normal_form", "rhs_normal_form", "chain"} & set(vars(result))
+        assert result.lhs_normal_form == normal_form(rs, x) and result.rhs_normal_form == normal_form(rs, y)
+        assert result.lhs_normal_form is result.lhs_normal_form
+        if not result.equal:
+            assert result.chain is None and result.normal_form is None
+            continue
+        su, sv = [], []
+        kernels.reduce(_vec(x, p.index()), rs.rules, su)
+        kernels.reduce(_vec(y, p.index()), rs.rules, sv)
+        eager = _cat(
+            *[_power(rs.proofs[k], t) for k, t in su],
+            *[_power(_invert(rs.proofs[k]), t) for k, t in reversed(sv)],
+        )
+        assert result.chain == eager and result.chain is result.chain
+        assert result.normal_form == result.lhs_normal_form
 
 
 def test_certificate_separates():
@@ -250,12 +392,20 @@ def _completion_corpus():
 
 def test_completion_keeps_its_compiled_rules_in_step_with_its_matrices():
     # completion retires and collapses rules on this corpus; every rule it
-    # keeps must read as a fresh compile of the final matrices
+    # keeps must have a proof that replays from its left side to its right
+    # side, a right side no rule reduces, and matrices that compile back to it
     from graphmonoid import kernels
+    from graphmonoid.engine import _vec
 
     for g in _completion_corpus():
-        rs = complete(presentation_of(g))
+        p = presentation_of(g)
+        rs = complete(p)
         assert rs.rules == kernels.compile_rules(rs.lhs, rs.rhs)
+        assert rs.lhs.shape == rs.rhs.shape == (rs.rule_count, len(p.alphabet))
+        for k, proof in enumerate(rs.proofs):
+            lhs, rhs = rs.rule(k)
+            assert replay_chain(p, lhs, proof) == rhs
+            assert kernels.reduce(_vec(rhs, p.index()), rs.rules) == _vec(rhs, p.index())
 
 
 def test_cat_cancels_inverse_steps_across_junctions():
@@ -514,7 +664,8 @@ def test_presentation_data_is_built_once():
     import pickle
 
     from conftest import emitter_mixed
-    from graphmonoid.engine import _relation_matrices, _vec
+    from graphmonoid import kernels
+    from graphmonoid.engine import _relation_matrices, _relation_rules, _vec
 
     p, q = presentation_of(emitter_mixed(3)), presentation_of(emitter_mixed(3))
     assert p is not q and p == q and hash(p) == hash(q)
@@ -525,6 +676,11 @@ def test_presentation_data_is_built_once():
     index = p.index()
     assert np.array_equal(lhs, np.array([_vec(l, index) for l, _ in p.relations]))
     assert np.array_equal(rhs, np.array([_vec(r, index) for _, r in p.relations]))
+    forward, backward = _relation_rules(p)
+    assert _relation_rules(p)[0] is forward
+    assert forward == kernels.compile_rules(lhs, rhs) and backward == kernels.compile_rules(rhs, lhs)
+    rs = completed_system(p)
+    assert rs.lhs is rs.lhs and not rs.lhs.flags.writeable and not rs.rhs.flags.writeable
     # a copy in another process must rehash: string hashes differ between processes
     assert set(vars(pickle.loads(pickle.dumps(p)))) == {"alphabet", "relations"}
 

@@ -112,6 +112,9 @@ def test_rules_compile_to_their_supports_and_steps():
         (((1, 1), (3, 12)), ((1, -1), (2, 1), (3, -12))),
         (((1, 2),), ((1, -2), (3, 1))),
     )
+    # and back to their dense sides
+    for rule, lhs, rhs in zip(kernels.compile_rules(*_WINDOW), *_WINDOW):
+        assert kernels.rule_sides(rule, 4) == (lhs.tolist(), rhs.tolist())
     x = [2**62, 2**62 - 1, 0]
     assert kernels.reduce(x, [kernels.RETIRED]) == x
     # a retired rule below a running rule does not cut the run short
