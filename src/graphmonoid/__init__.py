@@ -6,6 +6,10 @@ their explicit generator maps, transport elements along CK-morphisms and
 chains, and cross-check everything against a path-counting oracle on DAGs.
 """
 
+import sys
+from importlib import import_module
+from types import ModuleType
+
 from .graphs import (
     Edge,
     EdgeIndexDescriptor,
@@ -46,42 +50,76 @@ from .engine import (
     normal_form,
     replay_chain,
 )
-from .desingularize import (
-    Desingularization,
-    MaterializationError,
-    TruncationError,
-    desingularize,
-    phi,
-    psi,
-    required_truncation,
-)
-from .limits import (
-    CKReport,
-    DirectLimit,
-    GraphChain,
-    GraphColimit,
-    GraphMorphism,
-    LimitElement,
-    MonoidChain,
-    MorphismError,
-    check_continuity,
-    colimit_graph,
-    colimit_monoid,
-    compose,
-    identity_morphism,
-    induced_monoid_morphism,
-    is_ck_morphism,
-    monoid_chain,
-    universal_map,
-)
-from .oracle import (
-    OracleError,
-    SinkVector,
-    check_naturality,
-    cross_check,
-    gamma_acyclic,
-    path_count,
-    sink_transfer,
-)
 
 __version__ = "0.1.0"
+
+# The approximations, limits and the oracle load on first use (PEP 562), so
+# that importing the package for a query does not pay for them.
+_LAZY = {
+    "desingularize": (
+        "Desingularization",
+        "MaterializationError",
+        "TruncationError",
+        "desingularize",
+        "phi",
+        "psi",
+        "required_truncation",
+    ),
+    "limits": (
+        "CKReport",
+        "DirectLimit",
+        "GraphChain",
+        "GraphColimit",
+        "GraphMorphism",
+        "LimitElement",
+        "MonoidChain",
+        "MorphismError",
+        "check_continuity",
+        "colimit_graph",
+        "colimit_monoid",
+        "compose",
+        "identity_morphism",
+        "induced_monoid_morphism",
+        "is_ck_morphism",
+        "monoid_chain",
+        "universal_map",
+    ),
+    "oracle": (
+        "OracleError",
+        "SinkVector",
+        "check_naturality",
+        "cross_check",
+        "gamma_acyclic",
+        "path_count",
+        "sink_transfer",
+    ),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _LAZY_NAMES.get(name)
+    if module is not None:
+        value = getattr(import_module(f".{module}", __name__), name)
+    elif name in _LAZY:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY_NAMES) | set(_LAZY))
+
+
+class _Package(ModuleType):
+    def __setattr__(self, name: str, value) -> None:
+        # loading the submodule desingularize binds it here under the name of
+        # its main function, which the package exports under that name
+        if name == "desingularize" and isinstance(value, ModuleType):
+            value = value.desingularize
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -2,7 +2,10 @@
 
 Exit codes: 0 the computation ran (a "false" equality decision is still 0),
 2 invalid input, 3 completion budget exhausted.  Every command is a thin
-wrapper over the library; no computation logic lives here.
+wrapper over the library; no computation logic lives here.  The modules for
+approximations, limits and the oracle are imported by the commands that use
+them, so the query commands (validate, present, normal-form, equal) never
+load them.
 """
 
 from __future__ import annotations
@@ -12,14 +15,6 @@ import json
 import random
 import sys
 
-from .desingularize import (
-    MaterializationError,
-    TruncationError,
-    desingularize,
-    phi,
-    psi,
-    required_truncation,
-)
 from .engine import (
     BudgetExceededError,
     EngineError,
@@ -29,17 +24,6 @@ from .engine import (
     normal_form,
 )
 from .graphs import GraphError, graph_from_json, graph_to_json, validate_graph
-from .limits import (
-    MorphismError,
-    chain_from_json,
-    check_continuity,
-    colimit_graph,
-    is_ck_morphism,
-    induced_monoid_morphism,
-    morphism_from_json,
-    morphism_to_json,
-)
-from .oracle import OracleError, cross_check
 from .presentation import (
     Generator,
     MonoidElement,
@@ -141,12 +125,16 @@ def _cmd_equal(args) -> dict:
 
 
 def _cmd_desingularize(args) -> dict:
+    from .desingularize import desingularize
+
     g = _load_graph(args.graph)
     d = desingularize(g, args.level)
     return graph_to_json(d.graph, d.boundary)
 
 
 def _cmd_phi(args) -> dict:
+    from .desingularize import desingularize, phi, required_truncation
+
     g = _load_graph(args.graph)
     x = element_from_json(_load_json(args.element), g)
     level = args.level if args.level is not None else required_truncation(g, x)
@@ -155,6 +143,8 @@ def _cmd_phi(args) -> dict:
 
 
 def _cmd_psi(args) -> dict:
+    from .desingularize import desingularize, psi
+
     g = _load_graph(args.graph)
     d = desingularize(g, args.level)
     y = element_from_json(_load_json(args.element), d.graph)
@@ -162,6 +152,8 @@ def _cmd_psi(args) -> dict:
 
 
 def _cmd_ck_check(args) -> dict:
+    from .limits import is_ck_morphism, morphism_from_json
+
     src = _load_graph(args.source)
     dst = _load_graph(args.target)
     m = morphism_from_json(_load_json(args.morphism), src, dst)
@@ -170,6 +162,8 @@ def _cmd_ck_check(args) -> dict:
 
 
 def _cmd_induced_map(args) -> dict:
+    from .limits import induced_monoid_morphism, morphism_from_json
+
     src = _load_graph(args.source)
     dst = _load_graph(args.target)
     m = morphism_from_json(_load_json(args.morphism), src, dst)
@@ -183,6 +177,8 @@ def _cmd_induced_map(args) -> dict:
 
 
 def _cmd_colimit(args) -> dict:
+    from .limits import chain_from_json, colimit_graph, morphism_to_json
+
     chain = chain_from_json(_load_json(args.system))
     result = colimit_graph(chain)
     return {
@@ -192,6 +188,8 @@ def _cmd_colimit(args) -> dict:
 
 
 def _cmd_continuity_check(args) -> dict:
+    from .limits import chain_from_json, check_continuity, morphism_from_json
+
     _require_non_negative(args, "degree")
     chain = chain_from_json(_load_json(args.system))
     if (args.top is None) != (args.into is None):
@@ -220,6 +218,8 @@ def _random_element(rng: random.Random, alphabet, max_degree: int) -> MonoidElem
 
 
 def _cmd_oracle_check(args) -> dict:
+    from .oracle import cross_check
+
     _require_non_negative(args, "samples", "degree")
     g = _load_graph(args.graph)
     p = presentation_of(g)
@@ -295,19 +295,22 @@ def run(argv=None) -> int:
     except BudgetExceededError as exc:
         _emit({"error": str(exc), "undecided": True}, args.format)
         return EXIT_UNDECIDED
-    except TruncationError as exc:
-        _emit({"error": str(exc), "required_level": exc.required}, args.format)
-        return EXIT_INVALID
-    except (
-        InputError,
-        GraphError,
-        PresentationError,
-        EngineError,
-        MorphismError,
-        OracleError,
-        MaterializationError,
-    ) as exc:
-        _emit({"error": str(exc)}, args.format)
+    except ValueError as exc:
+        # every error of the library is a ValueError; a module's own errors
+        # are looked up only here, once a command has raised
+        from .desingularize import MaterializationError, TruncationError
+        from .limits import MorphismError
+        from .oracle import OracleError
+
+        if isinstance(exc, TruncationError):
+            _emit({"error": str(exc), "required_level": exc.required}, args.format)
+        elif isinstance(
+            exc,
+            (InputError, GraphError, PresentationError, EngineError, MorphismError, OracleError, MaterializationError),
+        ):
+            _emit({"error": str(exc)}, args.format)
+        else:
+            raise
         return EXIT_INVALID
     _emit(doc, args.format)
     return EXIT_OK

@@ -5,8 +5,13 @@ completed into a confluent, terminating rewrite system under the graded
 lexicographic order (total degree first, ties by the canonical generator
 order), by orienting every relation downhill and resolving critical pairs:
 for rules with overlapping left-hand sides the componentwise maximum is a
-peak whose two reducts must join.  Rules with disjoint left-hand supports are
-skipped; both reducts step to the same element, so such peaks always join.
+peak whose two reducts must join.  Two criteria skip peaks known to join
+(Buchberger 1979).  Rules with disjoint left-hand supports make no pair: both
+reducts step to the same element.  A pair whose peak an older live rule also
+reduces is skipped (the chain criterion): that rule's pairs with both were
+resolved first, and join the two reducts through a third.  Reduction during
+completion scans only the live rules; retired ones keep their index for
+proofs but leave the scanned list.
 
 Every rule carries a proof: a chain of original-relation applications
 transforming its left side into its right side.  Equality certificates are
@@ -181,6 +186,11 @@ def _stepped(x: list[int], rule: kernels.Rule) -> list[int]:
     return y
 
 
+def _support(x: list[int]) -> int:
+    """The columns where x is nonzero, as the bits of an int."""
+    return sum(1 << c for c, n in enumerate(x) if n)
+
+
 def _invert(chain: tuple[Step, ...]) -> tuple[Step, ...]:
     return tuple((rel, -d) for rel, d in reversed(chain))
 
@@ -236,55 +246,82 @@ def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
     S-pair budget runs out.
     """
     budget = resolve_budget(budget)
-    # rule k has the sides lhs[k] and rhs[k], compiled as rules[k], and proofs[k];
-    # a retired rule keeps its index and a left side that never applies
+    # rule k has the sides lhs[k] and rhs[k], compiled as rules[k], their
+    # supports as the bits of masks[k] and rmasks[k], and proofs[k]; a retired
+    # rule keeps its index k, which proofs and reduction traces name
     lhs: list[list[int]] = []
     rhs: list[list[int]] = []
     rules: list[kernels.Rule] = []
+    masks: list[int] = []
+    rmasks: list[int] = []
     alive: list[bool] = []
     proofs: list[tuple[Step, ...]] = []
+    # the live rules in index order, as kernels.reduce scans them, and their indices
+    live: list[kernels.Rule] = []
+    ids: list[int] = []
     equations: deque[tuple[list[int], list[int], tuple[Step, ...]]] = deque()
+    # FIFO: pairs leave in the order their later rule was created, which the
+    # chain criterion below relies on
     pairs: deque[tuple[int, int]] = deque()
     spairs = 0
 
     def reduce_trace(x: list[int]) -> tuple[list[int], list[tuple[int, int]]]:
         runs: list[tuple[int, int]] = []
-        return kernels.reduce(x, rules, runs), runs
+        y = kernels.reduce(x, live, runs)
+        return y, [(ids[k], t) for k, t in runs]
 
-    def process_equation(u, v, *chain):
-        # chain: the parts of a u -> v chain, joined only if u, v yield a rule
-        nfu, su = reduce_trace(u)
-        nfv, sv = reduce_trace(v)
-        cmp = _compare(nfu, nfv)
-        if cmp == 0:
-            return
-        # nfu -> u -> v -> nfv
+    def add_rule(nfu, su, nfv, sv, *chain):
+        # nfu and nfv differ; su and sv reduced u and v to them, and chain's
+        # parts lead from u to v, so nfu -> u -> v -> nfv
         full = _cat(
             *[_power(_invert(proofs[k]), t) for k, t in reversed(su)], *chain, *[_power(proofs[k], t) for k, t in sv]
         )
-        if cmp < 0:
+        if _compare(nfu, nfv) < 0:
             nfu, nfv, full = nfv, nfu, _invert(full)
-        k_new = len(rules)
+        k_new = len(lhs)
         new = kernels.compile_rule(nfu, nfv)
+        need = new[0]
+        mask = _support(nfu)
         lhs.append(nfu)
         rhs.append(nfv)
         rules.append(new)
+        masks.append(mask)
+        rmasks.append(_support(nfv))
         alive.append(True)
         proofs.append(full)
-        # in index order: a collapse reduces with the rules not yet retired
-        for k in range(k_new):
-            if not alive[k]:
-                continue
+        live.append(new)
+        ids.append(k_new)
+        # in index order: a collapse reduces with the new rule and the rules
+        # not yet retired; a retired rule's slot never applies until the
+        # list is compacted after the loop.  A side the new rule applies to
+        # holds its support, so the masks rule out most sides before any
+        # count is read.
+        retired = False
+        for pos in range(len(ids) - 1):
+            k = ids[pos]
             l, r = lhs[k], rhs[k]
-            if all(l[c] >= n for c, n in new[0]):
+            if not mask & ~masks[k] and all(l[c] >= n for c, n in need):
                 equations.append((l, r, proofs[k]))
-                rules[k] = kernels.RETIRED
+                live[pos] = kernels.RETIRED
                 alive[k] = False
-            elif all(r[c] >= n for c, n in new[0]):
+                retired = True
+            elif not mask & ~rmasks[k] and all(r[c] >= n for c, n in need):
                 rhs[k], sr = reduce_trace(r)
-                rules[k] = kernels.compile_rule(l, rhs[k])
+                rmasks[k] = _support(rhs[k])
+                live[pos] = rules[k] = kernels.compile_rule(l, rhs[k])
                 proofs[k] = _cat(proofs[k], *[_power(proofs[j], t) for j, t in sr])
-        pairs.extend((k, k_new) for k in range(k_new) if alive[k])
+        if retired:
+            live[:] = [rules[k] for k in ids if alive[k]]
+            ids[:] = [k for k in ids if alive[k]]
+        # a rule whose left side is disjoint from the new one's makes no pair:
+        # both reducts of their peak step to the same element, so it joins
+        pairs.extend((k, k_new) for k in ids[:-1] if masks[k] & mask)
+
+    def process_equation(u, v, *chain):
+        nfu, su = reduce_trace(u)
+        nfv, sv = reduce_trace(v)
+        if nfu != nfv:
+            add_rule(nfu, su, nfv, sv, *chain)
 
     index = p.index()
     for i, (u, v) in enumerate(p.relations):
@@ -296,17 +333,25 @@ def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
         i, j = pairs.popleft()
         if not (alive[i] and alive[j]):
             continue
-        li, lj = lhs[i], lhs[j]
-        if not any(lj[c] for c, _ in rules[i][0]):
-            # disjoint supports: both reducts step to rhs_i + rhs_j, peak joins
+        peak = list(map(max, lhs[i], lhs[j]))
+        # Chain criterion (Buchberger 1979; Gebauer-Moeller 1988): skip the
+        # pair when a live rule k < i also applies at the peak.  Its pairs
+        # (k, i) and (k, j) are already done: each was enqueued when its
+        # later rule, i or j, was created, and pairs leave in creation order
+        # of their later rule, so before (i, j).  The peak's three reducts
+        # are then joined through the k-reduct below the peak.  Rule i applies
+        # at the peak, so the first live rule that applies has index <= i.
+        if ids[kernels.first_applicable(peak, live)] < i:
             continue
         spairs += 1
         if spairs > budget:
             raise BudgetExceededError(spairs, budget)
-        peak = list(map(max, li, lj))
-        process_equation(_stepped(peak, rules[i]), _stepped(peak, rules[j]), _invert(proofs[i]), proofs[j])
+        nfu, su = reduce_trace(_stepped(peak, rules[i]))
+        nfv, sv = reduce_trace(_stepped(peak, rules[j]))
+        if nfu != nfv:
+            add_rule(nfu, su, nfv, sv, _invert(proofs[i]), proofs[j])
 
-    final = sorted((k for k in range(len(rules)) if alive[k]), key=lambda k: (sum(lhs[k]), lhs[k], rhs[k]))
+    final = sorted(ids, key=lambda k: (sum(lhs[k]), lhs[k], rhs[k]))
     return RewriteSystem(
         presentation=p,
         rules=tuple(rules[k] for k in final),

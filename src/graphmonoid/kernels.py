@@ -35,8 +35,9 @@ _RUN_AFTER = 8
 # column order.
 Rule = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
 
-# a left side no vector reaches: reduction keeps every component of an input
-# whose degree fits in int64 below 2**63
+# a left side no vector reaches (reduction keeps every component of an input
+# whose degree fits in int64 below 2**63): completion puts it in a retired
+# rule's slot until it compacts its list of live rules
 RETIRED: Rule = (((0, 1 << 63),), ())
 
 
@@ -109,6 +110,17 @@ def reduce(x: Sequence[int], rules: Sequence[Rule], trace: list[tuple[int, int]]
     if trace is not None and times:
         trace.append((i, times))
     return y
+
+
+def first_applicable(x: Sequence[int], rules: Sequence[Rule]) -> int:
+    """Index of the first rule that applies to x, or len(rules) when none does."""
+    for k, (need, _) in enumerate(rules):
+        for c, n in need:
+            if x[c] < n:
+                break
+        else:
+            return k
+    return len(rules)
 
 
 def _run_length(y: list[int], rules: Sequence[Rule], i: int) -> int:

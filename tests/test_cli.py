@@ -480,7 +480,8 @@ _FRESH_RUN = """
 import json, sys
 from graphmonoid.cli import run
 code = run(sys.argv[1:])
-print(json.dumps({"exit": code, "numpy": "numpy" in sys.modules}))
+lazy = [m for m in ("desingularize", "limits", "oracle") if "graphmonoid." + m in sys.modules]
+print(json.dumps({"exit": code, "numpy": "numpy" in sys.modules, "loaded": lazy}))
 """
 
 
@@ -514,10 +515,38 @@ def test_query_commands_never_import_numpy(files):
         ["equal", "--graph", gp, "--lhs", up, "--rhs", vp],
     ):
         status, doc = _run_fresh(*argv)
-        assert status == {"exit": EXIT_OK, "numpy": False}, argv
+        # nor the modules for approximations, limits and the oracle
+        assert status == {"exit": EXIT_OK, "numpy": False, "loaded": []}, argv
         docs.append(doc)
     assert docs[0]["valid"] is True and docs[-1]["equal"] is True
     assert len(docs[-1]["certificate"]["steps"]) == 11
+    # an invalid query still exits 2 with its message
+    status, doc = _run_fresh("equal", "--graph", gp, "--lhs", up, "--rhs", gp)
+    assert status["exit"] == EXIT_INVALID and doc["error"].startswith("malformed element")
+
+
+def test_commands_load_their_modules_on_use(files):
+    g = emitter_to_sink(2)
+    gp = files("g.json", graph_to_json(g))
+    xp = files("x.json", element_to_json(MonoidElement.single(sgen(g, "v", ["e0", "e1"]))))
+    status, doc = _run_fresh("desingularize", "--graph", gp, "--level", "2")
+    assert status == {"exit": EXIT_OK, "numpy": False, "loaded": ["desingularize"]}
+    # a command's own error is still told apart from the others
+    status, doc = _run_fresh("phi", "--graph", gp, "--element", xp, "--level", "1")
+    assert status["exit"] == EXIT_INVALID and doc["required_level"] == 3
+
+
+def test_package_names_resolve_on_first_use():
+    # desingularize names the function, also once its submodule is loaded
+    import graphmonoid
+    import graphmonoid.desingularize
+    from graphmonoid import desingularize, limits
+
+    assert callable(desingularize) and graphmonoid.desingularize is desingularize
+    assert graphmonoid.check_continuity is limits.check_continuity
+    assert {"psi", "cross_check", "GraphChain", "oracle"} <= set(dir(graphmonoid))
+    with pytest.raises(AttributeError):
+        graphmonoid.no_such_name
 
 
 def test_continuity_check_runs_in_a_fresh_interpreter(files):

@@ -365,7 +365,7 @@ def test_completion_is_deterministic():
 
 @pytest.mark.parametrize(
     "k, spairs, rules, proof_steps, longest_proof",
-    [(4, 24, 22, 136, 17), (5, 50, 42, 344, 27), (6, 90, 79, 768, 39)],
+    [(4, 20, 22, 136, 17), (5, 40, 42, 344, 27), (6, 70, 79, 768, 39)],
 )
 def test_completion_counters_are_pinned(k, spairs, rules, proof_steps, longest_proof):
     from conftest import emitter_mixed
@@ -376,6 +376,37 @@ def test_completion_counters_are_pinned(k, spairs, rules, proof_steps, longest_p
     assert rs.rule_count == rules
     assert sum(lengths) == proof_steps
     assert max(lengths) == longest_proof
+
+
+def _graph_16(level):
+    # two infinite emitters on a 2-cycle, with 3 and 2 materialized edges:
+    # its tailed presentations make many S-pairs for their size
+    import random
+
+    from acceptance_support import mixed_corpus
+    from graphmonoid.desingularize import desingularize
+
+    return desingularize(mixed_corpus(random.Random(0))[16], level).graph
+
+
+def test_completion_work_on_a_tailed_two_emitter_cycle_is_pinned():
+    # deterministic counters stand in for a timing: the S-pairs the chain
+    # criterion and the disjoint-support skip leave to reduce
+    rs = complete(presentation_of(_graph_16(6)))
+    assert rs.spairs_processed == 1872
+    assert rs.rule_count == 145
+
+
+def test_completed_rules_are_pinned():
+    # a confluent, interreduced system is unique for its presentation and
+    # term order, so skipping S-pairs may change proofs but never the rules;
+    # the digest was taken with every overlapping S-pair reduced
+    import hashlib
+
+    h = hashlib.sha256()
+    for g in _completion_corpus() + [_graph_16(level) for level in (4, 5, 6, 7)]:
+        h.update(repr(complete(presentation_of(g)).rules).encode())
+    assert h.hexdigest() == "187b1ab87179879204b319c0e0656dc42d8bc5fb602068f5a3211c7e463d707c"
 
 
 def _completion_corpus():
@@ -406,6 +437,80 @@ def test_completion_keeps_its_compiled_rules_in_step_with_its_matrices():
             lhs, rhs = rs.rule(k)
             assert replay_chain(p, lhs, proof) == rhs
             assert kernels.reduce(_vec(rhs, p.index()), rs.rules) == _vec(rhs, p.index())
+
+
+def _confluence_violations(rs):
+    """What keeps rs from being a completion of its presentation, checked
+    without rerunning completion; empty when it is one.
+
+    (a) every rule is graded-lex downhill and its proof replays from its left
+    side to its right side, so the rules lie in the presentation's congruence;
+    (b) every pair of rules with overlapping left sides joins at its peak, so
+    the rules are confluent (critical-pair lemma, Newman's lemma);
+    (c) both sides of every relation have one normal form, so the rules
+    generate the whole congruence.
+
+    (b) and (c) reduce with the rules, which ends only when every rule is
+    downhill, so they run only after (a) finds every rule downhill.
+    """
+    from graphmonoid import kernels
+    from graphmonoid.engine import _compare, _vec
+
+    p = rs.presentation
+    index = p.index()
+    sides = [kernels.rule_sides(rule, len(p.alphabet)) for rule in rs.rules]
+    uphill = [k for k, (l, r) in enumerate(sides) if _compare(l, r) <= 0]
+    out = [f"rule {k} is not downhill" for k in uphill]
+    for k, proof in enumerate(rs.proofs):
+        lhs, rhs = rs.rule(k)
+        try:
+            if replay_chain(p, lhs, proof) != rhs:
+                out.append(f"proof of rule {k} ends elsewhere")
+        except EngineError:
+            out.append(f"proof of rule {k} does not replay")
+    if uphill:
+        return out
+    for i, (li, ri) in enumerate(sides):
+        for j in range(i + 1, len(sides)):
+            lj, rj = sides[j]
+            if not any(a and b for a, b in zip(li, lj)):
+                continue
+            peak = list(map(max, li, lj))
+            via_i = [a - b + c for a, b, c in zip(peak, li, ri)]
+            via_j = [a - b + c for a, b, c in zip(peak, lj, rj)]
+            if kernels.reduce(via_i, rs.rules) != kernels.reduce(via_j, rs.rules):
+                out.append(f"rules {i} and {j} do not join at their peak")
+    for n, (u, v) in enumerate(p.relations):
+        if kernels.reduce(_vec(u, index), rs.rules) != kernels.reduce(_vec(v, index), rs.rules):
+            out.append(f"relation {n} has two normal forms")
+    return out
+
+
+def test_completed_systems_pass_the_confluence_check():
+    for g in _completion_corpus():
+        assert _confluence_violations(complete(presentation_of(g))) == []
+
+
+def test_confluence_check_fails_without_a_rule_or_with_one_flipped():
+    from dataclasses import replace
+
+    from conftest import emitter_mixed
+    from graphmonoid import kernels
+    from graphmonoid.engine import _invert
+
+    rs = complete(presentation_of(emitter_mixed(3)))
+    assert _confluence_violations(rs) == []
+    width = len(rs.presentation.alphabet)
+    for k in range(rs.rule_count):
+        smaller = replace(rs, rules=rs.rules[:k] + rs.rules[k + 1 :], proofs=rs.proofs[:k] + rs.proofs[k + 1 :])
+        assert _confluence_violations(smaller), f"the check passes without rule {k}"
+        lhs, rhs = kernels.rule_sides(rs.rules[k], width)
+        flipped = replace(
+            rs,
+            rules=rs.rules[:k] + (kernels.compile_rule(rhs, lhs),) + rs.rules[k + 1 :],
+            proofs=rs.proofs[:k] + (_invert(rs.proofs[k]),) + rs.proofs[k + 1 :],
+        )
+        assert _confluence_violations(flipped), f"the check passes with rule {k} flipped"
 
 
 def test_cat_cancels_inverse_steps_across_junctions():

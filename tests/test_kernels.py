@@ -46,6 +46,17 @@ def test_reduce_trace_replays_to_normal_form():
         assert y.tolist() == nf
 
 
+def test_first_applicable_is_the_rule_reduction_applies_first():
+    rng = np.random.default_rng(19)
+    lhs, rhs = random_rules(rng, 5, 4)
+    rules = kernels.compile_rules(lhs, rhs)
+    for row in rng.integers(0, 3, size=(40, 4)).astype(np.int64):
+        ok = (lhs <= row).all(axis=1)
+        expected = int(ok.argmax()) if ok.any() else len(rules)
+        assert kernels.first_applicable(row.tolist(), rules) == expected
+    assert kernels.first_applicable([1 << 62, 0, 0, 0], (kernels.RETIRED,)) == 1
+
+
 def step_by_step(x, lhs, rhs):
     """Reference reducer on the rule matrices: one numpy rule application per
     step, lowest-index applicable rule first."""
