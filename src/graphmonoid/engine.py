@@ -22,8 +22,9 @@ runs of one rule, and a run of t applications joins its rule's proof raised to
 the t-th power, so joining costs per run, not per application.
 
 The query path (completion, reduction, equality, certificates and their
-replay) works on Python ints and never imports numpy.  numpy is imported only
-by the batch oracles: bfs_reach, elements_up_to_degree and a system's rule
+replay) works on Python ints and never imports numpy; so does the continuity
+check, which samples with exponent_vectors.  numpy is imported only by the
+batch oracles: bfs_reach, elements_up_to_degree and a system's rule
 matrices, built on first access for the batch reducer.
 """
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, compress
@@ -91,6 +92,20 @@ class RewriteSystem:
         alphabet = self.presentation.alphabet
         lhs, rhs = kernels.rule_sides(self.rules[k], len(alphabet))
         return _unvec(lhs, alphabet), _unvec(rhs, alphabet)
+
+    @cached_property
+    def _downhill_rules(self) -> tuple[kernels.Rule, ...]:
+        """The rules, once each is checked to step graded-lex downhill, so that reduction ends.
+
+        A rule steps downhill when rhs - lhs lowers the degree, or keeps it
+        and its first nonzero entry is negative.
+        """
+        for k, (_, delta) in enumerate(self.rules):
+            drop = sum(d for _, d in delta)
+            if drop > 0 or drop == 0 and (not delta or delta[0][1] > 0):
+                lhs, rhs = self.rule(k)
+                raise EngineError(f"rule {k}, {lhs} -> {rhs}, is not downhill in graded-lex order")
+        return self.rules
 
     @cached_property
     def _matrices(self) -> tuple[np.ndarray, np.ndarray]:
@@ -371,11 +386,14 @@ def completed_system(p: Presentation, budget: int | None = None) -> RewriteSyste
 
 
 def normal_form(rs: RewriteSystem, x: MonoidElement) -> MonoidElement:
-    """Unique irreducible element congruent to x under a completed system."""
+    """Unique irreducible element congruent to x under a completed system.
+
+    Raises EngineError when rs holds a rule that is not graded-lex downhill.
+    """
     if not rs.completed:
         raise EngineError("rewrite system is not completed")
     v = _vec(x, rs.presentation.index())
-    return _unvec(kernels.reduce(v, rs.rules), rs.presentation.alphabet)
+    return _unvec(kernels.reduce(v, rs._downhill_rules), rs.presentation.alphabet)
 
 
 @dataclass(frozen=True)
@@ -568,17 +586,20 @@ def bfs_reach(
     return set(map(tuple, rows.tolist())), saturated
 
 
-def elements_up_to_degree(n_generators: int, degree: int) -> np.ndarray:
-    """All exponent vectors of total degree <= degree, in deterministic order."""
+def exponent_vectors(n_generators: int, degree: int) -> Iterator[list[int]]:
+    """All exponent vectors of total degree <= degree, as lists of ints, in deterministic order."""
     if degree < 0:
         raise EngineError(f"degree must be >= 0, got {degree}")
-    import numpy as np
-
-    rows = [np.zeros(n_generators, dtype=np.int64)]
-    for d in range(1, degree + 1):
+    for d in range(degree + 1):
         for combo in combinations_with_replacement(range(n_generators), d):
-            row = np.zeros(n_generators, dtype=np.int64)
+            row = [0] * n_generators
             for i in combo:
                 row[i] += 1
-            rows.append(row)
-    return np.stack(rows) if rows else np.empty((0, n_generators), dtype=np.int64)
+            yield row
+
+
+def elements_up_to_degree(n_generators: int, degree: int) -> np.ndarray:
+    """exponent_vectors as the rows of an int64 matrix."""
+    import numpy as np
+
+    return np.array(list(exponent_vectors(n_generators, degree)), dtype=np.int64)

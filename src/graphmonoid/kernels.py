@@ -7,9 +7,10 @@ reduced by rules compiled once into sparse form (compile_rule).  The systems
 are small (tens of rules, tens of generators) and a reduction takes few
 steps, so a step costs a short scan over the rules' supports, with no array
 call.  The batch kernels, nf_batch and expand_frontier, are numpy, vectorised
-over the rules: the BFS oracle and the batch cross-checks use them, and
-nf_batch reduces independently of reduce().  numpy is imported inside the
-functions that use it, so reduction alone never loads it.
+over the rules: expand_frontier steps the BFS oracle, and nf_batch, which
+reduces independently of reduce(), is the batch reference of acceptance
+criterion 3 and the benchmark.  numpy is imported inside the functions that
+use it, so reduction alone never loads it.
 
 A rule applies to a vector when its left side is componentwise at most the
 vector, and reduction always applies the lowest-index applicable rule.

@@ -15,6 +15,7 @@ the word engine treats relations bidirectionally, so nothing is lost.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -235,30 +236,28 @@ def generators(g: Graph) -> tuple[Generator, ...]:
     return tuple(gens)
 
 
+def _side(gens: Iterable[Generator]) -> MonoidElement:
+    """The sum of gens, each counted once per listing, as one element."""
+    return MonoidElement.from_counts(Counter(gens))
+
+
 def relations(g: Graph) -> tuple[tuple[MonoidElement, MonoidElement], ...]:
     """Defining relations R1, R2 and (deduplicated) R3 of the graph monoid."""
     require_valid(g)
     rels: list[tuple[MonoidElement, MonoidElement]] = []
     for v in g.vertices:
         if vertex_class(g, v) is VertexClass.REGULAR:
-            rhs = elem_sum(MonoidElement.single(Generator(e.dst)) for e in out_edges(g, v))
-            rels.append((MonoidElement.single(Generator(v)), rhs))
+            rels.append((MonoidElement.single(Generator(v)), _side(Generator(e.dst) for e in out_edges(g, v))))
     for v, _, mat in g.emitters:
-        ranges = {eid: g.edge(eid).dst for eid in mat}
+        ranges = {eid: Generator(g.edge(eid).dst) for eid in mat}
+        a_v = MonoidElement.single(Generator(v))
         subsets = list(_nonempty_subsets(mat))
         for sub in subsets:
-            lhs = MonoidElement.single(Generator(v, sub)) + elem_sum(
-                MonoidElement.single(Generator(ranges[eid])) for eid in sub
-            )
-            rels.append((lhs, MonoidElement.single(Generator(v))))
+            rels.append((_side([Generator(v, sub), *(ranges[eid] for eid in sub)]), a_v))
         for s, t in combinations(subsets, 2):
             sset, tset = set(s), set(t)
-            lhs = MonoidElement.single(Generator(v, s)) + elem_sum(
-                MonoidElement.single(Generator(ranges[eid])) for eid in s if eid not in tset
-            )
-            rhs = MonoidElement.single(Generator(v, t)) + elem_sum(
-                MonoidElement.single(Generator(ranges[eid])) for eid in t if eid not in sset
-            )
+            lhs = _side([Generator(v, s), *(ranges[eid] for eid in s if eid not in tset)])
+            rhs = _side([Generator(v, t), *(ranges[eid] for eid in t if eid not in sset)])
             rels.append((lhs, rhs))
     return tuple(rels)
 

@@ -550,9 +550,9 @@ def test_package_names_resolve_on_first_use():
 
 
 def test_continuity_check_runs_in_a_fresh_interpreter(files):
-    # the batch reducer loads numpy on first use, inside the command
     graphs = [emitter_to_sink(k) for k in (1, 2)]
     morph = {"vertex_map": {v: v for v in graphs[0].vertices}, "edge_map": {e.id: e.id for e in graphs[0].edges}}
     sp = files("sys.json", {"graphs": [graph_to_json(g) for g in graphs], "morphisms": [morph]})
     status, doc = _run_fresh("continuity-check", "--system", sp, "--degree", "2")
-    assert status["exit"] == EXIT_OK and doc["ok"] is True
+    assert status == {"exit": EXIT_OK, "numpy": False, "loaded": ["limits"]}
+    assert doc["ok"] is True

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -80,6 +82,31 @@ def test_uncompleted_system_refused():
     broken = replace(rs, completed=False)
     with pytest.raises(EngineError):
         normal_form(broken, single("v"))
+
+
+def test_normal_form_refuses_a_rule_that_is_not_downhill():
+    # reduction with such a rule cycles: the system is refused instead
+    from dataclasses import replace
+
+    from conftest import emitter_mixed
+    from graphmonoid import kernels
+
+    g = emitter_mixed(3)
+    rs = complete(presentation_of(g))
+    k = 7
+    lhs, rhs = kernels.rule_sides(rs.rules[k], len(rs.presentation.alphabet))
+    x = single("w") + MonoidElement.single(sgen(g, "v", ["e1"])) + MonoidElement.single(sgen(g, "v", ["e1", "e2"]))
+    assert normal_form(rs, x) == 2 * MonoidElement.single(sgen(g, "v", ["e2"]))
+    for rule, text in (
+        (kernels.compile_rule(rhs, lhs), "a(v,{e2}) -> a(w) + a(v,{e1,e2})"),
+        (kernels.compile_rule(lhs, lhs), "a(w) + a(v,{e1,e2}) -> a(w) + a(v,{e1,e2})"),
+    ):
+        bad = replace(rs, rules=rs.rules[:k] + (rule,) + rs.rules[k + 1 :])
+        with pytest.raises(EngineError, match=f"rule 7, {re.escape(text)}, is not downhill"):
+            normal_form(bad, x)
+    empty = replace(rs, rules=(kernels.compile_rule([0] * len(lhs), [0] * len(lhs)),))
+    with pytest.raises(EngineError, match="rule 0, 0 -> 0, is not downhill"):
+        normal_form(empty, MonoidElement())
 
 
 def test_equal_emitter_examples():

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from graphmonoid.engine import EngineError, elements_up_to_degree, equal
+from graphmonoid import kernels
+from graphmonoid.engine import EngineError, completed_system, elements_up_to_degree, equal
 from graphmonoid.graphs import EdgeIndexDescriptor, Graph, materialize_edges
 from graphmonoid.limits import (
+    ContinuityReport,
     GraphChain,
     GraphMorphism,
     LimitElement,
@@ -176,6 +178,14 @@ def test_limit_element_addition():
     total = limit.add(a, b)
     assert total.level == 2
     assert total.element == 2 * single("w")
+
+
+def test_inject_checks_the_level():
+    limit = colimit_monoid(monoid_chain(emitter_chain()))
+    assert limit.inject(2, single("w")).level == 2
+    for level in (-1, 3, 10):
+        with pytest.raises(MorphismError, match=f"level {level} is not a chain level"):
+            limit.inject(level, single("w"))
 
 
 def test_limit_rejects_foreign_generators():
@@ -384,3 +394,120 @@ def test_continuity_checks_each_composite_into_the_top_for_ck():
     assert is_ck_morphism(chain.steps[0]).ok and is_ck_morphism(inclusion(one, two)).ok
     with pytest.raises(MorphismError, match="not a CK-morphism: out-edges of regular vertex 'v' do not biject"):
         check_continuity(chain, into_top=inclusion(one, two), degree=1)
+
+
+# -- check_continuity against the batch reducer ------------------------------
+
+def _reference_generator_matrix(mapping, dom, cod):
+    cod_index = cod.index()
+    rows = []
+    for gen in dom.alphabet:
+        row = [0] * len(cod.alphabet)
+        for tgen, mult in mapping[gen].terms:
+            row[cod_index[tgen]] += mult
+        rows.append(row)
+    return kernels.as_matrix(rows, len(cod.alphabet))
+
+
+def _reference_first_rows(nf):
+    first = {}
+    return [first.setdefault(row.tobytes(), r) for r, row in enumerate(nf)]
+
+
+def _reference_check_continuity(chain, into_top=None, degree=2, budget=None):
+    """check_continuity as it was on the batch reducer nf_batch, with the top partition always computed."""
+    colimit = colimit_graph(chain)
+    last = len(chain) - 1
+    if into_top is None:
+        into_top = identity_morphism(chain.graphs[last])
+    elif into_top.source != chain.graphs[last]:
+        raise MorphismError("into_top must start at the chain's top graph")
+    report = is_ck_morphism(into_top)
+    if not report.ok:
+        raise MorphismError("into_top is not CK: " + "; ".join(report.violations))
+
+    top_graph = into_top.target
+    top_p = presentation_of(top_graph)
+    top_rs = completed_system(top_p, budget)
+    mid_p = top_p if top_graph == chain.graphs[last] else presentation_of(chain.graphs[last])
+    mid_rs = completed_system(mid_p, budget)
+    mismatches, sizes, merges, covered = [], [], [], set()
+    for i, (g, to_last) in enumerate(zip(chain.graphs, colimit.injections)):
+        p_i = mid_p if i == last else presentation_of(g)
+        rs_i = completed_system(p_i, budget)
+        mu_i = induced_monoid_morphism(to_last)
+        phi_i = induced_monoid_morphism(compose(into_top, to_last))
+        covered.update(img.support()[0] for img in phi_i.values())
+        sample = elements_up_to_degree(len(p_i.alphabet), degree)
+        sizes.append(sample.shape[0])
+        mid_images = sample @ _reference_generator_matrix(mu_i, p_i, mid_p)
+        top_images = sample @ _reference_generator_matrix(phi_i, p_i, top_p)
+        here = _reference_first_rows(kernels.nf_batch(sample, rs_i.lhs, rs_i.rhs))
+        mid = _reference_first_rows(kernels.nf_batch(mid_images, mid_rs.lhs, mid_rs.rhs))
+        top = _reference_first_rows(kernels.nf_batch(top_images, top_rs.lhs, top_rs.rhs))
+        checks = (
+            (here, top, "are equal at the level but their images differ in the top graph"),
+            (mid, top, "are equal in the limit but their images differ in the top graph"),
+            (top, mid, "have equal images in the top graph but differ in the limit"),
+        )
+        for row in range(len(here)):
+            for first, other, text in checks:
+                if other[first[row]] != other[row]:
+                    mismatches.append(f"level {i}: elements #{first[row]} and #{row} {text}")
+        merges.append(len(set(here)) - len(set(mid)))
+
+    uncovered = tuple(str(gen) for gen in top_p.alphabet if gen not in covered)
+    return ContinuityReport(
+        ok=not mismatches and not uncovered,
+        levels=len(chain),
+        sample_sizes=tuple(sizes),
+        mismatches=tuple(mismatches),
+        uncovered_generators=uncovered,
+        merged_classes=tuple(merges),
+    )
+
+
+def _outcome(check, *args, **kwargs):
+    try:
+        return check(*args, **kwargs)
+    except (EngineError, MorphismError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _continuity_cases():
+    from acceptance_support import chain_corpus
+
+    cases = [(name, chain, None) for name, chain in chain_corpus()]
+    e2, e3 = emitter_to_sink(2), emitter_to_sink(3)
+    g1, g2 = _self_loop_emitter(1), _self_loop_emitter(2)
+    desc = EdgeIndexDescriptor((), ("w",))
+    plain = Graph.build(["v", "w"], [("e", "v", "w")])
+    one = Graph.build(["v", "w"], [("e", "v", "w")], {"v": (desc, ["e"])})
+    two = Graph.build(["v", "w"], [("e", "v", "w"), ("e1", "v", "w")], {"v": (desc, ["e", "e1"])})
+    sinks = Graph.build(["u", "w"])
+    empty = Graph.build([])
+    cases += [
+        ("strict extension", GraphChain.build([e2], []), inclusion(e2, e3)),
+        ("merge in the top graph", GraphChain.build([g1], []), inclusion(g1, g2)),
+        ("composite not CK", GraphChain.build([plain, one], [inclusion(plain, one)]), inclusion(one, two)),
+        ("materializing", emitter_chain(), None),
+        ("distinct sinks", GraphChain.build([sinks, sinks], [identity_morphism(sinks)]), None),
+        ("levelwise merges", GraphChain.build([g1, g2], [inclusion(g1, g2)]), None),
+        ("one level", GraphChain.build([e2], []), None),
+        ("no generators", GraphChain.build([empty, empty], [identity_morphism(empty)]), None),
+        ("no generators, into itself", GraphChain.build([empty], []), identity_morphism(empty)),
+    ]
+    return cases
+
+
+def test_continuity_matches_the_batch_reference():
+    seen = set()
+    for name, chain, into_top in _continuity_cases():
+        for degree in range(4):
+            for budget in (None, 0, 1, 3, 10, 30):
+                got = _outcome(check_continuity, chain, into_top, degree, budget)
+                want = _outcome(_reference_check_continuity, chain, into_top, degree, budget)
+                assert got == want, (name, degree, budget)
+                seen.add(type(got).__name__ if isinstance(got, ContinuityReport) else got[0])
+    # the cases reach reports, budget errors and CK errors
+    assert seen == {"ContinuityReport", "BudgetExceededError", "MorphismError"}
