@@ -9,9 +9,9 @@ peak whose two reducts must join.  Two criteria skip peaks known to join
 (Buchberger 1979).  Rules with disjoint left-hand supports make no pair: both
 reducts step to the same element.  A pair whose peak an older live rule also
 reduces is skipped (the chain criterion): that rule's pairs with both were
-resolved first, and join the two reducts through a third.  Reduction during
-completion scans only the live rules; retired ones keep their index for
-proofs but leave the scanned list.
+resolved first, and join the two reducts through a third.  Completion keeps one
+compiled copy of each live rule, in the list its reductions scan; a retired
+rule is deleted from that list and keeps its index for proofs.
 
 Every rule carries a proof: a chain of original-relation applications
 transforming its left side into its right side.  Equality certificates are
@@ -24,8 +24,9 @@ the t-th power, so joining costs per run, not per application.
 The query path (completion, reduction, equality, certificates and their
 replay) works on Python ints and never imports numpy; so does the continuity
 check, which samples with exponent_vectors.  numpy is imported only by the
-batch oracles: bfs_reach, elements_up_to_degree and a system's rule
-matrices, built on first access for the batch reducer.
+batch oracles: bfs_reach, elements_up_to_degree and the rule matrices of a
+system or of a presentation's relations, built on first access from the
+compiled rules.
 """
 
 from __future__ import annotations
@@ -109,12 +110,7 @@ class RewriteSystem:
 
     @cached_property
     def _matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        g = len(self.presentation.alphabet)
-        sides = [kernels.rule_sides(rule, g) for rule in self.rules]
-        pair = tuple(kernels.as_matrix([side[i] for side in sides], g) for i in (0, 1))
-        for m in pair:
-            m.flags.writeable = False
-        return pair
+        return kernels.rule_matrices(self.rules, len(self.presentation.alphabet))
 
     @property
     def lhs(self) -> np.ndarray:
@@ -150,7 +146,8 @@ def _vec(x: MonoidElement, index: dict[Generator, int]) -> list[int]:
 def _relation_rules(p: Presentation) -> tuple[tuple[kernels.Rule, ...], tuple[kernels.Rule, ...]]:
     """p's relations compiled forward (left side to right) and backward, built once per presentation.
 
-    Kept on p as its relation matrices are, and read by every chain walk.
+    Kept on p as its relation matrices are, and read by every chain walk; the
+    relation matrices are the forward rules' sides.
     """
     pair = p.__dict__.get("_relation_rules")
     if pair is None:
@@ -165,17 +162,15 @@ def _relation_rules(p: Presentation) -> tuple[tuple[kernels.Rule, ...], tuple[ke
 
 
 def _relation_matrices(p: Presentation) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right sides of p's relations as int64 rows, built once per presentation.
+    """Left and right sides of p's relations as int64 rows, built once per presentation
+    from its forward relation rules.
 
     The pair is kept on p beside its cached hash and index and is shared by
     every caller, so both matrices are read-only.
     """
     pair = p.__dict__.get("_relation_matrices")
     if pair is None:
-        index, g = p.index(), len(p.alphabet)
-        pair = tuple(kernels.as_matrix([_vec(rel[side], index) for rel in p.relations], g) for side in (0, 1))
-        for m in pair:
-            m.flags.writeable = False
+        pair = kernels.rule_matrices(_relation_rules(p)[0], len(p.alphabet))
         p.__dict__["_relation_matrices"] = pair
     return pair
 
@@ -261,17 +256,16 @@ def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
     S-pair budget runs out.
     """
     budget = resolve_budget(budget)
-    # rule k has the sides lhs[k] and rhs[k], compiled as rules[k], their
-    # supports as the bits of masks[k] and rmasks[k], and proofs[k]; a retired
-    # rule keeps its index k, which proofs and reduction traces name
+    # rule k has the sides lhs[k] and rhs[k], their supports as the bits of
+    # masks[k] and rmasks[k], and proofs[k]; a retired rule keeps its index k,
+    # which proofs and reduction traces name
     lhs: list[list[int]] = []
     rhs: list[list[int]] = []
-    rules: list[kernels.Rule] = []
     masks: list[int] = []
     rmasks: list[int] = []
     alive: list[bool] = []
     proofs: list[tuple[Step, ...]] = []
-    # the live rules in index order, as kernels.reduce scans them, and their indices
+    # the live rules in index order, compiled as kernels.reduce scans them, and their indices
     live: list[kernels.Rule] = []
     ids: list[int] = []
     equations: deque[tuple[list[int], list[int], tuple[Step, ...]]] = deque()
@@ -299,35 +293,30 @@ def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
         mask = _support(nfu)
         lhs.append(nfu)
         rhs.append(nfv)
-        rules.append(new)
         masks.append(mask)
         rmasks.append(_support(nfv))
         alive.append(True)
         proofs.append(full)
         live.append(new)
         ids.append(k_new)
-        # in index order: a collapse reduces with the new rule and the rules
-        # not yet retired; a retired rule's slot never applies until the
-        # list is compacted after the loop.  A side the new rule applies to
-        # holds its support, so the masks rule out most sides before any
-        # count is read.
-        retired = False
-        for pos in range(len(ids) - 1):
+        # in index order: a collapse reduces with the new rule and the older
+        # rules still live.  A side the new rule applies to holds its
+        # support, so the masks rule out most sides before any count is read.
+        pos = 0
+        while pos < len(ids) - 1:
             k = ids[pos]
             l, r = lhs[k], rhs[k]
             if not mask & ~masks[k] and all(l[c] >= n for c, n in need):
                 equations.append((l, r, proofs[k]))
-                live[pos] = kernels.RETIRED
+                del live[pos], ids[pos]
                 alive[k] = False
-                retired = True
-            elif not mask & ~rmasks[k] and all(r[c] >= n for c, n in need):
+                continue
+            if not mask & ~rmasks[k] and all(r[c] >= n for c, n in need):
                 rhs[k], sr = reduce_trace(r)
                 rmasks[k] = _support(rhs[k])
-                live[pos] = rules[k] = kernels.compile_rule(l, rhs[k])
+                live[pos] = kernels.compile_rule(l, rhs[k])
                 proofs[k] = _cat(proofs[k], *[_power(proofs[j], t) for j, t in sr])
-        if retired:
-            live[:] = [rules[k] for k in ids if alive[k]]
-            ids[:] = [k for k in ids if alive[k]]
+            pos += 1
         # a rule whose left side is disjoint from the new one's makes no pair:
         # both reducts of their peak step to the same element, so it joins
         pairs.extend((k, k_new) for k in ids[:-1] if masks[k] & mask)
@@ -361,15 +350,16 @@ def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
         spairs += 1
         if spairs > budget:
             raise BudgetExceededError(spairs, budget)
-        nfu, su = reduce_trace(_stepped(peak, rules[i]))
-        nfv, sv = reduce_trace(_stepped(peak, rules[j]))
+        nfu, su = reduce_trace(_stepped(peak, live[ids.index(i)]))
+        nfv, sv = reduce_trace(_stepped(peak, live[ids.index(j)]))
         if nfu != nfv:
             add_rule(nfu, su, nfv, sv, _invert(proofs[i]), proofs[j])
 
     final = sorted(ids, key=lambda k: (sum(lhs[k]), lhs[k], rhs[k]))
+    compiled = dict(zip(ids, live))
     return RewriteSystem(
         presentation=p,
-        rules=tuple(rules[k] for k in final),
+        rules=tuple(compiled[k] for k in final),
         proofs=tuple(proofs[k] for k in final),
         completed=True,
         spairs_processed=spairs,

@@ -14,8 +14,9 @@ use it, so reduction alone never loads it.
 
 A rule applies to a vector when its left side is componentwise at most the
 vector, and reduction always applies the lowest-index applicable rule.
-Arrays are int64: rule matrices come in lhs/rhs pairs of shape (r, g), and
-frontiers have g columns.
+Arrays are int64: rule matrices come in lhs/rhs pairs of shape (r, g), every
+one derived from compiled rules by rule_matrices, and frontiers have g
+columns.
 """
 
 from __future__ import annotations
@@ -35,20 +36,6 @@ _RUN_AFTER = 8
 # and the nonzero entries of rhs - lhs, ((column, difference), ...), both in
 # column order.
 Rule = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
-
-# a left side no vector reaches (reduction keeps every component of an input
-# whose degree fits in int64 below 2**63): completion puts it in a retired
-# rule's slot until it compacts its list of live rules
-RETIRED: Rule = (((0, 1 << 63),), ())
-
-
-def as_matrix(rows, width) -> np.ndarray:
-    import numpy as np
-
-    a = np.asarray(rows, dtype=np.int64)
-    if a.size == 0:
-        return np.empty((0, width), dtype=np.int64)
-    return a.reshape(-1, width)
 
 
 def compile_rule(lhs: Sequence[int], rhs: Sequence[int]) -> Rule:
@@ -73,6 +60,17 @@ def rule_sides(rule: Rule, width: int) -> tuple[list[int], list[int]]:
     for c, d in rule[1]:
         rhs[c] += d
     return lhs, rhs
+
+
+def rule_matrices(rules: Sequence[Rule], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The left and right sides of rules as a read-only pair of (r, width) int64 matrices, row k for rules[k]."""
+    import numpy as np
+
+    sides = [rule_sides(rule, width) for rule in rules]
+    pair = tuple(np.array([side[i] for side in sides], dtype=np.int64).reshape(len(sides), width) for i in (0, 1))
+    for m in pair:
+        m.flags.writeable = False
+    return pair
 
 
 def reduce(x: Sequence[int], rules: Sequence[Rule], trace: list[tuple[int, int]] | None = None) -> list[int]:

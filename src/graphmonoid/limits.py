@@ -10,12 +10,13 @@ engine there.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import kernels
-from .engine import completed_system, equal, exponent_vectors
+from .engine import RewriteSystem, completed_system, equal, exponent_vectors
 from .graphs import Graph, GraphError, VertexClass, out_edges, require_valid, vertex_class
 from .presentation import (
     Generator,
@@ -378,8 +379,8 @@ class ContinuityReport:
 
 
 def _pushed(
-    rows: Iterable[list[int]], mapping: Mapping[Generator, MonoidElement], dom: Presentation, cod: Presentation
-) -> Iterator[list[int]]:
+    rows: Iterable[tuple[int, ...]], mapping: Mapping[Generator, MonoidElement], dom: Presentation, cod: Presentation
+) -> Iterator[tuple[int, ...]]:
     """Exponent vectors over dom's alphabet, each sent through mapping into cod's."""
     cod_index = cod.index()
     images = [[(cod_index[gen], mult) for gen, mult in mapping[g].terms] for g in dom.alphabet]
@@ -389,13 +390,27 @@ def _pushed(
             if n:
                 for c, m in images[j]:
                     y[c] += n * m
-        yield y
+        yield tuple(y)
 
 
-def _first_rows(rows: Iterable[list[int]], rules: Sequence[kernels.Rule]) -> list[int]:
-    """For each row, the first row with the same normal form."""
+def _first_rows(
+    rows: Iterable[tuple[int, ...]], rules: Sequence[kernels.Rule], nfs: dict[tuple[int, ...], tuple[int, ...]]
+) -> list[int]:
+    """For each row, the first row with the same normal form.
+
+    nfs maps rows already reduced against rules to their normal forms; each
+    row not in it is reduced once and added.  So is its normal form, which is
+    its own: the rows of one class share one normal-form tuple.
+    """
     first: dict[tuple[int, ...], int] = {}
-    return [first.setdefault(tuple(kernels.reduce(x, rules)), r) for r, x in enumerate(rows)]
+    out = []
+    for r, x in enumerate(rows):
+        nf = nfs.get(x)
+        if nf is None:
+            nf = tuple(kernels.reduce(x, rules))
+            nf = nfs[x] = nfs.setdefault(nf, nf)
+        out.append(first.setdefault(nf, r))
+    return out
 
 
 def check_continuity(
@@ -442,6 +457,10 @@ def check_continuity(
     sizes: list[int] = []
     merges: list[int] = []
     covered: set[Generator] = set()
+    # the normal forms found in this call, per system: an image pushed along
+    # inclusions into the chain's last graph is also in the last level's
+    # sample, which is reduced against the same system
+    nfs: defaultdict[RewriteSystem, dict[tuple[int, ...], tuple[int, ...]]] = defaultdict(dict)
 
     for i, (g, to_last) in enumerate(zip(chain.graphs, colimit.injections)):
         p_i = mid_p if i == last else presentation_of(g)
@@ -450,11 +469,11 @@ def check_continuity(
         # checked on its own: a composite of CK morphisms need not be CK
         phi_i = mu_i if into_top is None else induced_monoid_morphism(compose(into_top, to_last))
         covered.update(img.support()[0] for img in phi_i.values())
-        sample = list(exponent_vectors(len(p_i.alphabet), degree))
+        sample = list(map(tuple, exponent_vectors(len(p_i.alphabet), degree)))
         sizes.append(len(sample))
-        here = _first_rows(sample, rs_i.rules)
-        mid = _first_rows(_pushed(sample, mu_i, p_i, mid_p), mid_rs.rules)
-        top = mid if into_top is None else _first_rows(_pushed(sample, phi_i, p_i, top_p), top_rs.rules)
+        here = _first_rows(sample, rs_i.rules, nfs[rs_i])
+        mid = _first_rows(_pushed(sample, mu_i, p_i, mid_p), mid_rs.rules, nfs[mid_rs])
+        top = mid if into_top is None else _first_rows(_pushed(sample, phi_i, p_i, top_p), top_rs.rules, nfs[top_rs])
         # (classes, other side, message): rows in one class must agree on the other side
         checks = (
             (here, top, "are equal at the level but their images differ in the top graph"),

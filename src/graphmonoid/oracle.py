@@ -11,6 +11,7 @@ route to equality against which the word engine is cross-checked.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -29,13 +30,34 @@ class OracleError(ValueError):
     pass
 
 
+def _count(n, what: str) -> int:
+    """n as a Python int >= 0: ints and numpy integers pass; floats, bools and negatives raise."""
+    if not isinstance(n, bool):
+        try:
+            n = operator.index(n)
+        except TypeError:
+            pass
+        else:
+            if n < 0:
+                raise OracleError(f"{what} must be >= 0, got {n}")
+            return n
+    raise OracleError(f"{what} must be an integer, got {n!r}")
+
+
 @dataclass(frozen=True)
 class SinkVector:
     counts: tuple[tuple[str, int], ...] = ()
 
     @classmethod
     def from_dict(cls, d: Mapping[str, int]) -> "SinkVector":
-        return cls(tuple(sorted((k, int(v)) for k, v in d.items() if v)))
+        """Sink ids mapped to path counts; a count that is not an integer >= 0 raises OracleError."""
+        items = []
+        for k, v in d.items():
+            if type(v) is not int or v < 0:
+                v = _count(v, f"path count of sink {k!r}")
+            if v:
+                items.append((k, v))
+        return cls(tuple(sorted(items)))
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.counts)
@@ -47,6 +69,8 @@ class SinkVector:
         return SinkVector.from_dict(d)
 
     def __mul__(self, n: int) -> "SinkVector":
+        if type(n) is not int or n < 0:
+            n = _count(n, "scalar")
         return SinkVector.from_dict({k: v * n for k, v in self.counts})
 
     __rmul__ = __mul__
@@ -212,11 +236,7 @@ def sink_vector_from_json(data: dict) -> SinkVector:
     """Read sink ids mapped to path counts; every count must be an integer >= 0."""
     if not isinstance(data, dict):
         raise OracleError(f"sink vector must be an object, got {data!r}")
-    for sink, count in data.items():
+    for sink in data:
         if not isinstance(sink, str):
             raise OracleError(f"sink id must be a string, got {sink!r}")
-        if isinstance(count, bool) or not isinstance(count, int):
-            raise OracleError(f"path count of sink {sink!r} must be an integer, got {count!r}")
-        if count < 0:
-            raise OracleError(f"path count of sink {sink!r} must be >= 0, got {count}")
     return SinkVector.from_dict(data)

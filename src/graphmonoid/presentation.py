@@ -314,6 +314,8 @@ def element_from_json(data: dict, g: Graph | None = None) -> MonoidElement:
             raise PresentationError(f"malformed term {term!r}: {exc}") from exc
         if isinstance(mult, bool) or not isinstance(mult, int):
             raise PresentationError(f"multiplicity must be an integer, got {mult!r}")
+        if mult < 0:  # checked per term: a sum would hide it
+            raise PresentationError(f"negative multiplicity for {gen}")
         counts[gen] = counts.get(gen, 0) + mult
     return MonoidElement.from_counts(counts)
 

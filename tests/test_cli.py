@@ -249,15 +249,20 @@ def test_budget_below_the_needed_spairs_exits_undecided(tmp_path_factory, family
         ["oracle-check", "--graph", "{graph}", "--samples", "-1"],
         ["oracle-check", "--graph", "{graph}", "--degree", "-1"],
         ["continuity-check", "--system", "{system}", "--degree", "-1"],
+        # a(v) given as 3 then -1 is not read as 2·a(v)
+        ["equal", "--graph", "{graph}", "--lhs", "{minus}", "--rhs", "{twice}"],
     ],
-    ids=["budget", "oracle-samples", "oracle-degree", "continuity-degree"],
+    ids=["budget", "oracle-samples", "oracle-degree", "continuity-degree", "element-term"],
 )
 def test_negative_counts_are_invalid_input(files, capsys, argv):
     g = diamond()
+    v = element_to_json(MonoidElement.single(vgen("v")))["terms"][0]["gen"]
     paths = {
         "graph": files("g.json", graph_to_json(g)),
         "x": files("x.json", element_to_json(MonoidElement.single(vgen("v")))),
         "system": files("sys.json", {"graphs": [graph_to_json(g)], "morphisms": []}),
+        "minus": files("minus.json", {"terms": [{"gen": v, "mult": 3}, {"gen": v, "mult": -1}]}),
+        "twice": files("twice.json", element_to_json(MonoidElement.single(vgen("v"), 2))),
     }
     code, out = invoke(capsys, *(arg.format(**paths) for arg in argv))
     assert code == EXIT_INVALID

@@ -811,6 +811,8 @@ def test_presentation_data_is_built_once():
     forward, backward = _relation_rules(p)
     assert _relation_rules(p)[0] is forward
     assert forward == kernels.compile_rules(lhs, rhs) and backward == kernels.compile_rules(rhs, lhs)
+    # the matrices are the forward rules' sides
+    assert all(np.array_equal(a, b) for a, b in zip((lhs, rhs), kernels.rule_matrices(forward, len(p.alphabet))))
     rs = completed_system(p)
     assert rs.lhs is rs.lhs and not rs.lhs.flags.writeable and not rs.rhs.flags.writeable
     # a copy in another process must rehash: string hashes differ between processes

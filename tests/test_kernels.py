@@ -54,7 +54,6 @@ def test_first_applicable_is_the_rule_reduction_applies_first():
         ok = (lhs <= row).all(axis=1)
         expected = int(ok.argmax()) if ok.any() else len(rules)
         assert kernels.first_applicable(row.tolist(), rules) == expected
-    assert kernels.first_applicable([1 << 62, 0, 0, 0], (kernels.RETIRED,)) == 1
 
 
 def step_by_step(x, lhs, rhs):
@@ -126,12 +125,11 @@ def test_rules_compile_to_their_supports_and_steps():
     # and back to their dense sides
     for rule, lhs, rhs in zip(kernels.compile_rules(*_WINDOW), *_WINDOW):
         assert kernels.rule_sides(rule, 4) == (lhs.tolist(), rhs.tolist())
-    x = [2**62, 2**62 - 1, 0]
-    assert kernels.reduce(x, [kernels.RETIRED]) == x
-    # a retired rule below a running rule does not cut the run short
-    runs: list[tuple[int, int]] = []
-    assert kernels.reduce(x, [kernels.RETIRED, kernels.compile_rule([0, 1, 0], [1, 0, 0])], runs) == [2**63 - 1, 0, 0]
-    assert runs == [(1, 2**62 - 1)]
+    # and to read-only rule matrices, row k for rule k
+    pair = kernels.rule_matrices(kernels.compile_rules(*_WINDOW), 4)
+    for m, side in zip(pair, _WINDOW):
+        assert m.dtype == np.int64 and not m.flags.writeable
+        assert np.array_equal(m, side)
 
 
 def test_normal_forms_are_irreducible():
@@ -157,6 +155,9 @@ def test_empty_rules_are_identities():
     assert kernels.compile_rules(empty, empty) == ()
     assert kernels.reduce([1, 2, 3], ()) == [1, 2, 3]
     assert kernels.expand_frontier(x.reshape(1, 3), empty, empty).shape == (0, 3)
+    for width in (3, 0):
+        for m in kernels.rule_matrices((), width):
+            assert m.shape == (0, width) and m.dtype == np.int64 and not m.flags.writeable
 
 
 def test_backend_is_declared():

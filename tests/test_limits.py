@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from graphmonoid import kernels
@@ -406,7 +407,7 @@ def _reference_generator_matrix(mapping, dom, cod):
         for tgen, mult in mapping[gen].terms:
             row[cod_index[tgen]] += mult
         rows.append(row)
-    return kernels.as_matrix(rows, len(cod.alphabet))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(cod.alphabet))
 
 
 def _reference_first_rows(nf):
@@ -511,3 +512,22 @@ def test_continuity_matches_the_batch_reference():
                 seen.add(type(got).__name__ if isinstance(got, ContinuityReport) else got[0])
     # the cases reach reports, budget errors and CK errors
     assert seen == {"ContinuityReport", "BudgetExceededError", "MorphismError"}
+
+
+def test_continuity_reduces_each_vector_once_per_system(monkeypatch):
+    from acceptance_support import chain_corpus
+
+    reduce = kernels.reduce
+    calls: list[tuple[int, tuple[int, ...]]] = []
+
+    def counted(x, rules, trace=None):
+        calls.append((id(rules), tuple(x)))
+        return reduce(x, rules, trace)
+
+    for name, chain in chain_corpus():
+        want = check_continuity(chain, degree=3)  # completes the systems outside the count
+        calls.clear()
+        monkeypatch.setattr(kernels, "reduce", counted)
+        assert check_continuity(chain, degree=3) == want
+        monkeypatch.setattr(kernels, "reduce", reduce)
+        assert calls and len(calls) == len(set(calls)), name

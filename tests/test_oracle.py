@@ -200,6 +200,34 @@ def test_sink_vector_json_rejects_what_it_would_coerce(data, message):
     assert sink_vector_from_json({"u": 2, "w": 0}) == SinkVector.from_dict({"u": 2})
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SinkVector.from_dict({"u": 1.7}), "path count of sink 'u' must be an integer, got 1.7"),
+        (lambda: SinkVector.from_dict({"w": "3"}), "path count of sink 'w' must be an integer, got '3'"),
+        (lambda: SinkVector.from_dict({"z": True}), "path count of sink 'z' must be an integer, got True"),
+        (lambda: SinkVector.from_dict({"z": False}), "path count of sink 'z' must be an integer, got False"),
+        (lambda: SinkVector.from_dict({"y": -1}), "path count of sink 'y' must be >= 0, got -1"),
+        (lambda: SinkVector.from_dict({"u": 2}) * 2.5, "scalar must be an integer, got 2.5"),
+        (lambda: 2.5 * SinkVector(), "scalar must be an integer, got 2.5"),
+        (lambda: SinkVector.from_dict({"u": 2}) * True, "scalar must be an integer, got True"),
+        (lambda: SinkVector.from_dict({"u": 2}) * -1, "scalar must be >= 0, got -1"),
+    ],
+)
+def test_sink_vectors_reject_what_they_would_coerce(make, message):
+    with pytest.raises(OracleError, match=re.escape(message)):
+        make()
+
+
+def test_sink_vectors_take_integer_counts():
+    import numpy as np
+
+    sv = SinkVector.from_dict({"w": np.int64(3), "u": 1, "z": 0})
+    assert sv.counts == (("u", 1), ("w", 3)) and type(sv.counts[1][1]) is int
+    assert sv * 2 == np.int64(2) * sv == SinkVector((("u", 2), ("w", 6)))
+    assert sv * 0 == SinkVector()
+
+
 def test_naturality_on_seeded_morphisms():
     rng = random.Random(3)
     for _ in range(10):
