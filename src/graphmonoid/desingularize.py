@@ -18,10 +18,12 @@ original graph and the monoid of its row-finite approximation:
 
 phi and psi are their additive extensions.  Each Desingularization keeps one
 image table per map, built once per approximation: a generator's image is
-computed the first time it is asked for and then read, and phi and psi sum
-mult * image over the terms in one pass (``apply_generator_map``).  A generator
-whose image raises (TruncationError, MaterializationError, PresentationError,
-GraphError) gets no entry, so the error is raised again on every call.
+computed the first time it is asked for and then read.  phi and psi return
+the stored image of a lone generator (one term of multiplicity 1) as it is,
+and otherwise sum mult * image over the terms in one pass
+(``apply_generator_map``).  A generator whose image raises (TruncationError,
+MaterializationError, PresentationError, GraphError) gets no entry, so the
+error is raised again on every call.
 """
 
 from __future__ import annotations
@@ -86,6 +88,21 @@ class _ImageTable(dict):
     def __missing__(self, gen: Generator) -> MonoidElement:
         value = self[gen] = self.image(gen)
         return value
+
+    def apply(self, x: MonoidElement) -> MonoidElement:
+        """``apply_generator_map(self, x)``.
+
+        A lone generator whose image is stored gets that image as it is:
+        ``image`` builds it with ``from_counts`` or ``single``, so it equals
+        what the sum would build.  Everything else, misses included, takes
+        the sum, with its ``__missing__`` lookups and its errors.
+        """
+        terms = x.terms
+        if len(terms) == 1 and terms[0][1] == 1:
+            image = self.get(terms[0][0])  # dict.get does not call __missing__
+            if image is not None:
+                return image
+        return apply_generator_map(self, x)
 
 
 @dataclass(frozen=True)
@@ -206,13 +223,21 @@ def _from_tailed_image(
 
 
 def phi(d: Desingularization, x: MonoidElement) -> MonoidElement:
-    """Map an element of the source monoid into the tailed graph's monoid."""
-    return apply_generator_map(d._to_tailed, x)
+    """Map an element of the source monoid into the tailed graph's monoid.
+
+    A lone generator's image is read from the approximation's table, not
+    rebuilt.
+    """
+    return d._to_tailed.apply(x)
 
 
 def psi(d: Desingularization, y: MonoidElement) -> MonoidElement:
-    """Map an element of the tailed graph's monoid back to the source monoid."""
-    return apply_generator_map(d._from_tailed, y)
+    """Map an element of the tailed graph's monoid back to the source monoid.
+
+    A lone generator's image is read from the approximation's table, not
+    rebuilt.
+    """
+    return d._from_tailed.apply(y)
 
 
 def phi_generator_map(d: Desingularization) -> dict[Generator, MonoidElement]:

@@ -19,7 +19,10 @@ assembled from those chains and replay step by step against the presentation.
 Wherever chains are joined, a step followed by its own inverse is cancelled,
 so no stored proof and no certificate holds such a pair.  Reduction reports
 runs of one rule, and a run of t applications joins its rule's proof raised to
-the t-th power, so joining costs per run, not per application.
+the t-th power, so joining costs per run, not per application.  Two sides with
+one exponent vector need no reduction to be decided: their traces would be
+the same and cancel, so equal returns an empty chain at once and reduces the
+common normal form only when it is read.
 
 The query path (completion, reduction, equality, certificates and their
 replay) works on Python ints and never imports numpy; so does the continuity
@@ -127,8 +130,9 @@ def _vec(x: MonoidElement, index: dict[Generator, int]) -> list[int]:
     """x as an exponent vector, a list of ints; its total degree must fit in int64.
 
     Reduction never raises the degree, so no component of a reduct and no
-    run of steps applied at once can leave the int64 range, and the vector
-    fits an int64 row of the relation matrices.
+    run of steps applied at once can leave the int64 range.  A relation step
+    may raise it: bfs_reach checks the degree its steps can reach against
+    int64 before it fills int64 rows (_degree_gain).
     """
     out = [0] * len(index)
     degree = 0
@@ -159,6 +163,15 @@ def _relation_rules(p: Presentation) -> tuple[tuple[kernels.Rule, ...], tuple[ke
         )
         p.__dict__["_relation_rules"] = pair
     return pair
+
+
+def _degree_gain(p: Presentation) -> int:
+    """The most one relation step, either way, raises an element's degree, computed once per presentation."""
+    gain = p.__dict__.get("_degree_gain")
+    if gain is None:
+        gain = max((abs(sum(d for _, d in delta)) for _, delta in _relation_rules(p)[0]), default=0)
+        p.__dict__["_degree_gain"] = gain
+    return gain
 
 
 def _relation_matrices(p: Presentation) -> tuple[np.ndarray, np.ndarray]:
@@ -391,21 +404,39 @@ class EqualityResult:
     """Decision plus certificate: a replayable chain when equal, separating
     normal forms when not.
 
-    The normal forms are kept as exponent vectors over alphabet and the chain
-    as runs of proofs: (k, t) stands for proofs[k] joined t times, inverted
-    when t < 0.  The elements and the chain are built on first access, so a
-    caller that reads only the verdict pays for neither.
+    The sides are kept as exponent vectors over alphabet and the chain as runs
+    of proofs: (k, t) stands for proofs[k] joined t times, inverted when
+    t < 0.  vectors holds the two normal forms, or, when rules is set, the
+    one unreduced vector that both sides share, whose normal form rules give
+    on first read.  The normal forms, the elements and the chain are built on
+    first access, so a caller that reads only the verdict pays for none of
+    them.
     """
 
     equal: bool
     alphabet: tuple[Generator, ...]
-    lhs_vector: tuple[int, ...]
-    rhs_vector: tuple[int, ...]
+    vectors: tuple[tuple[int, ...], tuple[int, ...]]
     proofs: tuple[tuple[Step, ...], ...] = ()
     runs: tuple[tuple[int, int], ...] = ()
+    rules: tuple[kernels.Rule, ...] | None = None
 
     def __bool__(self) -> bool:
         return self.equal
+
+    @cached_property
+    def _normal_forms(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        if self.rules is None:
+            return self.vectors
+        nf = tuple(kernels.reduce(self.vectors[0], self.rules))
+        return nf, nf
+
+    @property
+    def lhs_vector(self) -> tuple[int, ...]:
+        return self._normal_forms[0]
+
+    @property
+    def rhs_vector(self) -> tuple[int, ...]:
+        return self._normal_forms[1]
 
     @cached_property
     def lhs_normal_form(self) -> MonoidElement:
@@ -430,17 +461,24 @@ class EqualityResult:
 def equal(p: Presentation, u: MonoidElement, v: MonoidElement, budget: int | None = None) -> EqualityResult:
     """Decide u = v in the monoid presented by p.
 
-    Raises BudgetExceededError if completion cannot finish in budget; that is
-    an explicit undecided outcome, never a wrong answer.
+    Sides with the same exponent vector are equal with no runs and are not
+    reduced here (see EqualityResult).  Raises BudgetExceededError if
+    completion cannot finish in budget; that is an explicit undecided
+    outcome, never a wrong answer.
     """
     rs = completed_system(p, budget)
     index = p.index()
+    x, y = _vec(u, index), _vec(v, index)
+    if x == y:
+        # both traces would be one trace, and cancel to no runs at all
+        vec = tuple(x)
+        return EqualityResult(True, p.alphabet, (vec, vec), rs.proofs, (), rs.rules)
     su: list[tuple[int, int]] = []
     sv: list[tuple[int, int]] = []
-    nfu = kernels.reduce(_vec(u, index), rs.rules, su)
-    nfv = kernels.reduce(_vec(v, index), rs.rules, sv)
+    nfu = kernels.reduce(x, rs.rules, su)
+    nfv = kernels.reduce(y, rs.rules, sv)
     if nfu != nfv:
-        return EqualityResult(False, p.alphabet, tuple(nfu), tuple(nfv))
+        return EqualityResult(False, p.alphabet, (tuple(nfu), tuple(nfv)))
     # the chain is u's proofs, then v's inverted; runs of one rule that
     # meet in the middle cancel: p^a + p^-b reduces to p^(a-b)
     while su and sv and su[-1][0] == sv[-1][0]:
@@ -451,7 +489,7 @@ def equal(p: Presentation, u: MonoidElement, v: MonoidElement, budget: int | Non
     if steps > _MAX_CHAIN:
         raise EngineError(f"certificate chain of {steps} steps is longer than a tuple can hold ({_MAX_CHAIN})")
     runs = (*su, *[(k, -t) for k, t in reversed(sv)])
-    return EqualityResult(True, p.alphabet, tuple(nfu), tuple(nfv), rs.proofs, runs)
+    return EqualityResult(True, p.alphabet, (tuple(nfu), tuple(nfv)), rs.proofs, runs)
 
 
 def _walk_chain(
@@ -549,15 +587,24 @@ def bfs_reach(
 
     Saturation means the breadth-first closure stopped producing new elements
     before the depth bound (and before any size cap), so the congruence class
-    of x is exactly the returned set.
+    of x is exactly the returned set.  Raises EngineError when depth steps
+    could take an element past the int64 range of the frontier rows.
     """
     if depth < 0:
         raise EngineError("depth must be >= 0")
+    x_vec = _vec(x, p.index())
+    degree = sum(x_vec)
+    reach = degree + depth * _degree_gain(p)
+    if reach > _INT64_MAX:
+        raise EngineError(
+            f"element of total degree {degree} may reach degree {reach} in {depth} relation steps, "
+            "which exceeds the int64 range"
+        )
     import numpy as np
 
     g = len(p.alphabet)
     lhs, rhs = _relation_matrices(p)
-    start = np.array(_vec(x, p.index()), dtype=np.int64)
+    start = np.array(x_vec, dtype=np.int64)
     row = np.dtype((np.void, start.itemsize * g))  # a row's bytes as one hashable key
     seen = {start.tobytes()}
     frontier = start.reshape(1, g)
@@ -578,6 +625,8 @@ def bfs_reach(
 
 def exponent_vectors(n_generators: int, degree: int) -> Iterator[list[int]]:
     """All exponent vectors of total degree <= degree, as lists of ints, in deterministic order."""
+    if n_generators < 0:
+        raise EngineError(f"generator count must be >= 0, got {n_generators}")
     if degree < 0:
         raise EngineError(f"degree must be >= 0, got {degree}")
     for d in range(degree + 1):

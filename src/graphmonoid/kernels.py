@@ -13,7 +13,10 @@ criterion 3 and the benchmark.  numpy is imported inside the functions that
 use it, so reduction alone never loads it.
 
 A rule applies to a vector when its left side is componentwise at most the
-vector, and reduction always applies the lowest-index applicable rule.
+vector, and reduction always applies the lowest-index applicable rule.  A
+rule is tested at the first column of its left side before the rest of its
+support, since most rules that do not apply fail there; a left side must
+therefore be nonempty, as every rule of a completed system's is.
 Arrays are int64: rule matrices come in lhs/rhs pairs of shape (r, g), every
 one derived from compiled rules by rule_matrices, and frontiers have g
 columns.
@@ -86,6 +89,9 @@ def reduce(x: Sequence[int], rules: Sequence[Rule], trace: list[tuple[int, int]]
     i, times = -1, 0  # the run in progress
     while True:
         for k, (need, step) in enumerate(rules):
+            c, n = need[0]
+            if y[c] < n:
+                continue  # most rules that do not apply fail at their first column
             for c, n in need:
                 if y[c] < n:
                     break
@@ -114,6 +120,9 @@ def reduce(x: Sequence[int], rules: Sequence[Rule], trace: list[tuple[int, int]]
 def first_applicable(x: Sequence[int], rules: Sequence[Rule]) -> int:
     """Index of the first rule that applies to x, or len(rules) when none does."""
     for k, (need, _) in enumerate(rules):
+        c, n = need[0]
+        if x[c] < n:
+            continue
         for c, n in need:
             if x[c] < n:
                 break

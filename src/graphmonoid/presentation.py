@@ -87,6 +87,11 @@ class MonoidElement:
 
     @classmethod
     def from_counts(cls, counts: Mapping[Generator, int]) -> "MonoidElement":
+        """The element with these multiplicities: zero counts dropped, terms in canonical generator order.
+
+        Raises PresentationError on a negative count or one that is not an
+        integer.  Only two or more terms are sorted.
+        """
         items = []
         for gen, mult in counts.items():
             if type(mult) is not int:
@@ -95,12 +100,18 @@ class MonoidElement:
                 raise PresentationError(f"negative multiplicity for {gen}")
             if mult:
                 items.append((gen, mult))
-        items.sort(key=lambda t: t[0].sort_key())
+        if len(items) > 1:
+            items.sort(key=lambda t: t[0].sort_key())
         return cls(tuple(items))
 
     @classmethod
     def single(cls, gen: Generator, mult: int = 1) -> "MonoidElement":
-        return cls.from_counts({gen: mult})
+        """mult * gen, checked as from_counts({gen: mult}) checks it."""
+        if type(mult) is not int:
+            mult = _integer(mult, f"multiplicity of {gen}")
+        if mult < 0:
+            raise PresentationError(f"negative multiplicity for {gen}")
+        return cls(((gen, mult),) if mult else ())
 
     def counts(self) -> dict[Generator, int]:
         return dict(self.terms)

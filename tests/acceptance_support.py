@@ -132,6 +132,15 @@ def graph_level(g: Graph) -> int:
     return max(2, (max(counts) + 1) if counts else 2)
 
 
+def completion_corpus() -> list[Graph]:
+    """The mixed corpus, its tailed graphs at their levels, the small-graph
+    family and emitter_mixed(2..6): the graphs whose completions the engine
+    tests pin and check."""
+    graphs = mixed_corpus(random.Random(0))
+    tailed = [desingularize(g, graph_level(g)).graph for g in graphs]
+    return graphs + tailed + small_graph_family() + [emitter_mixed(k) for k in range(2, 7)]
+
+
 # -- criterion 1: round trips through the tailed graph ------------------------
 
 def criterion_1():

@@ -336,6 +336,36 @@ def test_image_tables_match_the_per_term_maps():
     assert checked > 5000
 
 
+def test_lone_generators_read_their_stored_image(monkeypatch):
+    # once a generator's image is in its table, phi and psi of that generator
+    # alone return the stored image and build no element
+    from graphmonoid.presentation import apply_generator_map
+
+    from_counts = MonoidElement.from_counts.__func__
+    calls = []
+
+    def counted(cls, counts):
+        calls.append(counts)
+        return from_counts(cls, counts)
+
+    checked = 0
+    for g in mixed_corpus(random.Random(0)):
+        d = desingularize(g, graph_level(g))
+        maps = ((phi, d._to_tailed, phi_generator_map(d)), (psi, d._from_tailed, psi_generator_map(d)))
+        for f, table, images in maps:
+            for gen, image in images.items():
+                x = MonoidElement.single(gen)
+                monkeypatch.setattr(MonoidElement, "from_counts", classmethod(counted))
+                calls.clear()
+                got = f(d, x)
+                assert calls == [] and got is table[gen]
+                monkeypatch.undo()
+                # the element the sum over x's terms builds, as phi and psi did for every element
+                assert got == image == apply_generator_map(table, x)
+                checked += 1
+    assert checked > 200
+
+
 @pytest.mark.parametrize(
     "graph, level, forward, good, bad, error",
     [

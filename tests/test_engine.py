@@ -27,6 +27,7 @@ from graphmonoid.presentation import (
     vgen,
 )
 
+from acceptance_support import completion_corpus
 from conftest import diamond, emitter_to_sink, rose, single_edge, single_sink
 
 
@@ -181,7 +182,7 @@ def _result_with_chain(p, x, chain):
     from graphmonoid.engine import _vec
 
     vec = tuple(_vec(x, p.index()))
-    return EqualityResult(True, p.alphabet, vec, vec, (chain,), ((0, 1),) if chain else ())
+    return EqualityResult(True, p.alphabet, (vec, vec), (chain,), ((0, 1),) if chain else ())
 
 
 def _long_chain_case():
@@ -349,6 +350,59 @@ def test_equality_results_build_their_elements_and_chain_on_first_access():
         assert result.normal_form == result.lhs_normal_form
 
 
+def _two_reduction_result(p, u, v):
+    """equal(p, u, v) as it was before identical sides skipped reduction:
+    both sides reduced with a trace, the traces cancelled where they meet."""
+    from graphmonoid import kernels
+    from graphmonoid.engine import _vec
+
+    rs = completed_system(p)
+    su, sv = [], []
+    nfu = kernels.reduce(_vec(u, p.index()), rs.rules, su)
+    nfv = kernels.reduce(_vec(v, p.index()), rs.rules, sv)
+    assert nfu == nfv
+    while su and sv and su[-1][0] == sv[-1][0]:
+        (k, a), (_, b) = su.pop(), sv.pop()
+        if a != b:
+            (su if a > b else sv).append((k, abs(a - b)))
+    runs = (*su, *[(k, -t) for k, t in reversed(sv)])
+    return EqualityResult(True, p.alphabet, (tuple(nfu), tuple(nfv)), rs.proofs, runs)
+
+
+def test_identical_sides_reduce_once_when_the_normal_form_is_read(monkeypatch):
+    import json
+
+    from graphmonoid import kernels
+    from graphmonoid.engine import _unvec, exponent_vectors
+
+    reduce = kernels.reduce
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return reduce(*args)
+
+    checked = 0
+    for g in completion_corpus():
+        p = presentation_of(g)
+        for vec in exponent_vectors(len(p.alphabet), 2):
+            x = _unvec(vec, p.alphabet)
+            want = _two_reduction_result(p, x, x)
+            monkeypatch.setattr(kernels, "reduce", counted)
+            calls.clear()
+            result = equal(p, x, MonoidElement(x.terms))
+            assert result.equal and calls == []
+            assert result.chain == want.chain == () and result.runs == want.runs == ()
+            assert (result.lhs_vector, result.rhs_vector) == (want.lhs_vector, want.rhs_vector)
+            assert result.normal_form == result.rhs_normal_form == want.lhs_normal_form
+            doc = certificate_to_json(p, x, result)
+            assert len(calls) == 1 and len(calls[0]) == 2  # reduced once, without a trace
+            monkeypatch.setattr(kernels, "reduce", reduce)
+            assert json.dumps(doc) == json.dumps(certificate_to_json(p, x, want))
+            checked += 1
+    assert checked > 5000
+
+
 def test_certificate_separates():
     p = presentation_of(diamond())
     result = equal(p, single("v"), single("u"))
@@ -431,21 +485,9 @@ def test_completed_rules_are_pinned():
     import hashlib
 
     h = hashlib.sha256()
-    for g in _completion_corpus() + [_graph_16(level) for level in (4, 5, 6, 7)]:
+    for g in completion_corpus() + [_graph_16(level) for level in (4, 5, 6, 7)]:
         h.update(repr(complete(presentation_of(g)).rules).encode())
     assert h.hexdigest() == "187b1ab87179879204b319c0e0656dc42d8bc5fb602068f5a3211c7e463d707c"
-
-
-def _completion_corpus():
-    import random
-
-    from acceptance_support import graph_level, mixed_corpus, small_graph_family
-    from conftest import emitter_mixed
-    from graphmonoid.desingularize import desingularize
-
-    graphs = mixed_corpus(random.Random(0))
-    tailed = [desingularize(g, graph_level(g)).graph for g in graphs]
-    return graphs + tailed + small_graph_family() + [emitter_mixed(k) for k in range(2, 7)]
 
 
 def test_completion_keeps_its_compiled_rules_in_step_with_its_matrices():
@@ -455,7 +497,7 @@ def test_completion_keeps_its_compiled_rules_in_step_with_its_matrices():
     from graphmonoid import kernels
     from graphmonoid.engine import _vec
 
-    for g in _completion_corpus():
+    for g in completion_corpus():
         p = presentation_of(g)
         rs = complete(p)
         assert rs.rules == kernels.compile_rules(rs.lhs, rs.rhs)
@@ -514,7 +556,7 @@ def _confluence_violations(rs):
 
 
 def test_completed_systems_pass_the_confluence_check():
-    for g in _completion_corpus():
+    for g in completion_corpus():
         assert _confluence_violations(complete(presentation_of(g))) == []
 
 
@@ -645,6 +687,7 @@ def test_degree_past_int64_is_an_engine_error():
         lambda: normal_form(rs, x),
         lambda: equal(p, x, single("w")),
         lambda: equal(p, single("w"), x),
+        lambda: equal(p, x, x),
         lambda: bfs_reach(p, x, 1),
         lambda: replay_chain(p, x, ()),
     ):
@@ -653,6 +696,20 @@ def test_degree_past_int64_is_an_engine_error():
     # one short of the limit still reduces, in one run
     y = (2**62 - 1) * single("v") + 2**62 * single("w")
     assert normal_form(rs, y) == (2**63 - 1) * single("w")
+    # a_v = 2a_v raises the degree by one per step: two steps from 2^63 - 1
+    # pass the int64 range of the BFS frontier rows
+    q, z = presentation_of(rose(2)), (2**63 - 1) * single("v")
+    for call in (lambda: bfs_reach(q, z, 2), lambda: congruence_bfs(q, z, 2)):
+        with pytest.raises(
+            EngineError,
+            match="total degree 9223372036854775807 may reach degree 9223372036854775809 in 2 relation steps, "
+            "which exceeds the int64 range",
+        ):
+            call()
+    assert bfs_reach(q, z, 0) == ({(2**63 - 1,)}, False)
+    # a_v = a_w keeps the degree: any depth is safe
+    reached, _ = bfs_reach(p, y, 2)
+    assert len(reached) == 5 and {sum(t) for t in reached} == {2**63 - 1}
 
 
 def test_normal_form_at_degree_2_62_is_one_run():
@@ -834,6 +891,18 @@ def test_alphabet_mismatch_rejected():
     p = presentation_of(single_sink())
     with pytest.raises(EngineError):
         equal(p, single("zz"), MonoidElement())
+    with pytest.raises(EngineError, match="outside the alphabet"):
+        equal(p, single("zz"), single("zz"))
+
+
+def test_negative_generator_count_is_an_engine_error():
+    from graphmonoid.engine import exponent_vectors
+
+    with pytest.raises(EngineError, match="generator count must be >= 0, got -1"):
+        list(exponent_vectors(-1, 1))
+    with pytest.raises(EngineError, match="generator count must be >= 0, got -1"):
+        elements_up_to_degree(-1, 1)
+    assert list(exponent_vectors(0, 1)) == [[]]
 
 
 def test_certificates_replay_on_seeded_pairs():

@@ -1,5 +1,7 @@
+import functools
+
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from graphmonoid import kernels
@@ -114,6 +116,87 @@ def test_a_lower_rule_interrupts_a_run():
         runs = []
         kernels.reduce([0, b, 0, 0], kernels.compile_rules(*_WINDOW), runs)
         assert runs == expected
+
+
+def loop_reduce(x, rules, trace=None):
+    """kernels.reduce as it was before the first-column test: every rule test
+    loops over the rule's whole support."""
+    y = list(x)
+    i, times = -1, 0
+    while True:
+        for k, (need, step) in enumerate(rules):
+            for c, n in need:
+                if y[c] < n:
+                    break
+            else:
+                break
+        else:
+            break
+        if k != i:
+            if trace is not None and times:
+                trace.append((i, times))
+            i, times = k, 0
+        elif times >= kernels._RUN_AFTER:
+            t = kernels._run_length(y, rules, i)
+            for c, d in step:
+                y[c] += t * d
+            times += t
+            continue
+        for c, d in step:
+            y[c] += d
+        times += 1
+    if trace is not None and times:
+        trace.append((i, times))
+    return y
+
+
+def loop_first_applicable(x, rules):
+    """kernels.first_applicable as it was before the first-column test."""
+    for k, (need, _) in enumerate(rules):
+        for c, n in need:
+            if x[c] < n:
+                break
+        else:
+            return k
+    return len(rules)
+
+
+@functools.lru_cache(maxsize=1)
+def completed_corpus_rules():
+    """The compiled rules of the completed systems of acceptance_support.completion_corpus()."""
+    from acceptance_support import completion_corpus
+    from graphmonoid.engine import completed_system
+    from graphmonoid.presentation import presentation_of
+
+    return [completed_system(presentation_of(g)).rules for g in completion_corpus()]
+
+
+@st.composite
+def systems_and_vectors(draw):
+    if draw(st.booleans()):
+        width = draw(st.integers(1, 6))
+        seed = draw(st.integers(0, 2**32 - 1))
+        rules = kernels.compile_rules(*random_rules(np.random.default_rng(seed), draw(st.integers(1, 8)), width))
+    else:
+        corpus = completed_corpus_rules()
+        rules = corpus[draw(st.integers(0, len(corpus) - 1))]
+        width = 1 + max((c for need, step in rules for c, _ in need + step), default=0)
+    # small counts, where most rule tests fail, and larger ones, where runs
+    # form; runs that alternate between rules cost per application, so the
+    # counts stay in the hundreds
+    count = st.integers(0, 3) | st.integers(0, 300)
+    return rules, draw(st.lists(count, min_size=width, max_size=width))
+
+
+# the first draw from the corpus completes its systems, about 0.5 s
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(systems_and_vectors())
+def test_reduce_and_first_applicable_match_the_support_loop(case):
+    rules, x = case
+    runs, loop_runs = [], []
+    assert kernels.reduce(x, rules, runs) == loop_reduce(x, rules, loop_runs)
+    assert runs == loop_runs
+    assert kernels.first_applicable(x, rules) == loop_first_applicable(x, rules)
 
 
 def test_rules_compile_to_their_supports_and_steps():

@@ -153,12 +153,23 @@ def test_apply_generator_map_matches_a_sum_of_per_term_products():
 def test_multiplicities_must_be_integers():
     av = vgen("v")
     for bad in (0.4, 1.7, 2.0, True, False, "1", None, np.float64(2.0), np.True_):
-        with pytest.raises(PresentationError):
+        with pytest.raises(PresentationError) as want:
             MonoidElement.from_counts({av: bad})
         with pytest.raises(PresentationError):
             single("v") * bad
-        with pytest.raises(PresentationError):
+        # single builds its term itself, with from_counts' checks and messages
+        with pytest.raises(PresentationError) as got:
             MonoidElement.single(av, bad)
+        assert str(got.value) == str(want.value)
+    for negative in (-1, np.int64(-3), -(2**70)):
+        with pytest.raises(PresentationError) as want:
+            MonoidElement.from_counts({av: negative})
+        with pytest.raises(PresentationError) as got:
+            MonoidElement.single(av, negative)
+        assert str(got.value) == str(want.value) == "negative multiplicity for a(v)"
+    for mult in (0, 1, 2**70, np.uint8(7)):
+        x = MonoidElement.single(av, mult)
+        assert x == MonoidElement.from_counts({av: mult}) and all(type(m) is int for _, m in x.terms)
     with pytest.raises(PresentationError):
         2.5 * single("v")
     for good in (np.int64(3), np.int32(3), np.uint8(3), 3):
