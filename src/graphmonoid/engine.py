@@ -1,9 +1,18 @@
 """Decision procedure for the word problem of a finitely presented commutative monoid.
 
-Elements are exponent vectors over the presentation's alphabet.  Relations are
-completed into a confluent, terminating rewrite system under the graded
-lexicographic order (total degree first, ties by the canonical generator
-order), by orienting every relation downhill and resolving critical pairs:
+Elements are exponent vectors over the presentation's alphabet.  completed_system
+first eliminates the generators the relations define (a Tietze pass): a
+relation x = W with x absent from W, as it reads once earlier definitions are
+substituted, is dropped and W is put for x everywhere else, under a guard that
+keeps every degree within the alphabet's size.  What is left is completed over
+the kept generators; the system holds the definitions x -> W first, then those
+rules, and is confluent and terminating under the block order that puts the
+eliminated generators above the rest.  Normal forms are over the kept
+generators.  complete skips the pass and completes the relations as given.
+
+Completion turns equations into a confluent, terminating rewrite system under
+the graded lexicographic order (total degree first, ties by the canonical
+generator order), by orienting every equation downhill and resolving critical pairs:
 for rules with overlapping left-hand sides the componentwise maximum is a
 peak whose two reducts must join.  Two criteria skip peaks known to join
 (Buchberger 1979).  Rules with disjoint left-hand supports make no pair: both
@@ -14,7 +23,8 @@ compiled copy of each live rule, in the list its reductions scan; a retired
 rule is deleted from that list and keeps its index for proofs.
 
 Every rule carries a proof: a chain of original-relation applications
-transforming its left side into its right side.  Equality certificates are
+transforming its left side into its right side; a definition's proof expands
+each substitution it went through.  Equality certificates are
 assembled from those chains and replay step by step against the presentation.
 Wherever chains are joined, a step followed by its own inverse is cancelled,
 so no stored proof and no certificate holds such a pair.  Reduction reports
@@ -80,13 +90,16 @@ Step = tuple[int, int]  # (relation index, +1 forward / -1 backward)
 
 @dataclass(frozen=True, eq=False)
 class RewriteSystem:
-    # rules are oriented graded-lexicographically: total degree first, ties
-    # broken on the alphabet's canonical order
+    # rules are oriented by the block order with the eliminated columns on
+    # top: an element's eliminated part is compared first, then the rest,
+    # each graded-lexicographically (total degree first, ties broken on the
+    # alphabet's order); with nothing eliminated it is graded-lex
     presentation: Presentation
     rules: tuple[kernels.Rule, ...]  # compiled for kernels.reduce
     proofs: tuple[tuple[Step, ...], ...]
     completed: bool
     spairs_processed: int
+    eliminated: tuple[int, ...] = ()  # columns of the generators the Tietze pass defined away
 
     @property
     def rule_count(self) -> int:
@@ -99,16 +112,22 @@ class RewriteSystem:
 
     @cached_property
     def _downhill_rules(self) -> tuple[kernels.Rule, ...]:
-        """The rules, once each is checked to step graded-lex downhill, so that reduction ends.
+        """The rules, once each is checked to step downhill in the block order (graded-lex when
+        nothing is eliminated), so that reduction ends.
 
-        A rule steps downhill when rhs - lhs lowers the degree, or keeps it
-        and its first nonzero entry is negative.
+        A rule steps downhill when the part of rhs - lhs that decides lowers
+        the degree, or keeps it and its first nonzero entry is negative.  The
+        part on the eliminated columns decides when it is nonzero, the rest
+        otherwise.
         """
+        top = set(self.eliminated)
         for k, (_, delta) in enumerate(self.rules):
-            drop = sum(d for _, d in delta)
-            if drop > 0 or drop == 0 and (not delta or delta[0][1] > 0):
+            part = [(c, d) for c, d in delta if c in top] or delta
+            drop = sum(d for _, d in part)
+            if drop > 0 or drop == 0 and (not part or part[0][1] > 0):
                 lhs, rhs = self.rule(k)
-                raise EngineError(f"rule {k}, {lhs} -> {rhs}, is not downhill in graded-lex order")
+                order = "the block order" if top else "graded-lex order"
+                raise EngineError(f"rule {k}, {lhs} -> {rhs}, is not downhill in {order}")
         return self.rules
 
     @cached_property
@@ -129,10 +148,12 @@ class RewriteSystem:
 def _vec(x: MonoidElement, index: dict[Generator, int]) -> list[int]:
     """x as an exponent vector, a list of ints; its total degree must fit in int64.
 
-    Reduction never raises the degree, so no component of a reduct and no
-    run of steps applied at once can leave the int64 range.  A relation step
-    may raise it: bfs_reach checks the degree its steps can reach against
-    int64 before it fills int64 rows (_degree_gain).
+    Reduction is in Python ints, which cannot overflow.  Rules over kept
+    generators never raise the degree, but a definition x -> W raises it by
+    deg W - 1 per application, so a normal form may leave the int64 range
+    that x's own degree was checked against.  A relation step may raise it
+    too: bfs_reach checks the degree its steps can reach against int64
+    before it fills int64 rows (_degree_gain).
     """
     out = [0] * len(index)
     degree = 0
@@ -262,13 +283,19 @@ def _power_length(p: tuple[Step, ...], t: int) -> int:
     return len(p) + (t - 1) * (len(p) - 2 * _split(p))
 
 
-def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
-    """Complete the presentation into a confluent rewrite system.
+Equation = tuple[list[int], list[int], tuple[Step, ...]]  # u, v and a chain of relation steps from u to v
 
-    Deterministic given the presentation; raises BudgetExceededError when the
-    S-pair budget runs out.
+
+def _complete_equations(
+    equations: Iterable[Equation], budget: int
+) -> tuple[tuple[kernels.Rule, ...], tuple[tuple[Step, ...], ...], int]:
+    """Complete vector equations into a confluent rewrite system, graded-lex.
+
+    The equations' vectors share one width, and each chain leads from u to v
+    in steps of the presentation's relations, so every proof is one too.
+    Returns the compiled rules, sorted by left side, their proofs and the
+    S-pairs processed; raises BudgetExceededError past budget S-pairs.
     """
-    budget = resolve_budget(budget)
     # rule k has the sides lhs[k] and rhs[k], their supports as the bits of
     # masks[k] and rmasks[k], and proofs[k]; a retired rule keeps its index k,
     # which proofs and reduction traces name
@@ -281,7 +308,7 @@ def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
     # the live rules in index order, compiled as kernels.reduce scans them, and their indices
     live: list[kernels.Rule] = []
     ids: list[int] = []
-    equations: deque[tuple[list[int], list[int], tuple[Step, ...]]] = deque()
+    collapsed: deque[Equation] = deque()
     # FIFO: pairs leave in the order their later rule was created, which the
     # chain criterion below relies on
     pairs: deque[tuple[int, int]] = deque()
@@ -320,7 +347,7 @@ def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
             k = ids[pos]
             l, r = lhs[k], rhs[k]
             if not mask & ~masks[k] and all(l[c] >= n for c, n in need):
-                equations.append((l, r, proofs[k]))
+                collapsed.append((l, r, proofs[k]))
                 del live[pos], ids[pos]
                 alive[k] = False
                 continue
@@ -340,12 +367,11 @@ def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
         if nfu != nfv:
             add_rule(nfu, su, nfv, sv, *chain)
 
-    index = p.index()
-    for i, (u, v) in enumerate(p.relations):
-        process_equation(_vec(u, index), _vec(v, index), ((i, +1),))
-    while equations or pairs:
-        if equations:
-            process_equation(*equations.popleft())
+    for u, v, chain in equations:
+        process_equation(u, v, chain)
+    while collapsed or pairs:
+        if collapsed:
+            process_equation(*collapsed.popleft())
             continue
         i, j = pairs.popleft()
         if not (alive[i] and alive[j]):
@@ -370,28 +396,174 @@ def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
 
     final = sorted(ids, key=lambda k: (sum(lhs[k]), lhs[k], rhs[k]))
     compiled = dict(zip(ids, live))
-    return RewriteSystem(
-        presentation=p,
-        rules=tuple(compiled[k] for k in final),
-        proofs=tuple(proofs[k] for k in final),
-        completed=True,
-        spairs_processed=spairs,
-    )
+    return tuple(compiled[k] for k in final), tuple(proofs[k] for k in final), spairs
+
+
+def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
+    """Complete the presentation into a confluent rewrite system over its whole alphabet.
+
+    Deterministic given the presentation; raises BudgetExceededError when the
+    S-pair budget runs out.  Nothing is eliminated: completed_system is the
+    same completion after the Tietze pass.
+    """
+    budget = resolve_budget(budget)
+    index = p.index()
+    equations = ((_vec(u, index), _vec(v, index), ((i, +1),)) for i, (u, v) in enumerate(p.relations))
+    rules, proofs, spairs = _complete_equations(equations, budget)
+    return RewriteSystem(presentation=p, rules=rules, proofs=proofs, completed=True, spairs_processed=spairs)
+
+
+def _defines(a: dict[int, int], b: dict[int, int]) -> int | None:
+    """The generator the relation a = b defines through its side a, if any: a is
+    one generator of multiplicity 1, absent from b."""
+    if len(a) == 1:
+        ((x, m),) = a.items()
+        if m == 1 and x not in b:
+            return x
+    return None
+
+
+def _eliminate(p: Presentation) -> tuple[list[tuple[int, dict[int, int], tuple[Step, ...]]], list[Equation]]:
+    """The Tietze pass: p's relations with the generators they define substituted away.
+
+    Every relation with a side of one generator is read in order, with each
+    generator defined so far replaced by its definition.  Read as x = W
+    (either way round) with x absent from W, it defines x: the relation is
+    dropped, and W is put for x in every definition that holds x; the
+    relation's chain, from x to W, becomes x's proof.  Then the relations not
+    taken are read once, with every definition in place, and kept as
+    equations unless their sides are equal.  A side read with m copies of W
+    for x has its chain joined with x's proof m times, inverted on the left,
+    so every chain stays one of p's relation steps.
+
+    Growth guard: x is defined only when W, and every definition W is put
+    into, stays within degree n, the size of the alphabet, and when no
+    relation holds x more than n times.  No side is empty, so no
+    substitution lowers a degree: each definition ends within degree n, and
+    its proof expands each of those generators through fewer than n
+    definitions.  A side of degree d then reads within degree d*n, and its
+    chain grows by at most n proofs per term.  Unguarded, a path of double
+    edges doubles a degree per vertex, and a relation y = 2^62 x with x
+    defined would read as 2^62 copies of x's proof.
+
+    Returns the definitions (x, W, proof) by column, W over kept columns, and
+    the equations, dense over p's alphabet and zero on defined columns.
+    """
+    n = len(p.alphabet)
+    index = p.index()
+    # x -> (W, proof from x to W, the proof inverted, degree of W)
+    defined: dict[int, tuple[dict[int, int], tuple[Step, ...], tuple[Step, ...], int]] = {}
+    inside: list[set[int]] = [set() for _ in range(n)]  # the defined generators whose W holds a column
+    heavy = {index[gen] for a, b in p.relations for gen, m in (*a.terms, *b.terms) if m > n}
+
+    def read(x: MonoidElement, parts: list[tuple[Step, ...]], backward: bool) -> dict[int, int]:
+        # x as columns with every defined one replaced, the proofs that lead
+        # there (backward: back from there) appended to parts
+        out: dict[int, int] = {}
+        total = 0
+        for gen, m in x.terms:
+            total += m
+            c = index[gen]
+            if c in defined:
+                w, proof, back, _ = defined[c]
+                for col, k in w.items():
+                    out[col] = out.get(col, 0) + m * k
+                parts.append(_power(back if backward else proof, m))
+            else:
+                out[c] = out.get(c, 0) + m
+        if total > _INT64_MAX:
+            raise EngineError(f"element of total degree {total} exceeds the int64 range")
+        return out
+
+    def read_relation(i: int) -> tuple[dict[int, int], dict[int, int], tuple[Step, ...]] | None:
+        # relation i read and its chain, or None when its sides read equal
+        pre: list[tuple[Step, ...]] = []
+        post: list[tuple[Step, ...]] = []
+        a, b = p.relations[i]
+        u, v = read(a, pre, True), read(b, post, False)
+        return None if u == v else (u, v, _cat(*pre, ((i, +1),), *post))
+
+    def define(x: int, w: dict[int, int], degree: int, proof: tuple[Step, ...]) -> None:
+        for y in inside[x]:
+            wy, py, _, dy = defined[y]
+            m = wy.pop(x)
+            for c, k in w.items():
+                wy[c] = wy.get(c, 0) + m * k
+                inside[c].add(y)
+            py = _cat(py, _power(proof, m))
+            defined[y] = (wy, py, _invert(py), dy + m * (degree - 1))
+        inside[x].clear()
+        defined[x] = (w, proof, _invert(proof), degree)
+        for c in w:
+            inside[c].add(x)
+
+    rest = []
+    for i, (a, b) in enumerate(p.relations):
+        # a side that reads as one generator is one generator as given, since
+        # a generator is only ever replaced by a non-empty side
+        if not (len(a.terms) == 1 == a.terms[0][1] or len(b.terms) == 1 == b.terms[0][1]):
+            rest.append(i)
+            continue
+        relation = read_relation(i)
+        if relation is None:
+            continue
+        u, v, chain = relation
+        for x, w, backward in ((_defines(u, v), v, False), (_defines(v, u), u, True)):
+            if x is None or x in heavy:
+                continue
+            degree = sum(w.values())
+            grow = degree - 1
+            if degree <= n and all(defined[y][3] + defined[y][0][x] * grow <= n for y in inside[x]):
+                define(x, w, degree, _invert(chain) if backward else chain)
+                break
+        else:
+            rest.append(i)
+    equations = [(_dense(u, n), _dense(v, n), chain) for u, v, chain in filter(None, map(read_relation, rest))]
+    return [(x, *defined[x][:2]) for x in sorted(defined)], equations
+
+
+def _dense(x: dict[int, int], n: int) -> list[int]:
+    out = [0] * n
+    for c, m in x.items():
+        out[c] = m
+    return out
 
 
 @lru_cache(maxsize=_COMPLETED_CACHE_SIZE)
 def _completed(p: Presentation, budget: int) -> RewriteSystem:
-    return complete(p, budget)
+    definitions, equations = _eliminate(p)
+    rules, proofs, spairs = _complete_equations(equations, budget)
+    # x -> W compiled: x's column leaves, W's columns come in, in column order
+    defs = tuple((((x, 1),), tuple(sorted([(x, -1), *w.items()]))) for x, w, _ in definitions)
+    return RewriteSystem(
+        presentation=p,
+        rules=defs + rules,
+        proofs=tuple(proof for _, _, proof in definitions) + proofs,
+        completed=True,
+        spairs_processed=spairs,
+        eliminated=tuple(x for x, _, _ in definitions),
+    )
 
 
 def completed_system(p: Presentation, budget: int | None = None) -> RewriteSystem:
+    """p completed after the Tietze pass: one system over p's whole alphabet.
+
+    Its first rules are the definitions x -> W, one per eliminated generator
+    x (RewriteSystem.eliminated), W over kept generators; the rest complete
+    the equations left over the kept generators.  No other rule's left side
+    holds an eliminated generator, so no definition overlaps another rule and
+    the union is confluent under the block order.  Every proof is a chain of
+    p's relations.  Kept per presentation and budget, least recently used
+    evicted first.
+    """
     return _completed(p, resolve_budget(budget))
 
 
 def normal_form(rs: RewriteSystem, x: MonoidElement) -> MonoidElement:
     """Unique irreducible element congruent to x under a completed system.
 
-    Raises EngineError when rs holds a rule that is not graded-lex downhill.
+    Raises EngineError when rs holds a rule that is not downhill in its
+    order: the block order when it has eliminated generators, else graded-lex.
     """
     if not rs.completed:
         raise EngineError("rewrite system is not completed")

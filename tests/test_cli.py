@@ -209,21 +209,32 @@ def test_any_field_replaced_by_any_json_is_answered_or_invalid(tmp_path_factory,
         assert isinstance(json.loads(out.getvalue()), dict)
 
 
+def _graphs_that_need_spairs():
+    # the Tietze pass leaves most small presentations with no S-pair to
+    # reduce; these two of the seeded mixed corpus still need 9 and 3
+    import random
+
+    from acceptance_support import mixed_corpus
+
+    corpus = mixed_corpus(random.Random(0))
+    return [corpus[15], corpus[19]]
+
+
 def test_budget_exhaustion_exit_code(files, capsys):
-    g = emitter_to_sink(3)
+    g = _graphs_that_need_spairs()[0]
     gp = files("g.json", graph_to_json(g))
-    u = files("u.json", element_to_json(MonoidElement.single(vgen("v"))))
+    u = files("u.json", element_to_json(MonoidElement.single(presentation_of(g).alphabet[0])))
     code, out = invoke(capsys, "--budget", "0", "equal", "--graph", gp, "--lhs", u, "--rhs", u)
     assert code == EXIT_UNDECIDED
     assert json.loads(out)["undecided"] is True
 
 
 @settings(max_examples=30, deadline=None)
-@given(family=st.sampled_from([emitter_mixed, emitter_to_sink]), k=st.integers(2, 4), data=st.data())
-def test_budget_below_the_needed_spairs_exits_undecided(tmp_path_factory, family, k, data):
-    g = family(k)
+@given(g=st.sampled_from(_graphs_that_need_spairs()), data=st.data())
+def test_budget_below_the_needed_spairs_exits_undecided(tmp_path_factory, g, data):
     p = presentation_of(g)
     need = completed_system(p).spairs_processed
+    assert need > 0
     budget = data.draw(st.integers(0, need - 1), label="budget")
     d = tmp_path_factory.mktemp("budget")
     docs = {"graph": graph_to_json(g)}
@@ -524,7 +535,7 @@ def test_query_commands_never_import_numpy(files):
         assert status == {"exit": EXIT_OK, "numpy": False, "loaded": []}, argv
         docs.append(doc)
     assert docs[0]["valid"] is True and docs[-1]["equal"] is True
-    assert len(docs[-1]["certificate"]["steps"]) == 11
+    assert len(docs[-1]["certificate"]["steps"]) == 5
     # an invalid query still exits 2 with its message
     status, doc = _run_fresh("equal", "--graph", gp, "--lhs", up, "--rhs", gp)
     assert status["exit"] == EXIT_INVALID and doc["error"].startswith("malformed element")

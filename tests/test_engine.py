@@ -29,6 +29,7 @@ from graphmonoid.presentation import (
 
 from acceptance_support import completion_corpus
 from conftest import diamond, emitter_to_sink, rose, single_edge, single_sink
+from test_graphs import _valid_graphs
 
 
 def single(v):
@@ -108,6 +109,30 @@ def test_normal_form_refuses_a_rule_that_is_not_downhill():
     empty = replace(rs, rules=(kernels.compile_rule([0] * len(lhs), [0] * len(lhs)),))
     with pytest.raises(EngineError, match="rule 0, 0 -> 0, is not downhill"):
         normal_form(empty, MonoidElement())
+
+
+def test_normal_form_refuses_a_flipped_definition_rule():
+    # the eliminated system is downhill in the block order only: W -> x puts
+    # an eliminated generator back, and reduction with it would cycle
+    from dataclasses import replace
+
+    from conftest import emitter_mixed
+    from graphmonoid import kernels
+
+    g = emitter_mixed(3)
+    p = presentation_of(g)
+    rs = completed_system(p)
+    x = single("v") + MonoidElement.single(sgen(g, "v", ["e1"]))
+    nf = normal_form(rs, x)
+    assert rs.eliminated and complete(p).eliminated == ()
+    width = len(p.alphabet)
+    for k, column in enumerate(rs.eliminated):
+        lhs, rhs = kernels.rule_sides(rs.rules[k], width)
+        assert lhs == [int(c == column) for c in range(width)]
+        flipped = replace(rs, rules=rs.rules[:k] + (kernels.compile_rule(rhs, lhs),) + rs.rules[k + 1 :])
+        with pytest.raises(EngineError, match=f"rule {k}, .* is not downhill in the block order"):
+            normal_form(flipped, x)
+    assert normal_form(rs, nf) == nf
 
 
 def test_equal_emitter_examples():
@@ -478,6 +503,84 @@ def test_completion_work_on_a_tailed_two_emitter_cycle_is_pinned():
     assert rs.rule_count == 145
 
 
+@pytest.mark.parametrize(
+    "k, level, spairs, rules, eliminated",
+    [
+        (4, None, 0, 16, 16),
+        (5, None, 0, 32, 32),
+        (6, None, 0, 64, 64),
+        *[(None, level, 0, 2 * level, 2 * level - 1) for level in range(4, 10)],
+    ],
+)
+def test_eliminated_completion_counters_are_pinned(k, level, spairs, rules, eliminated):
+    # emitter_mixed(k), or graph 16 tailed at level: after the Tietze pass
+    # they leave one equation or none, and completion pairs nothing
+    from conftest import emitter_mixed
+
+    p = presentation_of(emitter_mixed(k) if level is None else _graph_16(level))
+    rs = completed_system(p)
+    assert (rs.spairs_processed, rs.rule_count, len(rs.eliminated)) == (spairs, rules, eliminated)
+    for r, proof in enumerate(rs.proofs):
+        lhs, rhs = rs.rule(r)
+        assert replay_chain(p, lhs, proof) == rhs
+
+
+def _double_edge_path(n):
+    # v0 => v1 => ... => vn, two edges per step: a(v0) = 2^n a(vn)
+    from graphmonoid.graphs import Graph
+
+    names = [f"v{i}" for i in range(n + 1)]
+    return Graph.build(names, [(f"{c}{i}", names[i], names[i + 1]) for i in range(n) for c in "ef"])
+
+
+def _diamond_ladder(n):
+    # v_i -> x_i, v_i -> y_i, x_i -> v_{i+1}, y_i -> v_{i+1}: a(v0) = 2^n a(vn)
+    from graphmonoid.graphs import Graph
+
+    edges = []
+    for i in range(n):
+        for m in (f"x{i}", f"y{i}"):
+            edges += [(f"{m}in", f"v{i}", m), (f"{m}out", m, f"v{i + 1}")]
+    return Graph.build([f"v{i}" for i in range(n + 1)] + [e[2] for e in edges[::2]], edges)
+
+
+@pytest.mark.parametrize("g", [_double_edge_path(70), _diamond_ladder(70)], ids=["double-edge path", "diamond ladder"])
+def test_the_growth_guard_keeps_definitions_small(g):
+    # every step doubles a(v0) in terms of the vertices below: unguarded,
+    # definitions and their proofs grow as 2^70
+    import time
+
+    p = presentation_of(g)
+    n = len(p.alphabet)
+    start = time.perf_counter()
+    rs = completed_system(p)
+    assert time.perf_counter() - start < 1.0
+    assert rs.eliminated
+    for k in range(len(rs.eliminated)):
+        lhs, rhs = rs.rule(k)
+        assert len(rs.proofs[k]) <= n * n and rhs.degree() <= n
+        assert replay_chain(p, lhs, rs.proofs[k]) == rhs
+    result = equal(p, single("v0"), 2 * single("v1"))
+    assert result.equal and replay_chain(p, single("v0"), result.chain) == 2 * single("v1")
+    with pytest.raises(EngineError, match=f"element of total degree {2**70} exceeds the int64 range"):
+        equal(p, single("v0"), 2**70 * single("v70"))
+
+
+def test_a_generator_held_many_times_is_not_eliminated():
+    # eliminating y would read a(x) = 2^62 a(y) as a chain of 2^62 copies of
+    # y's proof; y stays, and only a(u) = a(z) is eliminated
+    p = pres(
+        "uxyzw",
+        [(single("u"), single("z")), (single("x"), 2**62 * single("y")), (single("y"), single("z") + single("w"))],
+    )
+    rs = completed_system(p)
+    assert rs.eliminated == (p.index()[vgen("u")],)
+    assert rs.lhs.max() == 2**62
+    result = equal(p, single("x") + single("u"), 2**62 * single("y") + single("z"))
+    assert result.equal and len(result.chain) == 2
+    assert replay_chain(p, single("x") + single("u"), result.chain) == 2**62 * single("y") + single("z")
+
+
 def test_completed_rules_are_pinned():
     # a confluent, interreduced system is unique for its presentation and
     # term order, so skipping S-pairs may change proofs but never the rules;
@@ -508,12 +611,27 @@ def test_completion_keeps_its_compiled_rules_in_step_with_its_matrices():
             assert kernels.reduce(_vec(rhs, p.index()), rs.rules) == _vec(rhs, p.index())
 
 
+def _block_compare(u, v, eliminated):
+    """Sign of u - v in the block order: graded-lex on the eliminated columns
+    first, then graded-lex on the rest; plain graded-lex when none is eliminated."""
+    from graphmonoid.engine import _compare
+
+    top = sorted(eliminated)
+    rest = [c for c in range(len(u)) if c not in eliminated]
+    for cols in (top, rest):
+        sign = _compare([u[c] for c in cols], [v[c] for c in cols])
+        if sign:
+            return sign
+    return 0
+
+
 def _confluence_violations(rs):
     """What keeps rs from being a completion of its presentation, checked
     without rerunning completion; empty when it is one.
 
-    (a) every rule is graded-lex downhill and its proof replays from its left
-    side to its right side, so the rules lie in the presentation's congruence;
+    (a) every rule is downhill in the system's block order (graded-lex when
+    nothing is eliminated) and its proof replays from its left side to its
+    right side, so the rules lie in the presentation's congruence;
     (b) every pair of rules with overlapping left sides joins at its peak, so
     the rules are confluent (critical-pair lemma, Newman's lemma);
     (c) both sides of every relation have one normal form, so the rules
@@ -523,12 +641,12 @@ def _confluence_violations(rs):
     downhill, so they run only after (a) finds every rule downhill.
     """
     from graphmonoid import kernels
-    from graphmonoid.engine import _compare, _vec
+    from graphmonoid.engine import _vec
 
     p = rs.presentation
     index = p.index()
     sides = [kernels.rule_sides(rule, len(p.alphabet)) for rule in rs.rules]
-    uphill = [k for k, (l, r) in enumerate(sides) if _compare(l, r) <= 0]
+    uphill = [k for k, (l, r) in enumerate(sides) if _block_compare(l, r, rs.eliminated) <= 0]
     out = [f"rule {k} is not downhill" for k in uphill]
     for k, proof in enumerate(rs.proofs):
         lhs, rhs = rs.rule(k)
@@ -557,17 +675,17 @@ def _confluence_violations(rs):
 
 def test_completed_systems_pass_the_confluence_check():
     for g in completion_corpus():
-        assert _confluence_violations(complete(presentation_of(g))) == []
+        p = presentation_of(g)
+        assert _confluence_violations(complete(p)) == []
+        assert _confluence_violations(completed_system(p)) == []
 
 
-def test_confluence_check_fails_without_a_rule_or_with_one_flipped():
+def _assert_the_check_fails_without_a_rule_or_with_one_flipped(rs):
     from dataclasses import replace
 
-    from conftest import emitter_mixed
     from graphmonoid import kernels
     from graphmonoid.engine import _invert
 
-    rs = complete(presentation_of(emitter_mixed(3)))
     assert _confluence_violations(rs) == []
     width = len(rs.presentation.alphabet)
     for k in range(rs.rule_count):
@@ -580,6 +698,74 @@ def test_confluence_check_fails_without_a_rule_or_with_one_flipped():
             proofs=rs.proofs[:k] + (_invert(rs.proofs[k]),) + rs.proofs[k + 1 :],
         )
         assert _confluence_violations(flipped), f"the check passes with rule {k} flipped"
+
+
+def test_confluence_check_fails_without_a_rule_or_with_one_flipped():
+    from conftest import emitter_mixed
+
+    _assert_the_check_fails_without_a_rule_or_with_one_flipped(complete(presentation_of(emitter_mixed(3))))
+
+
+def test_confluence_check_fails_on_eliminated_systems_without_a_rule_or_with_one_flipped():
+    # emitter_mixed(3) keeps definitions only; graph 15 of the mixed corpus
+    # keeps completed rules beside them
+    import random
+
+    from acceptance_support import mixed_corpus
+    from conftest import emitter_mixed
+
+    for g in (emitter_mixed(3), mixed_corpus(random.Random(0))[15]):
+        rs = completed_system(presentation_of(g))
+        assert rs.eliminated
+        _assert_the_check_fails_without_a_rule_or_with_one_flipped(rs)
+
+
+def _elimination_violations(g, degree):
+    """Where completed_system, after the Tietze pass, disagrees with plain
+    complete on g's elements up to degree, or fails the confluence check."""
+    from graphmonoid import kernels
+    from graphmonoid.engine import _unvec, exponent_vectors
+
+    p = presentation_of(g)
+    rs, reference = completed_system(p), complete(p)
+    out = _confluence_violations(rs)
+    vectors = list(exponent_vectors(len(p.alphabet), degree))
+    ours = [tuple(kernels.reduce(x, rs.rules)) for x in vectors]
+    plain = [tuple(kernels.reduce(x, reference.rules)) for x in vectors]
+    # one partition: the normal forms of either system determine the other's
+    if not len(set(ours)) == len(set(zip(ours, plain))) == len(set(plain)):
+        out.append("the partitions differ")
+    first = {}
+    for vector, nf in zip(vectors, ours):
+        x = _unvec(vector, p.alphabet)
+        y = first.setdefault(nf, x)
+        result = equal(p, y, x)
+        if not result.equal or replay_chain(p, y, result.chain) != x:
+            out.append(f"no replayable certificate for {y} = {x}")
+    return out
+
+
+def _sample_degree(g):
+    # degree 3 while the sample stays in the hundreds
+    return 3 if len(presentation_of(g).alphabet) <= 9 else 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=_valid_graphs())
+def test_elimination_agrees_with_plain_completion(g):
+    assert _elimination_violations(g, _sample_degree(g)) == []
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_elimination_agrees_with_plain_completion_on_tailed_graphs(seed):
+    import random
+
+    from acceptance_support import graph_level, mixed_corpus
+    from graphmonoid.desingularize import desingularize
+
+    for g in mixed_corpus(random.Random(seed)):
+        tailed = desingularize(g, graph_level(g)).graph
+        assert _elimination_violations(tailed, _sample_degree(tailed)) == []
 
 
 def test_cat_cancels_inverse_steps_across_junctions():

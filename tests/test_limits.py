@@ -476,7 +476,7 @@ def _outcome(check, *args, **kwargs):
 
 
 def _continuity_cases():
-    from acceptance_support import chain_corpus
+    from acceptance_support import chain_corpus, mixed_corpus
 
     cases = [(name, chain, None) for name, chain in chain_corpus()]
     e2, e3 = emitter_to_sink(2), emitter_to_sink(3)
@@ -487,6 +487,8 @@ def _continuity_cases():
     two = Graph.build(["v", "w"], [("e", "v", "w"), ("e1", "v", "w")], {"v": (desc, ["e", "e1"])})
     sinks = Graph.build(["u", "w"])
     empty = Graph.build([])
+    # the Tietze pass leaves this graph 9 S-pairs: budgets 0, 1 and 3 run out
+    spairs = mixed_corpus(random.Random(0))[15]
     cases += [
         ("strict extension", GraphChain.build([e2], []), inclusion(e2, e3)),
         ("merge in the top graph", GraphChain.build([g1], []), inclusion(g1, g2)),
@@ -497,6 +499,7 @@ def _continuity_cases():
         ("one level", GraphChain.build([e2], []), None),
         ("no generators", GraphChain.build([empty, empty], [identity_morphism(empty)]), None),
         ("no generators, into itself", GraphChain.build([empty], []), identity_morphism(empty)),
+        ("needs S-pairs", GraphChain.build([spairs], []), None),
     ]
     return cases
 
