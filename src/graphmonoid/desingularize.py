@@ -16,14 +16,16 @@ original graph and the monoid of its row-finite approximation:
   from_tailed: b_{w_0(v)} -> a_v,
                b_{w_n(v)} -> a_{v, {e_0..e_{n-1}}} for emitters, a_v for sinks.
 
-phi and psi are their additive extensions.  Each Desingularization keeps one
-image table per map, built once per approximation: a generator's image is
-computed the first time it is asked for and then read.  phi and psi return
-the stored image of a lone generator (one term of multiplicity 1) as it is,
-and otherwise sum mult * image over the terms in one pass
-(``apply_generator_map``).  A generator whose image raises (TruncationError,
-MaterializationError, PresentationError, GraphError) gets no entry, so the
-error is raised again on every call.
+phi and psi are their additive extensions, each compiled once per
+approximation into a GeneratorMap over the two graphs' alphabets
+(presentation.generators, one Generator object per entry): per column of
+its domain, the image as sparse (column, count) pairs over the other alphabet,
+computed the first time it is used and then kept.  An element's terms are
+summed by column, and the image is built in column order, which is the
+canonical order, from the codomain alphabet's own generators; a lone
+generator gets its stored image element as it is.  A generator whose image
+raises (TruncationError, MaterializationError, PresentationError,
+GraphError) gets no entry, so the error is raised again on every call.
 """
 
 from __future__ import annotations
@@ -41,11 +43,13 @@ from .graphs import (
 )
 from .presentation import (
     Generator,
+    GeneratorMap,
+    Image,
+    Key,
     MonoidElement,
     PresentationError,
-    apply_generator_map,
     generators,
-    sgen,
+    graph_alphabet,
 )
 
 
@@ -73,38 +77,6 @@ def g_name(v: str, n: int) -> str:
     return f"g{n}^{v}"
 
 
-class _ImageTable(dict):
-    """Generator -> image, computed by ``image(gen)`` on the first lookup.
-
-    A generator whose image raises gets no entry, so every lookup raises
-    afresh. ``image`` does not hold the table's owner, so the two form no
-    reference cycle.
-    """
-
-    def __init__(self, image):
-        super().__init__()
-        self.image = image
-
-    def __missing__(self, gen: Generator) -> MonoidElement:
-        value = self[gen] = self.image(gen)
-        return value
-
-    def apply(self, x: MonoidElement) -> MonoidElement:
-        """``apply_generator_map(self, x)``.
-
-        A lone generator whose image is stored gets that image as it is:
-        ``image`` builds it with ``from_counts`` or ``single``, so it equals
-        what the sum would build.  Everything else, misses included, takes
-        the sum, with its ``__missing__`` lookups and its errors.
-        """
-        terms = x.terms
-        if len(terms) == 1 and terms[0][1] == 1:
-            image = self.get(terms[0][0])  # dict.get does not call __missing__
-            if image is not None:
-                return image
-        return apply_generator_map(self, x)
-
-
 @dataclass(frozen=True)
 class Desingularization:
     source: Graph
@@ -118,19 +90,25 @@ class Desingularization:
     def mentions_boundary(self, y: MonoidElement) -> bool:
         return any(g.vertex in self.boundary for g in y.support())
 
-    # The generator images of phi and psi, each computed on its first lookup
-    # and kept in the instance __dict__ (as Graph keeps its lookups); equality
-    # and hash still compare the fields.
+    # phi and psi compiled over the two alphabets, each generator's image
+    # computed on its first use and kept in the instance __dict__ (as Graph
+    # keeps its lookups); equality and hash still compare the fields.  The
+    # image rules hold the graphs and the origin map, not the
+    # Desingularization, so there is no reference cycle.
 
     @cached_property
-    def _to_tailed(self) -> _ImageTable:
-        """Source generator -> its image under phi."""
-        return _ImageTable(partial(_to_tailed_image, self.source, self.level))
+    def _to_tailed(self) -> GeneratorMap:
+        """phi: the source alphabet into the tailed graph's."""
+        source, index, _ = graph_alphabet(self.source)
+        tailed, _, columns = graph_alphabet(self.graph)
+        return GeneratorMap(source, index, tailed, partial(_to_tailed_image, self.source, self.level, columns))
 
     @cached_property
-    def _from_tailed(self) -> _ImageTable:
-        """Tailed generator -> its image under psi."""
-        return _ImageTable(partial(_from_tailed_image, self.source, self.origin))
+    def _from_tailed(self) -> GeneratorMap:
+        """psi: the tailed graph's alphabet into the source alphabet."""
+        tailed, index, _ = graph_alphabet(self.graph)
+        source, _, columns = graph_alphabet(self.source)
+        return GeneratorMap(tailed, index, source, partial(_from_tailed_image, self.source, self.origin, columns))
 
 
 def desingularize(g: Graph, level: int) -> Desingularization:
@@ -178,11 +156,12 @@ def required_truncation(g: Graph, x: MonoidElement) -> int:
     return max(2, best + 2)
 
 
-def _to_tailed_image(g: Graph, level: int, gen: Generator) -> MonoidElement:
+def _to_tailed_image(g: Graph, level: int, columns: dict[Key, int], gen: Generator) -> Image:
+    """gen's image under phi over the tailed alphabet's columns."""
     if not gen.is_cofinite:
         if not g.has_vertex(gen.vertex):
             raise PresentationError(f"unknown vertex generator {gen}")
-        return MonoidElement.single(Generator(w_name(gen.vertex, 0)))
+        return ((columns[w_name(gen.vertex, 0), None], 1),)
     v = gen.vertex
     indices = sorted(g.edge_index(v, eid) for eid in gen.edges)
     n = indices[-1]
@@ -194,17 +173,16 @@ def _to_tailed_image(g: Graph, level: int, gen: Generator) -> MonoidElement:
         )
     in_s = set(indices)
     desc = g.descriptor(v)
-    counts = {Generator(w_name(v, n + 1)): 1}
+    counts = {columns[w_name(v, n + 1), None]: 1}
     for k in range(n + 1):
         if k not in in_s:
-            key = Generator(w_name(desc.range_at(k), 0))
-            counts[key] = counts.get(key, 0) + 1
-    return MonoidElement.from_counts(counts)
+            c = columns[w_name(desc.range_at(k), 0), None]
+            counts[c] = counts.get(c, 0) + 1
+    return tuple(sorted(counts.items()))
 
 
-def _from_tailed_image(
-    g: Graph, origin: dict[str, tuple[str, int]], gen: Generator
-) -> MonoidElement:
+def _from_tailed_image(g: Graph, origin: dict[str, tuple[str, int]], columns: dict[Key, int], gen: Generator) -> Image:
+    """gen's image under psi over the source alphabet's columns."""
     if gen.is_cofinite:
         raise PresentationError(f"tailed graph is row-finite; {gen} is not a vertex generator")
     try:
@@ -212,43 +190,35 @@ def _from_tailed_image(
     except KeyError:
         raise PresentationError(f"{gen.vertex!r} is not a vertex of the tailed graph") from None
     if n == 0 or vertex_class(g, v) is VertexClass.SINK:
-        return MonoidElement.single(Generator(v))
+        return ((columns[v, None], 1),)
     mat = g.materialized(v)
     if len(mat) < n:
         raise MaterializationError(
             f"mapping w_{n}({v}) back needs edges e_0..e_{n - 1} of {v!r} "
             f"materialized, only {len(mat)} are"
         )
-    return MonoidElement.single(sgen(g, v, mat[:n]))
+    return ((columns[v, mat[:n]], 1),)
 
 
 def phi(d: Desingularization, x: MonoidElement) -> MonoidElement:
-    """Map an element of the source monoid into the tailed graph's monoid.
-
-    A lone generator's image is read from the approximation's table, not
-    rebuilt.
-    """
-    return d._to_tailed.apply(x)
+    """Map an element of the source monoid into the tailed graph's monoid, over its alphabet's generators."""
+    return d._to_tailed(x)
 
 
 def psi(d: Desingularization, y: MonoidElement) -> MonoidElement:
-    """Map an element of the tailed graph's monoid back to the source monoid.
-
-    A lone generator's image is read from the approximation's table, not
-    rebuilt.
-    """
-    return d._from_tailed.apply(y)
+    """Map an element of the tailed graph's monoid back to the source monoid, over its alphabet's generators."""
+    return d._from_tailed(y)
 
 
 def phi_generator_map(d: Desingularization) -> dict[Generator, MonoidElement]:
-    return {gen: d._to_tailed[gen] for gen in generators(d.source)}
+    return d._to_tailed.as_dict()
 
 
 def psi_generator_map(d: Desingularization) -> dict[Generator, MonoidElement]:
     """Images of all tailed-graph generators for which the inverse map is defined."""
     out = {}
-    for name, (v, n) in sorted(d.origin.items()):
-        gen = Generator(name)
+    for gen in generators(d.graph):  # all vertex generators, in name order
+        v, n = d.origin[gen.vertex]
         if n > 0 and vertex_class(d.source, v) is VertexClass.INFINITE_EMITTER:
             if len(d.source.materialized(v)) < n:
                 continue

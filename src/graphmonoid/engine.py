@@ -9,6 +9,11 @@ the kept generators; the system holds the definitions x -> W first, then those
 rules, and is confluent and terminating under the block order that puts the
 eliminated generators above the rest.  Normal forms are over the kept
 generators.  complete skips the pass and completes the relations as given.
+Queries apply the definitions as one substitution: an element is read into
+its exponent vector through them in one pass (a GeneratorMap of the alphabet
+into itself), which reports their runs in rule order, and only the completed
+rules are left for kernels.reduce to scan.  The vector and the runs are
+those of reducing with every rule.
 
 Completion turns equations into a confluent, terminating rewrite system under
 the graded lexicographic order (total degree first, ties by the canonical
@@ -46,14 +51,23 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Container, Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, compress
 from typing import TYPE_CHECKING
 
 from . import kernels
-from .presentation import Generator, MonoidElement, Presentation, element_to_json, generator_to_json
+from .presentation import (
+    Generator,
+    GeneratorMap,
+    Image,
+    MonoidElement,
+    Presentation,
+    element_to_json,
+    element_of,
+    generator_to_json,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -106,14 +120,52 @@ class RewriteSystem:
         return len(self.rules)
 
     def rule(self, k: int) -> tuple[MonoidElement, MonoidElement]:
-        alphabet = self.presentation.alphabet
-        lhs, rhs = kernels.rule_sides(self.rules[k], len(alphabet))
-        return _unvec(lhs, alphabet), _unvec(rhs, alphabet)
+        p = self.presentation
+        lhs, rhs = kernels.rule_sides(self.rules[k], len(p.alphabet))
+        return _unvec(lhs, p), _unvec(rhs, p)
+
+    # The definitions x -> W, rules 0 .. len(eliminated) - 1, applied as one
+    # substitution: a vector is read through _definitions (W for an
+    # eliminated column, the column itself for a kept one) and then reduced
+    # by _completed_rules only.  No other rule's sides hold an eliminated
+    # column, so reduction over all the rules applies exactly the
+    # definitions first, each as one run, in rule order; _read reports those
+    # runs, and the vector and the runs are the same.
+
+    @cached_property
+    def _defined(self) -> dict[int, int]:
+        """Eliminated column -> the index of its definition, each checked to read x -> W."""
+        for k, x in enumerate(self.eliminated):
+            need, delta = self.rules[k]
+            if need != ((x, 1),) or (x, -1) not in delta:
+                raise EngineError(f"rule {k} does not define the eliminated generator {self.presentation.alphabet[x]}")
+        return {x: k for k, x in enumerate(self.eliminated)}
+
+    @cached_property
+    def _definitions(self) -> GeneratorMap:
+        """The definitions as one map of the alphabet into itself."""
+        p, rules, defined = self.presentation, self.rules, self._defined
+        index = p.index()
+
+        def image(gen: Generator) -> Image:
+            try:
+                c = index[gen]
+            except KeyError:
+                raise EngineError(f"element uses generator {gen} outside the alphabet") from None
+            k = defined.get(c)
+            return ((c, 1),) if k is None else tuple(t for t in rules[k][1] if t[0] != c)
+
+        return GeneratorMap(p.alphabet, index, p.alphabet, image, p.rank)
+
+    @cached_property
+    def _completed_rules(self) -> tuple[kernels.Rule, ...]:
+        """The rules after the definitions: what reduces a vector once it is read through them."""
+        return self.rules[len(self.eliminated) :]
 
     @cached_property
     def _downhill_rules(self) -> tuple[kernels.Rule, ...]:
-        """The rules, once each is checked to step downhill in the block order (graded-lex when
-        nothing is eliminated), so that reduction ends.
+        """The completed rules, once every rule is checked to step downhill in the block order
+        (graded-lex when nothing is eliminated), so that reduction ends.
 
         A rule steps downhill when the part of rhs - lhs that decides lowers
         the degree, or keeps it and its first nonzero entry is negative.  The
@@ -128,7 +180,7 @@ class RewriteSystem:
                 lhs, rhs = self.rule(k)
                 order = "the block order" if top else "graded-lex order"
                 raise EngineError(f"rule {k}, {lhs} -> {rhs}, is not downhill in {order}")
-        return self.rules
+        return self._completed_rules
 
     @cached_property
     def _matrices(self) -> tuple[np.ndarray, np.ndarray]:
@@ -145,7 +197,9 @@ class RewriteSystem:
         return self._matrices[1]
 
 
-def _vec(x: MonoidElement, index: dict[Generator, int]) -> list[int]:
+def _vec(
+    x: MonoidElement, index: dict[Generator, int], defined: Container[int] = (), hits: list[int] | None = None
+) -> list[int]:
     """x as an exponent vector, a list of ints; its total degree must fit in int64.
 
     Reduction is in Python ints, which cannot overflow.  Rules over kept
@@ -153,7 +207,8 @@ def _vec(x: MonoidElement, index: dict[Generator, int]) -> list[int]:
     deg W - 1 per application, so a normal form may leave the int64 range
     that x's own degree was checked against.  A relation step may raise it
     too: bfs_reach checks the degree its steps can reach against int64
-    before it fills int64 rows (_degree_gain).
+    before it fills int64 rows (_degree_gain).  The columns of x's terms that
+    are in defined are appended to hits.
     """
     out = [0] * len(index)
     degree = 0
@@ -162,26 +217,69 @@ def _vec(x: MonoidElement, index: dict[Generator, int]) -> list[int]:
         if degree > _INT64_MAX:
             raise EngineError(f"element of total degree {x.degree()} exceeds the int64 range")
         try:
-            out[index[gen]] = mult
+            c = index[gen]
         except KeyError:
             raise EngineError(f"element uses generator {gen} outside the alphabet") from None
+        out[c] = mult
+        if c in defined:
+            hits.append(c)
+    return out
+
+
+def _read(rs: RewriteSystem, x: MonoidElement, trace: list[tuple[int, int]] | None = None) -> list[int]:
+    """x as an exponent vector read through rs's definitions, in one pass.
+
+    The vector is _vec's (with its checks) with each eliminated generator
+    replaced by its definition; when trace is a list, the definitions' runs
+    (rule index, times) are appended to it in rule order, as kernels.reduce
+    over all of rs's rules would report them before any other run.
+    """
+    defined = rs._defined
+    hits: list[int] = []
+    out = _vec(x, rs.presentation.index(), defined, hits)
+    if hits:
+        column = rs._definitions.column
+        hits.sort()  # definitions are in column order
+        for c in hits:
+            m = out[c]
+            if m:
+                out[c] = 0
+                for d, n in column(c):
+                    out[d] += m * n
+                if trace is not None:
+                    trace.append((defined[c], m))
     return out
 
 
 def _relation_rules(p: Presentation) -> tuple[tuple[kernels.Rule, ...], tuple[kernels.Rule, ...]]:
     """p's relations compiled forward (left side to right) and backward, built once per presentation.
 
-    Kept on p as its relation matrices are, and read by every chain walk; the
-    relation matrices are the forward rules' sides.
+    Built from the sides' terms by column, not from dense vectors, with
+    every repeated (column, count) pair and side stored once.  Kept on p as
+    its relation matrices are, and read by every chain walk; the relation
+    matrices are the forward rules' sides.
     """
     pair = p.__dict__.get("_relation_rules")
     if pair is None:
         index = p.index()
-        sides = [(_vec(u, index), _vec(v, index)) for u, v in p.relations]
-        pair = (
-            tuple(kernels.compile_rule(a, b) for a, b in sides),
-            tuple(kernels.compile_rule(b, a) for a, b in sides),
-        )
+        shared = {}
+        intern = shared.setdefault
+
+        def side(x: MonoidElement) -> dict[int, int]:
+            out = {}
+            for gen, m in x.terms:
+                out[index[gen]] = m  # as _vec reads a term
+            return out
+
+        def rule(a: dict[int, int], b: dict[int, int]) -> kernels.Rule:
+            # kernels.compile_rule of the dense sides
+            need = tuple(intern(t, t) for t in sorted(a.items()) if t[1])
+            delta = ((c, b.get(c, 0) - a.get(c, 0)) for c in sorted(a.keys() | b.keys()))
+            step = tuple(intern(t, t) for t in delta if t[1])
+            return intern(need, need), intern(step, step)
+
+        sides = [(side(u), side(v)) for u, v in p.relations]
+        pair = (tuple(rule(a, b) for a, b in sides), tuple(rule(b, a) for a, b in sides))
         p.__dict__["_relation_rules"] = pair
     return pair
 
@@ -209,9 +307,9 @@ def _relation_matrices(p: Presentation) -> tuple[np.ndarray, np.ndarray]:
     return pair
 
 
-def _unvec(v: Iterable[int], alphabet: tuple[Generator, ...]) -> MonoidElement:
-    """The element with exponent vector v (a list of ints or an int64 row)."""
-    return MonoidElement.from_counts({alphabet[i]: c for i, c in enumerate(v) if c})
+def _unvec(v: Iterable[int], p: Presentation) -> MonoidElement:
+    """The element with exponent vector v over p's alphabet (a list of ints or an int64 row)."""
+    return element_of(p.alphabet, p.rank, {c: n for c, n in enumerate(v) if n})
 
 
 def _compare(u: list[int], v: list[int]) -> int:
@@ -567,8 +665,8 @@ def normal_form(rs: RewriteSystem, x: MonoidElement) -> MonoidElement:
     """
     if not rs.completed:
         raise EngineError("rewrite system is not completed")
-    v = _vec(x, rs.presentation.index())
-    return _unvec(kernels.reduce(v, rs._downhill_rules), rs.presentation.alphabet)
+    rules = rs._downhill_rules  # first: a flipped definition is no definition to read through
+    return _unvec(kernels.reduce(_read(rs, x), rules), rs.presentation)
 
 
 @dataclass(frozen=True)
@@ -576,17 +674,17 @@ class EqualityResult:
     """Decision plus certificate: a replayable chain when equal, separating
     normal forms when not.
 
-    The sides are kept as exponent vectors over alphabet and the chain as runs
-    of proofs: (k, t) stands for proofs[k] joined t times, inverted when
-    t < 0.  vectors holds the two normal forms, or, when rules is set, the
-    one unreduced vector that both sides share, whose normal form rules give
-    on first read.  The normal forms, the elements and the chain are built on
-    first access, so a caller that reads only the verdict pays for none of
-    them.
+    The sides are kept as exponent vectors over the presentation's alphabet
+    and the chain as runs of proofs: (k, t) stands for proofs[k] joined t
+    times, inverted when t < 0.  vectors holds the two normal forms, or, when
+    rules is set, the one vector that both sides share, read through the
+    definitions, whose normal form rules (the completed rules) give on first
+    read.  The normal forms, the elements and the chain are built on first
+    access, so a caller that reads only the verdict pays for none of them.
     """
 
     equal: bool
-    alphabet: tuple[Generator, ...]
+    presentation: Presentation
     vectors: tuple[tuple[int, ...], tuple[int, ...]]
     proofs: tuple[tuple[Step, ...], ...] = ()
     runs: tuple[tuple[int, int], ...] = ()
@@ -594,6 +692,10 @@ class EqualityResult:
 
     def __bool__(self) -> bool:
         return self.equal
+
+    @property
+    def alphabet(self) -> tuple[Generator, ...]:
+        return self.presentation.alphabet
 
     @cached_property
     def _normal_forms(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -612,11 +714,11 @@ class EqualityResult:
 
     @cached_property
     def lhs_normal_form(self) -> MonoidElement:
-        return _unvec(self.lhs_vector, self.alphabet)
+        return _unvec(self.lhs_vector, self.presentation)
 
     @cached_property
     def rhs_normal_form(self) -> MonoidElement:
-        return _unvec(self.rhs_vector, self.alphabet)
+        return _unvec(self.rhs_vector, self.presentation)
 
     @cached_property
     def chain(self) -> tuple[Step, ...] | None:
@@ -639,18 +741,19 @@ def equal(p: Presentation, u: MonoidElement, v: MonoidElement, budget: int | Non
     outcome, never a wrong answer.
     """
     rs = completed_system(p, budget)
-    index = p.index()
-    x, y = _vec(u, index), _vec(v, index)
-    if x == y:
-        # both traces would be one trace, and cancel to no runs at all
-        vec = tuple(x)
-        return EqualityResult(True, p.alphabet, (vec, vec), rs.proofs, (), rs.rules)
     su: list[tuple[int, int]] = []
     sv: list[tuple[int, int]] = []
-    nfu = kernels.reduce(x, rs.rules, su)
-    nfv = kernels.reduce(y, rs.rules, sv)
+    x, y = _read(rs, u, su), _read(rs, v, sv)
+    rules = rs._completed_rules
+    if x == y and su == sv:
+        # u and v have one exponent vector: both traces would be one trace,
+        # and cancel to no runs at all
+        vec = tuple(x)
+        return EqualityResult(True, p, (vec, vec), rs.proofs, (), rules)
+    nfu = _reduce(x, rules, su, len(rs.eliminated))
+    nfv = _reduce(y, rules, sv, len(rs.eliminated))
     if nfu != nfv:
-        return EqualityResult(False, p.alphabet, (tuple(nfu), tuple(nfv)))
+        return EqualityResult(False, p, (tuple(nfu), tuple(nfv)))
     # the chain is u's proofs, then v's inverted; runs of one rule that
     # meet in the middle cancel: p^a + p^-b reduces to p^(a-b)
     while su and sv and su[-1][0] == sv[-1][0]:
@@ -661,7 +764,17 @@ def equal(p: Presentation, u: MonoidElement, v: MonoidElement, budget: int | Non
     if steps > _MAX_CHAIN:
         raise EngineError(f"certificate chain of {steps} steps is longer than a tuple can hold ({_MAX_CHAIN})")
     runs = (*su, *[(k, -t) for k, t in reversed(sv)])
-    return EqualityResult(True, p.alphabet, (tuple(nfu), tuple(nfv)), rs.proofs, runs)
+    return EqualityResult(True, p, (tuple(nfu), tuple(nfv)), rs.proofs, runs)
+
+
+def _reduce(x: list[int], rules: tuple[kernels.Rule, ...], trace: list[tuple[int, int]], offset: int) -> list[int]:
+    """kernels.reduce of x by rules, its runs appended to trace with rule indices offset."""
+    if not offset:
+        return kernels.reduce(x, rules, trace)
+    runs: list[tuple[int, int]] = []
+    y = kernels.reduce(x, rules, runs)
+    trace.extend((k + offset, t) for k, t in runs)
+    return y
 
 
 def _walk_chain(
@@ -704,7 +817,7 @@ def _walk_chain(
 
 def replay_chain(p: Presentation, start: MonoidElement, chain: tuple[Step, ...]) -> MonoidElement:
     """Replay a certificate chain from start, one relation instance at a time."""
-    return _unvec(_walk_chain(p, start, chain), p.alphabet)
+    return _unvec(_walk_chain(p, start, chain), p)
 
 
 def certificate_to_json(p: Presentation, start: MonoidElement, result: EqualityResult) -> dict:
@@ -724,8 +837,9 @@ def certificate_to_json(p: Presentation, start: MonoidElement, result: EqualityR
     # a context's terms in canonical generator order, as element_to_json writes
     # them; presentation_of's alphabet is in that order already
     alphabet = p.alphabet
-    order = sorted(range(len(alphabet)), key=lambda i: alphabet[i].sort_key())
-    if order != list(range(len(order))):
+    canonical = p._canonical
+    order = range(len(alphabet)) if canonical is None else canonical[0]
+    if canonical is not None:
         contexts = [[ctx[i] for i in order] for ctx in contexts]
     gens = [generator_to_json(alphabet[i]) for i in order]
     columns = range(len(order))
@@ -749,7 +863,7 @@ def congruence_bfs(
 ) -> set[MonoidElement]:
     """All elements reachable from x by at most depth bidirectional relation steps."""
     reached, _ = bfs_reach(p, x, depth, max_size)
-    return {_unvec(t, p.alphabet) for t in reached}
+    return {_unvec(t, p) for t in reached}
 
 
 def bfs_reach(

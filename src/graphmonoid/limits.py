@@ -13,17 +13,19 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import kernels
 from .engine import RewriteSystem, completed_system, equal, exponent_vectors
 from .graphs import Graph, GraphError, VertexClass, out_edges, require_valid, vertex_class
 from .presentation import (
     Generator,
+    GeneratorMap,
+    Image,
     MonoidElement,
     Presentation,
-    apply_generator_map,
-    generators,
+    graph_alphabet,
+    mapping_image,
     presentation_of,
     sgen,
 )
@@ -152,21 +154,31 @@ def is_ck_morphism(m: GraphMorphism) -> CKReport:
     return CKReport(not bad, tuple(bad))
 
 
-def induced_monoid_morphism(m: GraphMorphism) -> dict[Generator, MonoidElement]:
-    """Generator map a_v -> b_{eta(v)}, a_{v,S} -> b_{eta(v),eta(S)}; CK inputs only."""
+def _induced_map(m: GraphMorphism) -> GeneratorMap:
+    """The induced monoid morphism compiled over the two graphs' alphabets; CK inputs only."""
     report = is_ck_morphism(m)
     if not report.ok:
         raise MorphismError("not a CK-morphism: " + "; ".join(report.violations))
     vmap = m.vertex_map()
     emap = m.edge_map()
-    out: dict[Generator, MonoidElement] = {}
-    for gen in generators(m.source):
+    source, index, _ = graph_alphabet(m.source)
+    target, _, columns = graph_alphabet(m.target)
+
+    def image(gen: Generator) -> Image:
         if gen.is_cofinite:
-            image = sgen(m.target, vmap[gen.vertex], [emap[eid] for eid in gen.edges])
-        else:
-            image = Generator(vmap[gen.vertex])
-        out[gen] = MonoidElement.single(image)
-    return out
+            img = sgen(m.target, vmap[gen.vertex], [emap[eid] for eid in gen.edges])
+            return ((columns[img.vertex, img.edges], 1),)
+        return ((columns[vmap[gen.vertex], None], 1),)
+
+    return GeneratorMap(source, index, target, image)
+
+
+def induced_monoid_morphism(m: GraphMorphism) -> dict[Generator, MonoidElement]:
+    """Generator map a_v -> b_{eta(v)}, a_{v,S} -> b_{eta(v),eta(S)}; CK inputs only.
+
+    Keys and images are the two alphabets' own generators.
+    """
+    return _induced_map(m).as_dict()
 
 
 @dataclass(frozen=True)
@@ -226,6 +238,11 @@ def _freeze_map(m: Mapping[Generator, MonoidElement]) -> GenMap:
     return tuple(sorted(m.items(), key=lambda kv: kv[0].sort_key()))
 
 
+def _compiled(dom: Presentation, cod: Presentation, m: GenMap) -> GeneratorMap:
+    """A frozen generator map compiled over dom's and cod's alphabets."""
+    return GeneratorMap(dom.alphabet, dom.index(), cod.alphabet, mapping_image(dict(m), cod.index()), cod.rank)
+
+
 @dataclass(frozen=True)
 class MonoidChain:
     presentations: tuple[Presentation, ...]
@@ -261,14 +278,19 @@ class MonoidChain:
     def __len__(self) -> int:
         return len(self.presentations)
 
+    @cached_property
+    def _maps(self) -> tuple[GeneratorMap, ...]:
+        """The connecting maps compiled over consecutive levels' alphabets."""
+        return tuple(_compiled(self.presentations[i], self.presentations[i + 1], step) for i, step in enumerate(self.steps))
+
     def step_map(self, i: int) -> dict[Generator, MonoidElement]:
-        return dict(self.steps[i])
+        return self._maps[i].as_dict()
 
     def map_up(self, i: int, j: int, x: MonoidElement) -> MonoidElement:
         if not 0 <= i <= j < len(self.presentations):
             raise MorphismError(f"bad chain indices {i}, {j}")
         for k in range(i, j):
-            x = apply_generator_map(self.step_map(k), x)
+            x = self._maps[k](x)
         return x
 
 
@@ -334,8 +356,14 @@ class UniversalMap:
     target: Presentation
     maps: tuple[GenMap, ...]
 
+    @cached_property
+    def _maps(self) -> tuple[GeneratorMap, ...]:
+        """The map of each level compiled over its alphabet and the target's."""
+        levels = self.limit.chain.presentations
+        return tuple(_compiled(p, self.target, m) for p, m in zip(levels, self.maps))
+
     def __call__(self, a: LimitElement) -> MonoidElement:
-        return apply_generator_map(dict(self.maps[a.level]), a.element)
+        return self._maps[a.level](a.element)
 
 
 def universal_map(
@@ -353,19 +381,15 @@ def universal_map(
     chain = limit.chain
     if len(maps) != len(chain):
         raise MorphismError("one map per chain level is required")
-    frozen = tuple(_freeze_map(m) for m in maps)
+    u = UniversalMap(limit, target, tuple(_freeze_map(m) for m in maps))
     for i in range(len(chain) - 1):
-        lower = dict(frozen[i])
-        upper = dict(frozen[i + 1])
-        step = chain.step_map(i)
+        lower, upper, step = u._maps[i], u._maps[i + 1], chain._maps[i]
         for gen in chain.presentations[i].alphabet:
-            via_step = apply_generator_map(upper, apply_generator_map(step, MonoidElement.single(gen)))
-            direct = apply_generator_map(lower, MonoidElement.single(gen))
-            if not equal(target, direct, via_step, budget):
+            if not equal(target, lower[gen], upper(step[gen]), budget):
                 raise MorphismError(
                     f"incompatible family: maps at levels {i} and {i + 1} disagree on {gen}"
                 )
-    return UniversalMap(limit, target, frozen)
+    return u
 
 
 @dataclass(frozen=True)
@@ -378,33 +402,19 @@ class ContinuityReport:
     merged_classes: tuple[int, ...] = ()
 
 
-def _pushed(
-    rows: Iterable[tuple[int, ...]], mapping: Mapping[Generator, MonoidElement], dom: Presentation, cod: Presentation
-) -> Iterator[tuple[int, ...]]:
-    """Exponent vectors over dom's alphabet, each sent through mapping into cod's."""
-    cod_index = cod.index()
-    images = [[(cod_index[gen], mult) for gen, mult in mapping[g].terms] for g in dom.alphabet]
-    for x in rows:
-        y = [0] * len(cod.alphabet)
-        for j, n in enumerate(x):
-            if n:
-                for c, m in images[j]:
-                    y[c] += n * m
-        yield tuple(y)
-
-
 def _first_rows(
-    rows: Iterable[tuple[int, ...]], rules: Sequence[kernels.Rule], nfs: dict[tuple[int, ...], tuple[int, ...]]
+    rows: Iterable[list[int]], rules: Sequence[kernels.Rule], nfs: dict[tuple[int, ...], tuple[int, ...]]
 ) -> list[int]:
     """For each row, the first row with the same normal form.
 
-    nfs maps rows already reduced against rules to their normal forms; each
-    row not in it is reduced once and added.  So is its normal form, which is
-    its own: the rows of one class share one normal-form tuple.
+    nfs maps rows (as tuples) already reduced against rules to their normal
+    forms; each row not in it is reduced once and added.  So is its normal
+    form, which is its own: the rows of one class share one normal-form tuple.
     """
     first: dict[tuple[int, ...], int] = {}
     out = []
     for r, x in enumerate(rows):
+        x = tuple(x)
         nf = nfs.get(x)
         if nf is None:
             nf = tuple(kernels.reduce(x, rules))
@@ -456,7 +466,7 @@ def check_continuity(
     mismatches: list[str] = []
     sizes: list[int] = []
     merges: list[int] = []
-    covered: set[Generator] = set()
+    covered: set[int] = set()  # top columns that are images of generators
     # the normal forms found in this call, per system: an image pushed along
     # inclusions into the chain's last graph is also in the last level's
     # sample, which is reduced against the same system
@@ -465,15 +475,21 @@ def check_continuity(
     for i, (g, to_last) in enumerate(zip(chain.graphs, colimit.injections)):
         p_i = mid_p if i == last else presentation_of(g)
         rs_i = completed_system(p_i, budget)
-        mu_i = induced_monoid_morphism(to_last)
+        mu_i = _induced_map(to_last)
         # checked on its own: a composite of CK morphisms need not be CK
-        phi_i = mu_i if into_top is None else induced_monoid_morphism(compose(into_top, to_last))
-        covered.update(img.support()[0] for img in phi_i.values())
-        sample = list(map(tuple, exponent_vectors(len(p_i.alphabet), degree)))
+        phi_i = mu_i if into_top is None else _induced_map(compose(into_top, to_last))
+        covered.update(phi_i.column(c)[0][0] for c in range(len(phi_i.domain)))
+        sample = list(exponent_vectors(len(p_i.alphabet), degree))
         sizes.append(len(sample))
-        here = _first_rows(sample, rs_i.rules, nfs[rs_i])
-        mid = _first_rows(_pushed(sample, mu_i, p_i, mid_p), mid_rs.rules, nfs[mid_rs])
-        top = mid if into_top is None else _first_rows(_pushed(sample, phi_i, p_i, top_p), top_rs.rules, nfs[top_rs])
+        # each sample pushed and read through the definitions of the system
+        # it is reduced in, in one map; the rows are then reduced by the rest
+        here = _first_rows(map(rs_i._definitions.vector, sample), rs_i._completed_rules, nfs[rs_i])
+        mid = _first_rows(map(mu_i.then(mid_rs._definitions).vector, sample), mid_rs._completed_rules, nfs[mid_rs])
+        if into_top is None:
+            top = mid
+        else:
+            to_top = phi_i.then(top_rs._definitions)
+            top = _first_rows(map(to_top.vector, sample), top_rs._completed_rules, nfs[top_rs])
         # (classes, other side, message): rows in one class must agree on the other side
         checks = (
             (here, top, "are equal at the level but their images differ in the top graph"),
@@ -486,7 +502,7 @@ def check_continuity(
                     mismatches.append(f"level {i}: elements #{first[row]} and #{row} {text}")
         merges.append(len(set(here)) - len(set(mid)))
 
-    uncovered = tuple(str(gen) for gen in top_p.alphabet if gen not in covered)
+    uncovered = tuple(str(gen) for c, gen in enumerate(top_p.alphabet) if c not in covered)
     return ContinuityReport(
         ok=not mismatches and not uncovered,
         levels=len(chain),

@@ -17,11 +17,10 @@ from typing import Iterable, Mapping
 
 from .engine import equal
 from .graphs import Graph, GraphError, VertexClass, out_edges, require_valid, vertex_class
-from .limits import GraphMorphism, induced_monoid_morphism
+from .limits import GraphMorphism, _induced_map
 from .presentation import (
     Generator,
     MonoidElement,
-    apply_generator_map,
     presentation_of,
 )
 
@@ -212,12 +211,12 @@ def check_naturality(m: GraphMorphism) -> NaturalityReport:
     """
     _path_counts(m.source)
     _path_counts(m.target)
-    gen_map = induced_monoid_morphism(m)
+    mu = _induced_map(m)
     checked = 0
     bad: list[str] = []
     for v in m.source.vertices:
         x = MonoidElement.single(Generator(v))
-        via_map = gamma_acyclic(m.target, apply_generator_map(gen_map, x))
+        via_map = gamma_acyclic(m.target, mu(x))
         via_transfer = sink_transfer(m, gamma_acyclic(m.source, x))
         checked += 1
         if via_map != via_transfer:

@@ -10,12 +10,19 @@ materialized out-edges.  Relations:
 
 Sinks contribute nothing.  R3 is stored once per unordered pair {S,T};
 the word engine treats relations bidirectionally, so nothing is lost.
+
+A graph's alphabet is built once and kept on the graph (graph_alphabet):
+its relations, its presentation, element_from_json and every GeneratorMap
+over it use the same Generator objects, so a lookup finds the key object
+itself.  A GeneratorMap is a monoid morphism compiled over a pair of
+alphabets, one sparse image per domain column; phi and psi, induced maps,
+chain maps and a completed system's definitions are all GeneratorMaps, and
+apply_generator_map stays as the reference for a plain dict of images.
 """
 
 from __future__ import annotations
 
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -182,6 +189,142 @@ def apply_generator_map(
     return MonoidElement.from_counts(counts)
 
 
+Image = tuple[tuple[int, int], ...]  # ((codomain column, count), ...) in column order
+
+
+class GeneratorMap:
+    """A monoid morphism compiled over a pair of alphabets: one sparse image per domain column.
+
+    ``image(gen)`` gives the image of a generator as an Image over the
+    codomain's columns.  A domain column's image is computed on its first use
+    and kept; an image that raises is not kept, so every use raises afresh.
+    A generator outside the domain alphabet has its image computed on every
+    use.  The map applies to exponent vectors (``vector``) and to elements
+    (calling it): an element's terms are summed by codomain column, and the
+    result is built in the codomain's canonical order from the codomain's own
+    generators.  ``rank`` gives each codomain column's place in that order,
+    None when the codomain is in canonical order already.  A lone generator
+    of multiplicity 1 gets its stored image element as it is.
+    """
+
+    def __init__(
+        self,
+        domain: tuple[Generator, ...],
+        index: Mapping[Generator, int],
+        codomain: tuple[Generator, ...],
+        image,
+        rank: list[int] | None = None,
+    ):
+        self.domain = domain
+        self.index = index  # domain generator -> column
+        self.codomain = codomain
+        self.rank = rank
+        self._image = image
+        self._columns: list[Image | None] = [None] * len(domain)
+        self._elements: list[MonoidElement | None] = [None] * len(domain)
+
+    def column(self, c: int) -> Image:
+        """The image of domain column c."""
+        img = self._columns[c]
+        if img is None:
+            img = self._columns[c] = self._image(self.domain[c])
+        return img
+
+    def image_of(self, gen: Generator) -> Image:
+        """The image of gen, kept when gen is in the domain alphabet."""
+        c = self.index.get(gen)
+        return self._image(gen) if c is None else self.column(c)
+
+    def __getitem__(self, gen: Generator) -> MonoidElement:
+        """The image of one generator as an element."""
+        c = self.index.get(gen)
+        if c is None:
+            return element_of(self.codomain, self.rank, dict(self._image(gen)))
+        x = self._elements[c]
+        if x is None:
+            x = self._elements[c] = element_of(self.codomain, self.rank, dict(self.column(c)))
+        return x
+
+    def __call__(self, x: MonoidElement) -> MonoidElement:
+        """``apply_generator_map`` of this map to x."""
+        terms = x.terms
+        if len(terms) == 1 and terms[0][1] == 1:
+            return self[terms[0][0]]
+        index, columns = self.index, self._columns
+        counts: dict[int, int] = {}
+        get = counts.get
+        for gen, mult in terms:
+            c = index.get(gen)
+            img = None if c is None else columns[c]
+            if img is None:
+                img = self.image_of(gen)
+            for d, m in img:
+                counts[d] = get(d, 0) + m * mult
+        return element_of(self.codomain, self.rank, counts)
+
+    def vector(self, x) -> list[int]:
+        """The image of exponent vector x over the domain, over the codomain."""
+        y = [0] * len(self.codomain)
+        for c, n in enumerate(x):
+            if n:
+                for d, m in self.column(c):
+                    y[d] += n * m
+        return y
+
+    def then(self, outer: "GeneratorMap") -> "GeneratorMap":
+        """outer after this map, compiled over this map's domain and outer's codomain."""
+
+        def image(gen: Generator) -> Image:
+            counts: dict[int, int] = {}
+            for c, m in self.image_of(gen):
+                for d, n in outer.column(c):
+                    counts[d] = counts.get(d, 0) + m * n
+            return tuple(sorted(counts.items()))
+
+        return GeneratorMap(self.domain, self.index, outer.codomain, image, outer.rank)
+
+    def as_dict(self) -> dict[Generator, MonoidElement]:
+        """Every domain generator with its image element."""
+        return {gen: self[gen] for gen in self.domain}
+
+
+def element_of(alphabet: tuple[Generator, ...], rank: list[int] | None, counts: Mapping[int, int]) -> MonoidElement:
+    """The sum of counts[c] * alphabet[c], built from the alphabet's own generators.
+
+    Its terms are in canonical order: column order, or the order of rank[c]
+    when rank is given (see Presentation.rank), with an int sort.  Counts
+    are checked as from_counts checks them, and zero counts are dropped.
+    """
+    cols = sorted(counts) if rank is None else sorted(counts, key=rank.__getitem__)
+    terms = []
+    for c in cols:
+        n = counts[c]
+        if type(n) is not int:
+            n = _integer(n, f"multiplicity of {alphabet[c]}")
+        if n < 0:
+            raise PresentationError(f"negative multiplicity for {alphabet[c]}")
+        if n:
+            terms.append((alphabet[c], n))
+    return MonoidElement(tuple(terms))
+
+
+def mapping_image(mapping: Mapping[Generator, MonoidElement], index: Mapping[Generator, int]):
+    """The image function of a GeneratorMap that reads mapping, as apply_generator_map reads it,
+    over the codomain columns of index."""
+
+    def image(gen: Generator) -> Image:
+        try:
+            x = mapping[gen]
+        except KeyError:
+            raise PresentationError(f"generator {gen} outside the map's domain") from None
+        for g, _ in x.terms:
+            if g not in index:
+                raise PresentationError(f"the image of {gen} uses generator {g} outside the codomain")
+        return tuple(sorted((index[g], m) for g, m in x.terms if m))
+
+    return image
+
+
 @dataclass(frozen=True)
 class Presentation:
     alphabet: tuple[Generator, ...]
@@ -192,12 +335,13 @@ class Presentation:
         if len(known) != len(self.alphabet):
             twice = next(g for i, g in enumerate(self.alphabet) if g in self.alphabet[:i])
             raise PresentationError(f"alphabet lists generator {twice} twice")
+        own = set(map(id, self.alphabet))  # the alphabet's own objects pass without a hash
         for lhs, rhs in self.relations:
             if not lhs or not rhs:
                 raise PresentationError("relation sides must be non-zero")
             for side in (lhs, rhs):
-                for g in side.support():
-                    if g not in known:
+                for g, _ in side.terms:
+                    if id(g) not in own and g not in known:
                         raise PresentationError(f"relation uses unknown generator {g}")
 
     # A presentation keys the cache of completed systems and is queried many
@@ -230,51 +374,106 @@ class Presentation:
         """
         return self._index
 
+    @cached_property
+    def _canonical(self) -> tuple[list[int], list[int]] | None:
+        """The columns in canonical generator order and each column's place in
+        that order, or None when the alphabet is in canonical order."""
+        alphabet = self.alphabet
+        order = sorted(range(len(alphabet)), key=lambda c: alphabet[c].sort_key())
+        if order == list(range(len(order))):
+            return None
+        rank = [0] * len(order)
+        for i, c in enumerate(order):
+            rank[c] = i
+        return order, rank
+
+    @property
+    def rank(self) -> list[int] | None:
+        """Each column's place in canonical generator order, None when the alphabet is in that order."""
+        canonical = self._canonical
+        return None if canonical is None else canonical[1]
+
 
 def _nonempty_subsets(ids: tuple[str, ...]):
     for r in range(1, len(ids) + 1):
         yield from combinations(ids, r)
 
 
+Key = tuple[str, tuple[str, ...] | None]  # a generator's (vertex, edges)
+
+
+def graph_alphabet(g: Graph) -> tuple[tuple[Generator, ...], dict[Generator, int], dict[Key, int]]:
+    """g's alphabet, its index and its columns by (vertex, edges), built once per graph.
+
+    Kept in g's instance __dict__, as Graph keeps its lookups, so every
+    caller shares one Generator object per alphabet entry: read them, never
+    mutate them.
+    """
+    alphabet = g.__dict__.get("_alphabet")
+    if alphabet is None:
+        require_valid(g)
+        gens = [Generator(v) for v in g.vertices]
+        for v, _, mat in g.emitters:
+            for sub in _nonempty_subsets(mat):
+                gens.append(Generator(v, sub))
+        gens.sort(key=Generator.sort_key)
+        gens = tuple(gens)
+        index = {gen: c for c, gen in enumerate(gens)}
+        columns = {(gen.vertex, gen.edges): c for c, gen in enumerate(gens)}
+        alphabet = g.__dict__["_alphabet"] = (gens, index, columns)
+    return alphabet
+
+
 def generators(g: Graph) -> tuple[Generator, ...]:
-    """Alphabet of the graph monoid: all a_v plus all a_{v,S} over materialized S."""
-    require_valid(g)
-    gens = [Generator(v) for v in g.vertices]
-    for v, _, mat in g.emitters:
-        for sub in _nonempty_subsets(mat):
-            gens.append(Generator(v, sub))
-    gens.sort(key=lambda x: x.sort_key())
-    return tuple(gens)
+    """Alphabet of the graph monoid: all a_v plus all a_{v,S} over materialized S, in canonical order.
 
-
-def _side(gens: Iterable[Generator]) -> MonoidElement:
-    """The sum of gens, each counted once per listing, as one element."""
-    return MonoidElement.from_counts(Counter(gens))
+    The same tuple of the same objects on every call for one graph.
+    """
+    return graph_alphabet(g)[0]
 
 
 def relations(g: Graph) -> tuple[tuple[MonoidElement, MonoidElement], ...]:
-    """Defining relations R1, R2 and (deduplicated) R3 of the graph monoid."""
-    require_valid(g)
+    """Defining relations R1, R2 and (deduplicated) R3 of the graph monoid.
+
+    Every side is built by column over the graph's alphabet, whose order is
+    the canonical one, from the alphabet's own generators; one term of
+    multiplicity 1 is one shared object per generator.
+    """
+    alphabet, _, columns = graph_alphabet(g)
+    units = [(gen, 1) for gen in alphabet]
+
+    def side(cols: list[int]) -> MonoidElement:
+        counts: dict[int, int] = {}
+        for c in cols:
+            counts[c] = counts.get(c, 0) + 1
+        return MonoidElement(tuple(units[c] if n == 1 else (alphabet[c], n) for c, n in sorted(counts.items())))
+
     rels: list[tuple[MonoidElement, MonoidElement]] = []
     for v in g.vertices:
         if vertex_class(g, v) is VertexClass.REGULAR:
-            rels.append((MonoidElement.single(Generator(v)), _side(Generator(e.dst) for e in out_edges(g, v))))
+            a_v = MonoidElement((units[columns[v, None]],))
+            rels.append((a_v, side([columns[e.dst, None] for e in out_edges(g, v)])))
     for v, _, mat in g.emitters:
-        ranges = {eid: Generator(g.edge(eid).dst) for eid in mat}
-        a_v = MonoidElement.single(Generator(v))
+        ranges = {eid: columns[g.edge(eid).dst, None] for eid in mat}
+        a_v = MonoidElement((units[columns[v, None]],))
         subsets = list(_nonempty_subsets(mat))
         for sub in subsets:
-            rels.append((_side([Generator(v, sub), *(ranges[eid] for eid in sub)]), a_v))
+            rels.append((side([columns[v, sub], *(ranges[eid] for eid in sub)]), a_v))
         for s, t in combinations(subsets, 2):
             sset, tset = set(s), set(t)
-            lhs = _side([Generator(v, s), *(ranges[eid] for eid in s if eid not in tset)])
-            rhs = _side([Generator(v, t), *(ranges[eid] for eid in t if eid not in sset)])
+            lhs = side([columns[v, s], *(ranges[eid] for eid in s if eid not in tset)])
+            rhs = side([columns[v, t], *(ranges[eid] for eid in t if eid not in sset)])
             rels.append((lhs, rhs))
     return tuple(rels)
 
 
 def presentation_of(g: Graph) -> Presentation:
-    return Presentation(generators(g), relations(g))
+    """g's presentation, over g's alphabet: the generators are the objects generators(g) returns."""
+    alphabet, index, _ = graph_alphabet(g)
+    p = Presentation(alphabet, relations(g))
+    p.__dict__["_index"] = index  # the graph's index of the same alphabet
+    p.__dict__["_canonical"] = None  # generators(g) is in canonical order
+    return p
 
 
 # -- JSON -------------------------------------------------------------------
@@ -328,6 +527,10 @@ def element_from_json(data: dict, g: Graph | None = None) -> MonoidElement:
         if mult < 0:  # checked per term: a sum would hide it
             raise PresentationError(f"negative multiplicity for {gen}")
         counts[gen] = counts.get(gen, 0) + mult
+    if g is not None:
+        # the alphabet's own generators; one g lacks (a vertex outside it) stays as read
+        alphabet, index, _ = graph_alphabet(g)
+        counts = {alphabet[index[gen]] if gen in index else gen: m for gen, m in counts.items()}
     return MonoidElement.from_counts(counts)
 
 

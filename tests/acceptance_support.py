@@ -271,7 +271,7 @@ def criterion_3():
         for i, key in enumerate(keys):
             groups[key].append(i)
         for i in range(xs.shape[0]):
-            x = _unvec(xs[i], p.alphabet)
+            x = _unvec(xs[i], p)
             reach, saturated = bfs_reach(p, x, 8)
             for vec in sorted(reach):
                 j = lookup.get(vec)

@@ -222,10 +222,10 @@ def test_tailing_preserves_path_counts_on_dags():
             assert table_f[w_name(v, 0)].as_dict() == renamed
 
 
-# -- the image tables against the per-term maps they replaced ------------------
+# -- the compiled maps against the per-term maps they replaced -----------------
 
 def reference_phi(d, x):
-    """phi as it was computed term by term, before the image tables."""
+    """phi as it was computed term by term, before the compiled maps."""
     g = d.source
     parts = []
     for gen, mult in x.terms:
@@ -255,7 +255,7 @@ def reference_phi(d, x):
 
 
 def reference_psi(d, y):
-    """psi as it was computed term by term, before the image tables."""
+    """psi as it was computed term by term, before the compiled maps."""
     g = d.source
     parts = []
     for gen, mult in y.terms:
@@ -366,6 +366,12 @@ def test_lone_generators_read_their_stored_image(monkeypatch):
     assert checked > 200
 
 
+def _stored(m, gen) -> bool:
+    """Whether the compiled map m keeps an image of gen: only a column of its domain alphabet can."""
+    c = m.index.get(gen)
+    return c is not None and (m._columns[c] is not None or m._elements[c] is not None)
+
+
 @pytest.mark.parametrize(
     "graph, level, forward, good, bad, error",
     [
@@ -390,9 +396,61 @@ def test_failed_generators_are_not_cached(graph, level, forward, good, bad, erro
         with pytest.raises(error) as err:
             f(d, y)
         raised.append((str(err.value), getattr(err.value, "required", None)))
-        assert bad not in table
+        assert not _stored(table, bad)
     assert raised[0] == raised[1]
     if error is TruncationError:
         assert raised[0][1] == 4
+        assert bad in table.index  # a column of the domain alphabet, left empty
     assert f(d, x) == first
-    assert good in table
+    assert _stored(table, good)
+
+
+def _owned(x, alphabet) -> bool:
+    ids = {id(gen) for gen in alphabet}
+    return all(id(gen) in ids for gen in x.support())
+
+
+def test_phi_and_psi_return_the_codomain_alphabets_own_generators():
+    from graphmonoid.presentation import apply_generator_map
+
+    rng = random.Random(3)
+    checked = 0
+    for g in mixed_corpus(random.Random(0)):
+        d = desingularize(g, graph_level(g))
+        source, tailed = generators(g), generators(d.graph)
+        to_tailed, from_tailed = phi_generator_map(d), psi_generator_map(d)
+        assert all(gen is source[i] for i, gen in enumerate(to_tailed))
+        assert all(any(gen is t for t in tailed) for gen in from_tailed)
+        assert all(_owned(img, tailed) for img in to_tailed.values())
+        assert all(_owned(img, source) for img in from_tailed.values())
+        defined = tuple(from_tailed)
+        for _ in range(20):
+            x = MonoidElement.from_counts({rng.choice(source): rng.randint(1, 50) for _ in range(rng.randint(1, 4))})
+            y = MonoidElement.from_counts({rng.choice(defined): rng.randint(1, 50) for _ in range(rng.randint(1, 4))})
+            fx, fy = phi(d, x), psi(d, y)
+            assert _owned(fx, tailed) and fx == apply_generator_map(to_tailed, x)
+            assert _owned(fy, source) and fy == apply_generator_map(from_tailed, y)
+            # the compiled map on exponent vectors agrees with it on elements
+            index = presentation_of(g).index()
+            vx = [0] * len(source)
+            for gen, m in x.terms:
+                vx[index[gen]] = m
+            assert d._to_tailed.vector(vx) == [fx.exponent(gen) for gen in tailed]
+            checked += 1
+    assert checked > 400
+
+
+def test_phi_and_psi_check_multiplicities_as_apply_generator_map_does():
+    # an element built term by term, past from_counts's checks
+    from graphmonoid.presentation import apply_generator_map
+
+    d = desingularize(single_edge(), 2)
+    source, tailed = generators(d.source), generators(d.graph)
+    for bad in (-1, 1.5):
+        for f, images, alphabet in ((phi, phi_generator_map(d), source), (psi, psi_generator_map(d), tailed)):
+            x = MonoidElement(((alphabet[0], 2), (alphabet[1], bad)))
+            with pytest.raises(PresentationError) as want:
+                apply_generator_map(images, x)
+            with pytest.raises(PresentationError) as got:
+                f(d, x)
+            assert str(got.value) == str(want.value)

@@ -207,7 +207,7 @@ def _result_with_chain(p, x, chain):
     from graphmonoid.engine import _vec
 
     vec = tuple(_vec(x, p.index()))
-    return EqualityResult(True, p.alphabet, (vec, vec), (chain,), ((0, 1),) if chain else ())
+    return EqualityResult(True, p, (vec, vec), (chain,), ((0, 1),) if chain else ())
 
 
 def _long_chain_case():
@@ -391,7 +391,7 @@ def _two_reduction_result(p, u, v):
         if a != b:
             (su if a > b else sv).append((k, abs(a - b)))
     runs = (*su, *[(k, -t) for k, t in reversed(sv)])
-    return EqualityResult(True, p.alphabet, (tuple(nfu), tuple(nfv)), rs.proofs, runs)
+    return EqualityResult(True, p, (tuple(nfu), tuple(nfv)), rs.proofs, runs)
 
 
 def test_identical_sides_reduce_once_when_the_normal_form_is_read(monkeypatch):
@@ -411,7 +411,7 @@ def test_identical_sides_reduce_once_when_the_normal_form_is_read(monkeypatch):
     for g in completion_corpus():
         p = presentation_of(g)
         for vec in exponent_vectors(len(p.alphabet), 2):
-            x = _unvec(vec, p.alphabet)
+            x = _unvec(vec, p)
             want = _two_reduction_result(p, x, x)
             monkeypatch.setattr(kernels, "reduce", counted)
             calls.clear()
@@ -443,7 +443,7 @@ def test_equal_iff_normal_forms_match():
     vectors = elements_up_to_degree(len(p.alphabet), 3)
     from graphmonoid.engine import _unvec
 
-    elems = [_unvec(v, p.alphabet) for v in vectors]
+    elems = [_unvec(v, p) for v in vectors]
     for x in elems[:40]:
         for y in elems[:40]:
             assert bool(equal(p, x, y)) == (normal_form(rs, x) == normal_form(rs, y))
@@ -455,7 +455,7 @@ def test_normal_form_idempotent():
     for v in elements_up_to_degree(len(p.alphabet), 3):
         from graphmonoid.engine import _unvec
 
-        x = _unvec(v, p.alphabet)
+        x = _unvec(v, p)
         nf = normal_form(rs, x)
         assert normal_form(rs, nf) == nf
         assert equal(p, nf, x)
@@ -737,7 +737,7 @@ def _elimination_violations(g, degree):
         out.append("the partitions differ")
     first = {}
     for vector, nf in zip(vectors, ours):
-        x = _unvec(vector, p.alphabet)
+        x = _unvec(vector, p)
         y = first.setdefault(nf, x)
         result = equal(p, y, x)
         if not result.equal or replay_chain(p, y, result.chain) != x:
@@ -939,8 +939,8 @@ def test_completeness_against_bfs_small():
         p = presentation_of(g)
         rs = completed_system(p)
         vecs = elements_up_to_degree(len(p.alphabet), 3)
-        nfs = [normal_form(rs, _unvec(v, p.alphabet)) for v in vecs]
-        elems = [_unvec(v, p.alphabet) for v in vecs]
+        nfs = [normal_form(rs, _unvec(v, p)) for v in vecs]
+        elems = [_unvec(v, p) for v in vecs]
         index = {tuple(int(c) for c in v): i for i, v in enumerate(vecs)}
         for i, x in enumerate(elems):
             reach, saturated = bfs_reach(p, x, 6)
@@ -1054,6 +1054,11 @@ def test_presentation_data_is_built_once():
     forward, backward = _relation_rules(p)
     assert _relation_rules(p)[0] is forward
     assert forward == kernels.compile_rules(lhs, rhs) and backward == kernels.compile_rules(rhs, lhs)
+    # every repeated (column, count) pair, and every repeated side or difference, is one object
+    parts = [part for rule in forward + backward for part in rule]
+    pairs = [t for part in parts for t in part]
+    assert len({id(t) for t in pairs}) == len(set(pairs)) < len(pairs)
+    assert len({id(part) for part in parts}) == len(set(parts)) < len(parts)
     # the matrices are the forward rules' sides
     assert all(np.array_equal(a, b) for a, b in zip((lhs, rhs), kernels.rule_matrices(forward, len(p.alphabet))))
     rs = completed_system(p)
@@ -1133,4 +1138,113 @@ def test_confluence_under_random_application_order():
                     break
                 k = rng.choice(applicable)
                 y = y - rs.lhs[k] + rs.rhs[k]
-            assert _unvec(y, p.alphabet) == expected
+            assert _unvec(y, p) == expected
+
+
+# -- substitution first: the definitions read in one pass --------------------
+
+def _substitution_first(rs, x):
+    """x read through rs's definitions, then reduced by the completed rules,
+    as equal and normal_form do: the normal form and the runs."""
+    from graphmonoid.engine import _read, _reduce
+
+    runs = []
+    v = _read(rs, x, runs)
+    return _reduce(v, rs._completed_rules, runs, len(rs.eliminated)), runs
+
+
+def _reduction_over_all_rules(rs, x):
+    from graphmonoid import kernels
+    from graphmonoid.engine import _vec
+
+    runs = []
+    return kernels.reduce(_vec(x, rs.presentation.index()), rs.rules, runs), runs
+
+
+def _drawn_elements(rng, alphabet, count, top):
+    """count seeded elements of one to four terms, multiplicities up to top."""
+    out = []
+    for _ in range(count):
+        counts = {}
+        for _ in range(rng.randint(1, 4)):
+            gen = rng.choice(alphabet)
+            counts[gen] = counts.get(gen, 0) + rng.randint(1, top)
+        out.append(MonoidElement.from_counts(counts))
+    return out
+
+
+def _substitution_mismatches(p, rng, count=6):
+    """Elements of p where substitution first and kernels.reduce over all the
+    rules disagree on the normal form or the runs; and how many elements hit
+    two definitions or more."""
+    rs = completed_system(p)
+    xs = [MonoidElement.single(gen) for gen in p.alphabet]
+    xs += _drawn_elements(rng, p.alphabet, count, 3)
+    xs += _drawn_elements(rng, p.alphabet, 2, 1000)
+    bad, several = [], 0
+    for x in xs:
+        got, want = _substitution_first(rs, x), _reduction_over_all_rules(rs, x)
+        if got != want:
+            bad.append(str(x))
+        several += sum(k < len(rs.eliminated) for k, _ in want[1]) > 1
+    return bad, several
+
+
+def test_substitution_first_matches_reduction_over_all_rules_on_the_completion_corpus():
+    import random
+
+    rng = random.Random(5)
+    several = 0
+    for g in completion_corpus():
+        bad, hits = _substitution_mismatches(presentation_of(g), rng)
+        assert bad == [], (g, bad[:3])
+        several += hits
+    assert several > 50  # runs of several definitions, whose order matters
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_substitution_first_matches_reduction_over_all_rules_on_tailed_graphs(seed):
+    import random
+
+    from acceptance_support import graph_level, mixed_corpus
+    from graphmonoid.desingularize import desingularize
+
+    rng = random.Random(seed)
+    for g in mixed_corpus(random.Random(seed)):
+        for h in (g, desingularize(g, graph_level(g)).graph):
+            bad, _ = _substitution_mismatches(presentation_of(h), rng)
+            assert bad == [], (h, bad[:3])
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=_valid_graphs(), seed=st.integers(0, 2**16))
+def test_substitution_first_matches_reduction_over_all_rules_on_drawn_graphs(g, seed):
+    import random
+
+    bad, _ = _substitution_mismatches(presentation_of(g), random.Random(seed))
+    assert bad == []
+
+
+def test_substitution_first_runs_come_in_rule_order_on_a_reversed_alphabet():
+    # on an alphabet in reverse canonical order an element's terms run
+    # against its columns, so runs listed in term order would differ
+    import random
+
+    from acceptance_support import mixed_corpus
+    from conftest import emitter_mixed
+
+    rng = random.Random(11)
+    several = 0
+    for g in (emitter_mixed(3), emitter_mixed(4), mixed_corpus(random.Random(0))[15]):
+        p = presentation_of(g)
+        q = Presentation(p.alphabet[::-1], p.relations)
+        assert q.rank is not None
+        bad, hits = _substitution_mismatches(q, rng, count=40)
+        assert bad == [], bad[:3]
+        several += hits
+        # the normal forms are elements in canonical term order
+        rs = completed_system(q)
+        for x in _drawn_elements(rng, q.alphabet, 10, 3):
+            nf = normal_form(rs, x)
+            assert nf == MonoidElement.from_counts(nf.counts())
+    assert several > 10

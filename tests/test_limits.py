@@ -518,7 +518,11 @@ def test_continuity_matches_the_batch_reference():
 
 
 def test_continuity_reduces_each_vector_once_per_system(monkeypatch):
+    # every sample is pushed and read through the definitions of the system
+    # it is reduced in, by one compiled map, and then reduced once by that
+    # system's completed rules: no eliminated generator is left in it
     from acceptance_support import chain_corpus
+    from graphmonoid.presentation import presentation_of
 
     reduce = kernels.reduce
     calls: list[tuple[int, tuple[int, ...]]] = []
@@ -529,8 +533,67 @@ def test_continuity_reduces_each_vector_once_per_system(monkeypatch):
 
     for name, chain in chain_corpus():
         want = check_continuity(chain, degree=3)  # completes the systems outside the count
+        # systems by their completed rules (systems without any share the empty tuple)
+        systems: dict[int, list] = {}
+        for g in chain.graphs:
+            rs = completed_system(presentation_of(g))
+            systems.setdefault(id(rs._completed_rules), []).append(rs)
         calls.clear()
         monkeypatch.setattr(kernels, "reduce", counted)
         assert check_continuity(chain, degree=3) == want
         monkeypatch.setattr(kernels, "reduce", reduce)
         assert calls and len(calls) == len(set(calls)), name
+        assert any(rs.eliminated for group in systems.values() for rs in group), name
+        for rules, x in calls:
+            assert any(
+                len(x) == len(rs.presentation.alphabet) and not any(x[c] for c in rs.eliminated) for rs in systems[rules]
+            ), name
+
+
+def _owned(x, alphabet) -> bool:
+    ids = {id(gen) for gen in alphabet}
+    return all(id(gen) in ids for gen in x.support())
+
+
+def test_induced_and_chain_maps_are_compiled_over_the_alphabets():
+    from acceptance_support import chain_corpus
+    from graphmonoid.limits import _induced_map
+    from graphmonoid.presentation import generators
+
+    rng = random.Random(8)
+    checked = 0
+    for name, chain in [*chain_corpus(), ("emitters", emitter_chain((1, 2, 3, 4)))]:
+        top = len(chain) - 1
+        mc = monoid_chain(chain)
+        for i, g in enumerate(chain.graphs):
+            m = chain.morphism(i, top)
+            images = induced_monoid_morphism(m)
+            source, target = generators(g), generators(chain.graphs[top])
+            assert list(images) == list(source) and all(a is b for a, b in zip(images, source))
+            assert all(_owned(img, target) for img in images.values())
+            mu = _induced_map(m)
+            for _ in range(10):
+                x = MonoidElement.from_counts({rng.choice(source): rng.randint(1, 2**20) for _ in range(rng.randint(1, 4))})
+                want = apply_generator_map(images, x)
+                assert mu(x) == want == mc.map_up(i, top, x) and _owned(mu(x), target)
+                assert _owned(mc.map_up(i, top, x), mc.presentations[top].alphabet)
+                index = {gen: c for c, gen in enumerate(source)}
+                v = [0] * len(source)
+                for gen, k in x.terms:
+                    v[index[gen]] = k
+                assert mu.vector(v) == [want.exponent(gen) for gen in target]
+                checked += 1
+        for k in range(top):
+            step = mc.step_map(k)
+            assert all(_owned(img, mc.presentations[k + 1].alphabet) for img in step.values())
+    assert checked > 50
+
+
+def test_universal_map_refuses_an_image_outside_the_target():
+    p = presentation_of(single_sink())
+    ident = {gen: MonoidElement.single(gen) for gen in p.alphabet}
+    chain = MonoidChain.build([p, p], [ident])
+    limit = colimit_monoid(chain)
+    outside = {gen: single("elsewhere") for gen in p.alphabet}
+    with pytest.raises(PresentationError):
+        universal_map(limit, p, [outside, ident])

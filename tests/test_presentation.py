@@ -218,3 +218,33 @@ def test_presentation_rejects_repeated_generator_in_alphabet():
 
     with pytest.raises(PresentationError, match="twice"):
         Presentation((vgen("v"), vgen("w"), vgen("v")), ((single("v"), single("w")),))
+
+
+def _owned(x: MonoidElement, alphabet) -> bool:
+    """Whether every generator of x is an object of alphabet itself, not an equal copy."""
+    ids = {id(gen) for gen in alphabet}
+    return all(id(gen) in ids for gen in x.support())
+
+
+def test_one_generator_object_per_alphabet_entry():
+    from acceptance_support import completion_corpus
+    from graphmonoid.presentation import presentation_of
+
+    for g in completion_corpus()[::3]:
+        alphabet = generators(g)
+        assert generators(g) is alphabet
+        p = presentation_of(g)
+        assert p.alphabet is alphabet and p.rank is None
+        assert all(_owned(side, alphabet) for rel in relations(g) for side in rel)
+        assert relations(g) == p.relations
+        # the sides are the canonical elements, term order included
+        assert all(side == MonoidElement.from_counts(side.counts()) for rel in p.relations for side in rel)
+        for gen in alphabet:
+            x = element_from_json(element_to_json(3 * MonoidElement.single(gen) + MonoidElement.single(alphabet[0])), g)
+            assert _owned(x, alphabet) and x == 3 * MonoidElement.single(gen) + MonoidElement.single(alphabet[0])
+
+
+def test_element_from_json_keeps_a_generator_outside_the_graph():
+    # a vertex the graph lacks is read as it stands, as before
+    x = element_from_json({"terms": [{"gen": {"kind": "v", "v": "zz"}, "mult": 2}]}, single_edge())
+    assert x == 2 * single("zz")
