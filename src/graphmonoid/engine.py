@@ -42,9 +42,16 @@ common normal form only when it is read.
 The query path (completion, reduction, equality, certificates and their
 replay) works on Python ints and never imports numpy; so does the continuity
 check, which samples with exponent_vectors.  numpy is imported only by the
-batch oracles: bfs_reach, elements_up_to_degree and the rule matrices of a
-system or of a presentation's relations, built on first access from the
-compiled rules.
+batch oracles: bfs_reach, elements_up_to_degree, the rule matrices of a system
+and the step table of a presentation's relations, built on first access from
+the compiled rules.
+
+bfs_reach, the oracle that checks verdicts against the congruence itself,
+steps over one step table per presentation (kernels.step_table), built once
+from the relations compiled forward and backward: at each depth, one test of
+every frontier row against every step's support columns, and one
+gather-and-add of the steps that pass.  New rows are found with a set of row
+bytes.
 """
 
 from __future__ import annotations
@@ -202,6 +209,9 @@ def _vec(
 ) -> list[int]:
     """x as an exponent vector, a list of ints; its total degree must fit in int64.
 
+    A generator that x lists more than once gets the sum of its counts, as
+    degree() and the generator maps read it.
+
     Reduction is in Python ints, which cannot overflow.  Rules over kept
     generators never raise the degree, but a definition x -> W raises it by
     deg W - 1 per application, so a normal form may leave the int64 range
@@ -220,7 +230,7 @@ def _vec(
             c = index[gen]
         except KeyError:
             raise EngineError(f"element uses generator {gen} outside the alphabet") from None
-        out[c] = mult
+        out[c] += mult
         if c in defined:
             hits.append(c)
     return out
@@ -256,8 +266,7 @@ def _relation_rules(p: Presentation) -> tuple[tuple[kernels.Rule, ...], tuple[ke
 
     Built from the sides' terms by column, not from dense vectors, with
     every repeated (column, count) pair and side stored once.  Kept on p as
-    its relation matrices are, and read by every chain walk; the relation
-    matrices are the forward rules' sides.
+    its step table is, and read by every chain walk and by the step table.
     """
     pair = p.__dict__.get("_relation_rules")
     if pair is None:
@@ -268,7 +277,8 @@ def _relation_rules(p: Presentation) -> tuple[tuple[kernels.Rule, ...], tuple[ke
         def side(x: MonoidElement) -> dict[int, int]:
             out = {}
             for gen, m in x.terms:
-                out[index[gen]] = m  # as _vec reads a term
+                c = index[gen]
+                out[c] = out.get(c, 0) + m  # as _vec reads a term
             return out
 
         def rule(a: dict[int, int], b: dict[int, int]) -> kernels.Rule:
@@ -293,18 +303,18 @@ def _degree_gain(p: Presentation) -> int:
     return gain
 
 
-def _relation_matrices(p: Presentation) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right sides of p's relations as int64 rows, built once per presentation
-    from its forward relation rules.
+def _step_table(p: Presentation) -> kernels.StepTable:
+    """The steps of p's relations, forward then backward, as a read-only step table built once per presentation.
 
-    The pair is kept on p beside its cached hash and index and is shared by
-    every caller, so both matrices are read-only.
+    Kept on p beside its cached hash, index and relation rules, and shared by
+    every BFS.
     """
-    pair = p.__dict__.get("_relation_matrices")
-    if pair is None:
-        pair = kernels.rule_matrices(_relation_rules(p)[0], len(p.alphabet))
-        p.__dict__["_relation_matrices"] = pair
-    return pair
+    table = p.__dict__.get("_step_table")
+    if table is None:
+        forward, backward = _relation_rules(p)
+        table = kernels.step_table(*kernels.rule_matrices(forward + backward, len(p.alphabet)))
+        p.__dict__["_step_table"] = table
+    return table
 
 
 def _unvec(v: Iterable[int], p: Presentation) -> MonoidElement:
@@ -873,12 +883,17 @@ def bfs_reach(
 
     Saturation means the breadth-first closure stopped producing new elements
     before the depth bound (and before any size cap), so the congruence class
-    of x is exactly the returned set.  Raises EngineError when depth steps
-    could take an element past the int64 range of the frontier rows.
+    of x is exactly the returned set.  Raises EngineError on a negative depth,
+    cap or count of x, and when depth steps could take an element past the
+    int64 range of the frontier rows.
     """
     if depth < 0:
         raise EngineError("depth must be >= 0")
+    if max_size is not None and max_size < 0:
+        raise EngineError(f"max_size must be >= 0, got {max_size}")
     x_vec = _vec(x, p.index())
+    if min(x_vec, default=0) < 0:
+        raise EngineError(f"element {x} has a negative count")
     degree = sum(x_vec)
     reach = degree + depth * _degree_gain(p)
     if reach > _INT64_MAX:
@@ -889,15 +904,15 @@ def bfs_reach(
     import numpy as np
 
     g = len(p.alphabet)
-    lhs, rhs = _relation_matrices(p)
+    table = _step_table(p)
     start = np.array(x_vec, dtype=np.int64)
     row = np.dtype((np.void, start.itemsize * g))  # a row's bytes as one hashable key
     seen = {start.tobytes()}
     frontier = start.reshape(1, g)
-    saturated = lhs.shape[0] == 0
+    saturated = not p.relations
     for _ in range(depth):
-        cand = kernels.expand_frontier(frontier, lhs, rhs)
-        fresh = set(cand.view(row).ravel().tolist()) - seen
+        fresh = set(kernels.expand(frontier, table).view(row).ravel().tolist())
+        fresh -= seen
         if not fresh:
             saturated = True
             break

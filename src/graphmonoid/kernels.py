@@ -6,11 +6,11 @@ Reduction works on one element at a time: a plain list of Python ints,
 reduced by rules compiled once into sparse form (compile_rule).  The systems
 are small (tens of rules, tens of generators) and a reduction takes few
 steps, so a step costs a short scan over the rules' supports, with no array
-call.  The batch kernels, nf_batch and expand_frontier, are numpy, vectorised
-over the rules: expand_frontier steps the BFS oracle, and nf_batch, which
-reduces independently of reduce(), is the batch reference of acceptance
-criterion 3 and the benchmark.  numpy is imported inside the functions that
-use it, so reduction alone never loads it.
+call.  The batch kernels, nf_batch and expand, are numpy, vectorised over the
+rules: expand steps the BFS oracle, and nf_batch, which reduces independently
+of reduce(), is the batch reference of acceptance criterion 3 and the
+benchmark.  numpy is imported inside the functions that use it, so reduction
+alone never loads it.
 
 A rule applies to a vector when its left side is componentwise at most the
 vector, and reduction always applies the lowest-index applicable rule.  A
@@ -20,6 +20,15 @@ therefore be nonempty, as every rule of a completed system's is.
 Arrays are int64: rule matrices come in lhs/rhs pairs of shape (r, g), every
 one derived from compiled rules by rule_matrices, and frontiers have g
 columns.
+
+A BFS depth steps over a step table, which step_table builds once for a set
+of steps (the engine keeps one per presentation): each step's source side as
+its support columns and counts, padded to the widest support, and its delta,
+target minus source.  A depth is one applicability test of every frontier row
+against every step, over the support columns only, and one gather-and-add,
+frontier[i] + delta[k], for each pair (i, k) that passes.  Frontier rows are
+never negative, so a padded slot (column 0, count 0) always passes and a
+column outside a support needs no test.
 """
 
 from __future__ import annotations
@@ -39,6 +48,11 @@ _RUN_AFTER = 8
 # and the nonzero entries of rhs - lhs, ((column, difference), ...), both in
 # column order.
 Rule = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
+
+# A step table: the support columns (s, w) and counts (s, w) of s steps'
+# source sides, padded to the widest support w with column 0 and count 0, and
+# their deltas (s, g), target minus source; all three read-only.
+StepTable = tuple["np.ndarray", "np.ndarray", "np.ndarray"]
 
 
 def compile_rule(lhs: Sequence[int], rhs: Sequence[int]) -> Rule:
@@ -187,15 +201,39 @@ def nf_batch(xs: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return out
 
 
+def step_table(src: np.ndarray, dst: np.ndarray) -> StepTable:
+    """The steps src[k] -> dst[k] of two (s, g) int64 matrices as a step table (see StepTable)."""
+    import numpy as np
+
+    rows, columns = np.nonzero(src)  # row by row, each row's columns in order
+    sizes = np.bincount(rows, minlength=src.shape[0])
+    slots = np.arange(rows.size) - (np.cumsum(sizes) - sizes)[rows]
+    cols = np.zeros((src.shape[0], sizes.max(initial=0)), dtype=np.intp)
+    need = np.zeros(cols.shape, dtype=np.int64)
+    cols[rows, slots] = columns
+    need[rows, slots] = src[rows, columns]
+    table = (cols, need, dst - src)
+    for m in table:
+        m.flags.writeable = False
+    return table
+
+
+def expand(front: np.ndarray, table: StepTable) -> np.ndarray:
+    """Every step of table from every frontier row that it applies to (with duplicates, in no set order).
+
+    Frontier rows must be nonnegative: columns outside a step's support are
+    not tested.
+    """
+    cols, need, delta = table
+    ii, kk = (front[:, cols] >= need).all(axis=2).nonzero()
+    return front[ii] + delta[kk]
+
+
 def expand_frontier(front: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """One bidirectional congruence step from every frontier row (with duplicates, in no set order).
 
-    Both directions are one broadcast over the stacked sides: a row steps
-    by (lhs; rhs) -> (rhs; lhs) wherever that side is at most the row.
+    expand over the steps lhs -> rhs and rhs -> lhs of the relations lhs[k] = rhs[k].
     """
     import numpy as np
 
-    src = np.concatenate((lhs, rhs))
-    dst = np.concatenate((rhs, lhs))
-    ii, kk = np.nonzero((front[:, None, :] >= src[None, :, :]).all(axis=2))
-    return front[ii] - src[kk] + dst[kk]
+    return expand(front, step_table(np.concatenate((lhs, rhs)), np.concatenate((rhs, lhs))))

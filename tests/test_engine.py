@@ -960,9 +960,17 @@ def _expand_two_pass(front, lhs, rhs):
     return np.concatenate(parts)
 
 
+def _relation_matrices(p):
+    """p's relations as dense int64 left and right sides."""
+    from graphmonoid import kernels
+    from graphmonoid.engine import _relation_rules
+
+    return kernels.rule_matrices(_relation_rules(p)[0], len(p.alphabet))
+
+
 def _bfs_reach_by_rows(p, x, depth, max_size=None):
-    """bfs_reach as a loop that deduplicates one row at a time."""
-    from graphmonoid.engine import _relation_matrices, _vec
+    """bfs_reach as a loop that deduplicates one row at a time, over the dense relation sides."""
+    from graphmonoid.engine import _vec
 
     lhs, rhs = _relation_matrices(p)
     start = np.array(_vec(x, p.index()), dtype=np.int64)
@@ -1004,11 +1012,60 @@ def test_bfs_reach_matches_the_row_by_row_loop(px, depth, max_size):
     assert bfs_reach(p, x, depth, max_size) == _bfs_reach_by_rows(p, x, depth, max_size)
 
 
+@st.composite
+def _graph_presentations(draw):
+    """A drawn valid graph's presentation, or a tailed one, and an element of at most three terms."""
+    g = draw(_valid_graphs() | st.sampled_from([3, 4]).map(_graph_16))
+    p = presentation_of(g)
+    counts = draw(st.dictionaries(st.sampled_from(p.alphabet), st.integers(1, 2), max_size=3))
+    return p, MonoidElement.from_counts(counts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graph_presentations(), st.integers(0, 5), st.none() | st.integers(0, 60))
+def test_bfs_reach_matches_the_row_by_row_loop_on_graphs(px, depth, max_size):
+    # R2 and R3 sides of several terms, loops, sinks and materialized emitters
+    from graphmonoid.engine import _step_table
+
+    p, x = px
+    assert bfs_reach(p, x, depth, max_size) == _bfs_reach_by_rows(p, x, depth, max_size)
+    table = _step_table(p)
+    assert _step_table(p) is table and not any(m.flags.writeable for m in table)
+
+
+def test_bfs_reach_refuses_a_negative_cap_or_count():
+    p, x = _DOUBLING, single("v") + single("w")
+    for call in (lambda: bfs_reach(p, x, 3, max_size=-1), lambda: congruence_bfs(p, x, 3, max_size=-1)):
+        with pytest.raises(EngineError, match="max_size must be >= 0, got -1"):
+            call()
+    # a cap of 0 keeps the first level, unsaturated
+    assert bfs_reach(p, x, 3, max_size=0) == ({(1, 1), (2, 1), (1, 2)}, False)
+    # the step test reads only support columns, which holds for nonnegative rows
+    with pytest.raises(EngineError, match="has a negative count"):
+        bfs_reach(p, MonoidElement(((vgen("v"), -1),)), 1)
+
+
+def test_repeated_generators_are_summed():
+    from graphmonoid.engine import _relation_rules
+
+    p = presentation_of(single_edge())
+    w = MonoidElement.single(vgen("w"))
+    x = MonoidElement(((vgen("w"), 1), (vgen("w"), 2)))
+    assert x.degree() == 3
+    assert equal(p, x, 3 * w).equal
+    assert normal_form(completed_system(p), x) == 3 * w
+    assert bfs_reach(p, x, 0) == ({(0, 3)}, False)
+    assert replay_chain(p, x, ()) == 3 * w
+    # a relation side that lists a generator twice reads as the sum too
+    v = MonoidElement.single(vgen("v"))
+    q = pres("vw", [(v, MonoidElement(((vgen("w"), 1), (vgen("w"), 1))))])
+    assert _relation_rules(q) == _relation_rules(pres("vw", [(v, 2 * MonoidElement.single(vgen("w")))]))
+
+
 @settings(max_examples=100, deadline=None)
 @given(_small_presentations(), st.data())
 def test_expand_frontier_matches_two_passes(px, data):
     from graphmonoid import kernels
-    from graphmonoid.engine import _relation_matrices
 
     p, _ = px
     g = len(p.alphabet)
@@ -1040,14 +1097,13 @@ def test_presentation_data_is_built_once():
 
     from conftest import emitter_mixed
     from graphmonoid import kernels
-    from graphmonoid.engine import _relation_matrices, _relation_rules, _vec
+    from graphmonoid.engine import _relation_rules, _step_table, _vec
 
     p, q = presentation_of(emitter_mixed(3)), presentation_of(emitter_mixed(3))
     assert p is not q and p == q and hash(p) == hash(q)
     assert completed_system(p) is completed_system(q)
     assert p.index() is p.index()
     lhs, rhs = _relation_matrices(p)
-    assert _relation_matrices(p)[0] is lhs and not lhs.flags.writeable
     index = p.index()
     assert np.array_equal(lhs, np.array([_vec(l, index) for l, _ in p.relations]))
     assert np.array_equal(rhs, np.array([_vec(r, index) for _, r in p.relations]))
@@ -1059,8 +1115,11 @@ def test_presentation_data_is_built_once():
     pairs = [t for part in parts for t in part]
     assert len({id(t) for t in pairs}) == len(set(pairs)) < len(pairs)
     assert len({id(part) for part in parts}) == len(set(parts)) < len(parts)
-    # the matrices are the forward rules' sides
-    assert all(np.array_equal(a, b) for a, b in zip((lhs, rhs), kernels.rule_matrices(forward, len(p.alphabet))))
+    # the step table: the forward steps, then the backward ones, kept on p read-only
+    table = _step_table(p)
+    assert _step_table(p) is table and not any(m.flags.writeable for m in table)
+    want = kernels.step_table(np.concatenate((lhs, rhs)), np.concatenate((rhs, lhs)))
+    assert all(np.array_equal(a, b) for a, b in zip(table, want))
     rs = completed_system(p)
     assert rs.lhs is rs.lhs and not rs.lhs.flags.writeable and not rs.rhs.flags.writeable
     # a copy in another process must rehash: string hashes differ between processes

@@ -232,12 +232,36 @@ def test_expand_both_directions():
     assert got == {(0, 4), (2, 0)}
 
 
+def test_step_table_holds_padded_supports_and_deltas():
+    rng = np.random.default_rng(7)
+    src = rng.integers(0, 3, size=(9, 5)).astype(np.int64)
+    src[0] = 0  # a step from the zero vector: an empty support, all padding
+    dst = rng.integers(0, 3, size=(9, 5)).astype(np.int64)
+    cols, need, delta = kernels.step_table(src, dst)
+    assert not any(m.flags.writeable for m in (cols, need, delta))
+    assert np.array_equal(delta, dst - src)
+    assert cols.shape == need.shape == (9, int((src > 0).sum(axis=1).max()))
+    for k in range(9):
+        support = np.flatnonzero(src[k])
+        n = support.size
+        assert cols[k, :n].tolist() == support.tolist() and need[k, :n].tolist() == src[k, support].tolist()
+        assert not cols[k, n:].any() and not need[k, n:].any()
+    # the support test is the dense test on nonnegative rows
+    front = rng.integers(0, 3, size=(12, 5)).astype(np.int64)
+    got = kernels.expand(front, (cols, need, delta))
+    ii, kk = np.nonzero((front[:, None, :] >= src[None, :, :]).all(axis=2))
+    assert np.array_equal(got, front[ii] + delta[kk])
+
+
 def test_empty_rules_are_identities():
     empty = np.empty((0, 3), dtype=np.int64)
     x = np.array([1, 2, 3], dtype=np.int64)
     assert kernels.compile_rules(empty, empty) == ()
     assert kernels.reduce([1, 2, 3], ()) == [1, 2, 3]
     assert kernels.expand_frontier(x.reshape(1, 3), empty, empty).shape == (0, 3)
+    # no columns: every step applies, to every row
+    table = kernels.step_table(np.zeros((2, 0), dtype=np.int64), np.zeros((2, 0), dtype=np.int64))
+    assert kernels.expand(np.zeros((3, 0), dtype=np.int64), table).shape == (6, 0)
     for width in (3, 0):
         for m in kernels.rule_matrices((), width):
             assert m.shape == (0, width) and m.dtype == np.int64 and not m.flags.writeable
