@@ -210,7 +210,8 @@ def _vec(
     """x as an exponent vector, a list of ints; its total degree must fit in int64.
 
     A generator that x lists more than once gets the sum of its counts, as
-    degree() and the generator maps read it.
+    degree() and the generator maps read it.  A negative count raises, naming
+    its generator: a hand-built element is not checked when it is made.
 
     Reduction is in Python ints, which cannot overflow.  Rules over kept
     generators never raise the degree, but a definition x -> W raises it by
@@ -223,6 +224,8 @@ def _vec(
     out = [0] * len(index)
     degree = 0
     for gen, mult in x.terms:
+        if mult < 0:
+            raise EngineError(f"element has a negative count {mult} of generator {gen}")
         degree += mult
         if degree > _INT64_MAX:
             raise EngineError(f"element of total degree {x.degree()} exceeds the int64 range")
@@ -892,8 +895,6 @@ def bfs_reach(
     if max_size is not None and max_size < 0:
         raise EngineError(f"max_size must be >= 0, got {max_size}")
     x_vec = _vec(x, p.index())
-    if min(x_vec, default=0) < 0:
-        raise EngineError(f"element {x} has a negative count")
     degree = sum(x_vec)
     reach = degree + depth * _degree_gain(p)
     if reach > _INT64_MAX:

@@ -14,10 +14,15 @@ the word engine treats relations bidirectionally, so nothing is lost.
 A graph's alphabet is built once and kept on the graph (graph_alphabet):
 its relations, its presentation, element_from_json and every GeneratorMap
 over it use the same Generator objects, so a lookup finds the key object
-itself.  A GeneratorMap is a monoid morphism compiled over a pair of
-alphabets, one sparse image per domain column; phi and psi, induced maps,
-chain maps and a completed system's definitions are all GeneratorMaps, and
-apply_generator_map stays as the reference for a plain dict of images.
+itself.  element_from_json reads an element by column: each term's
+generator document is looked up among the graph's columns by (vertex,
+edges), counts are summed by column and the element is built with an int
+sort; a document in no canonical form goes through generator_from_json,
+which checks it and raises its errors.  A GeneratorMap is a monoid
+morphism compiled over a pair of alphabets, one sparse image per domain
+column; phi and psi, induced maps, chain maps and a completed system's
+definitions are all GeneratorMaps, and apply_generator_map stays as the
+reference for a plain dict of images.
 """
 
 from __future__ import annotations
@@ -508,17 +513,57 @@ def element_to_json(x: MonoidElement) -> dict:
     return {"terms": [{"gen": generator_to_json(g), "mult": m} for g, m in x.terms]}
 
 
+def _column(doc, columns: Mapping[Key, int]) -> int | None:
+    """The column of a generator document in canonical form, or None (a miss).
+
+    A hit names an alphabet entry exactly: kind "v" with a vertex of the
+    graph, or kind "vS" with S in index order; generator_from_json would
+    read it as that entry's generator.
+    """
+    if type(doc) is not dict or "kind" not in doc:
+        return None
+    kind, v = doc["kind"], doc.get("v")
+    if type(v) is not str:
+        return None
+    if kind == "v":
+        return columns.get((v, None))
+    if kind == "vS":
+        ids = doc.get("S")
+        if type(ids) is list and all(type(eid) is str for eid in ids):
+            return columns.get((v, tuple(ids)))
+    return None
+
+
 def element_from_json(data: dict, g: Graph | None = None) -> MonoidElement:
-    counts: dict[Generator, int] = {}
+    """Read an element document, summing the counts of repeated generators.
+
+    Over a graph, each term's generator document is looked up among the
+    graph's columns by (vertex, edges); a hit gives the alphabet's own
+    generator.  A miss is read by generator_from_json, with its checks,
+    normal form and errors, and is the alphabet's own generator when it
+    names one (S out of index order).  Without a graph, or over an invalid
+    one, every term is a miss, and an invalid graph raises after its terms
+    are read.
+    """
     try:
         terms = data["terms"]
     except (KeyError, TypeError) as exc:
         raise PresentationError(f"malformed element {data!r}: {exc}") from exc
     if not isinstance(terms, list):
         raise PresentationError(f"element terms must be an array, got {terms!r}")
+    valid = g is not None and g.validation.ok
+    alphabet, index, columns = graph_alphabet(g) if valid else ((), {}, {})
+    counts: dict[int, int] = {}  # by column
+    others: dict[Generator, int] = {}  # generators outside the alphabet
     for term in terms:
         try:
-            gen = generator_from_json(term["gen"], g)
+            doc = term["gen"]
+            c = _column(doc, columns)
+            if c is None:
+                gen = generator_from_json(doc, g)
+                c = index.get(gen)
+            else:
+                gen = alphabet[c]
             mult = term["mult"]
         except (KeyError, TypeError) as exc:
             raise PresentationError(f"malformed term {term!r}: {exc}") from exc
@@ -526,12 +571,15 @@ def element_from_json(data: dict, g: Graph | None = None) -> MonoidElement:
             raise PresentationError(f"multiplicity must be an integer, got {mult!r}")
         if mult < 0:  # checked per term: a sum would hide it
             raise PresentationError(f"negative multiplicity for {gen}")
-        counts[gen] = counts.get(gen, 0) + mult
-    if g is not None:
-        # the alphabet's own generators; one g lacks (a vertex outside it) stays as read
-        alphabet, index, _ = graph_alphabet(g)
-        counts = {alphabet[index[gen]] if gen in index else gen: m for gen, m in counts.items()}
-    return MonoidElement.from_counts(counts)
+        if c is None:
+            others[gen] = others.get(gen, 0) + mult
+        else:
+            counts[c] = counts.get(c, 0) + mult
+    if g is not None and not valid:
+        require_valid(g)
+    if others:
+        return MonoidElement.from_counts({**{alphabet[c]: n for c, n in counts.items()}, **others})
+    return element_of(alphabet, None, counts)
 
 
 def presentation_to_json(p: Presentation) -> dict:

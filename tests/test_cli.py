@@ -124,6 +124,8 @@ def _nf(graph, element):
         _nf(_EMITTER_AB, _vs_term("ab")),
         _nf(_EMITTER_AB, _vs_term({"a": 0, "b": 0})),
         _nf(_EMITTER_AB, _vs_term(["a", 0])),
+        _nf(_EMITTER_AB, _vs_term(["a", "a"])),
+        _nf(_EMITTER, _term(True)),
         _nf({"vertices": ["v", "w"], "edges": [{"id": None, "src": "v", "dst": "w"}]}, _term(1)),
         _nf({"vertices": ["v", "w"], "edges": [{"id": "e", "src": "v", "dst": 1}]}, _term(1)),
         _nf({**_EMITTER, "infinite_emitters": {"v": {"prefix": [1], "cycle": ["w"], "materialized": 1}}}, _term(1)),
@@ -141,6 +143,8 @@ def _nf(graph, element):
         "string-edge-set",
         "object-edge-set",
         "number-in-edge-set",
+        "repeated-edge-in-edge-set",
+        "bool-mult-of-a-graph-generator",
         "null-edge-id",
         "number-edge-range",
         "number-in-prefix",

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from graphmonoid.graphs import GraphError
 from graphmonoid.presentation import (
@@ -15,13 +15,17 @@ from graphmonoid.presentation import (
     elem_sum,
     element_from_json,
     element_to_json,
+    generator_from_json,
+    generator_to_json,
     generators,
+    graph_alphabet,
     relations,
     sgen,
     vgen,
 )
 
 from conftest import diamond, emitter_to_sink, single_edge, single_sink
+from test_graphs import _any_graphs, _valid_graphs
 
 
 def single(v):
@@ -248,3 +252,195 @@ def test_element_from_json_keeps_a_generator_outside_the_graph():
     # a vertex the graph lacks is read as it stands, as before
     x = element_from_json({"terms": [{"gen": {"kind": "v", "v": "zz"}, "mult": 2}]}, single_edge())
     assert x == 2 * single("zz")
+
+
+# -- the element reader against a term-by-term reference ---------------------
+
+def _reference_element_from_json(data, g=None):
+    """element_from_json read term by term: every generator through
+    generator_from_json, summed by generator, mapped to the graph's own
+    objects and sorted by from_counts."""
+    counts = {}
+    try:
+        terms = data["terms"]
+    except (KeyError, TypeError) as exc:
+        raise PresentationError(f"malformed element {data!r}: {exc}") from exc
+    if not isinstance(terms, list):
+        raise PresentationError(f"element terms must be an array, got {terms!r}")
+    for term in terms:
+        try:
+            gen = generator_from_json(term["gen"], g)
+            mult = term["mult"]
+        except (KeyError, TypeError) as exc:
+            raise PresentationError(f"malformed term {term!r}: {exc}") from exc
+        if isinstance(mult, bool) or not isinstance(mult, int):
+            raise PresentationError(f"multiplicity must be an integer, got {mult!r}")
+        if mult < 0:
+            raise PresentationError(f"negative multiplicity for {gen}")
+        counts[gen] = counts.get(gen, 0) + mult
+    if g is not None:
+        alphabet, index, _ = graph_alphabet(g)
+        counts = {alphabet[index[gen]] if gen in index else gen: m for gen, m in counts.items()}
+    return MonoidElement.from_counts(counts)
+
+
+_HOSTILE = (
+    st.none() | st.booleans() | st.integers(-2, 2) | st.floats(allow_nan=False) | st.text(max_size=2)
+    | st.lists(st.text(max_size=1), max_size=2) | st.dictionaries(st.text(max_size=1), st.integers(), max_size=1)
+)
+_MULTS = st.integers(1, 4) | st.sampled_from([0, -1, -(2**70), 2**70, True, False, 1.0, 2.5, "1", None])
+
+
+@st.composite
+def _generator_docs(draw, g):
+    """Generator documents over g: canonical entries of its alphabet, S out of
+    index order or with a repeated edge, unknown edges or vertices, keys left
+    out, bad kinds and ids, and values that are no document at all."""
+    alphabet = generators(g) if g.validation.ok else ()
+    cofinite = [gen for gen in alphabet if gen.is_cofinite]
+    vertices = [*g.vertices, "zz"]
+    edge_ids = [e.id for e in g.edges] + ["zz", "e0^zz"]
+    shape = draw(st.integers(0, 11))
+    if shape <= 3 and alphabet:
+        return generator_to_json(draw(st.sampled_from(alphabet)))
+    if shape <= 5 and cofinite:
+        gen = draw(st.sampled_from(cofinite))
+        edges = list(draw(st.permutations(gen.edges)))
+        if draw(st.booleans()):
+            edges.insert(draw(st.integers(0, len(edges))), draw(st.sampled_from(edges)))
+        return {"kind": "vS", "v": gen.vertex, "S": edges}
+    # any vertex with any edges: unknown edges, non-emitters, vertices outside g
+    doc = {
+        "kind": draw(st.sampled_from(["v", "vS"])),
+        "v": draw(st.sampled_from(vertices)),
+        "S": draw(st.lists(st.sampled_from(edge_ids), max_size=3)),
+    }
+    if shape == 7:
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif shape == 8:
+        doc["kind"] = draw(_HOSTILE)
+    elif shape == 9:
+        doc["v"] = draw(_HOSTILE)
+    elif shape == 10:  # S not a list, or a list with an id that is no string
+        doc["S"] = draw(_HOSTILE | _HOSTILE.map(lambda eid: [*doc["S"], eid]))
+    elif shape == 11:
+        return draw(_HOSTILE)
+    return doc
+
+
+@st.composite
+def _element_docs(draw, g):
+    terms = []
+    for _ in range(draw(st.sampled_from([1, 2, 3, 4, 0]))):
+        term = {"gen": draw(_generator_docs(g)), "mult": draw(_MULTS)}
+        shape = draw(st.integers(0, 12))
+        if shape == 11:
+            del term[draw(st.sampled_from(["gen", "mult"]))]
+        elif shape == 12:
+            term = draw(_HOSTILE)
+        terms.append(term)
+    shape = draw(st.integers(0, 15))
+    if shape == 14:
+        return draw(_HOSTILE)
+    if shape == 15:
+        return {"terms": draw(_HOSTILE)}
+    return {"terms": terms}
+
+
+def _vs(v, S):
+    return {"kind": "vS", "v": v, "S": S}
+
+
+# over emitter_to_sink(3): emitter v with edges e0, e1, e2 to the sink w
+_READER_CASES = [
+    _vs("v", ["e0", "e2"]),  # S canonical
+    _vs("v", ["e2", "e0"]),  # reversed
+    _vs("v", ["e0", "e2", "e0"]),  # a repeated edge
+    _vs("v", []),
+    _vs("v", ["e0", "e3"]),  # an unknown edge
+    _vs("w", ["e0"]),  # a vertex that is not an emitter
+    _vs("zz", ["e0"]),  # a vertex outside the graph
+    {"kind": "v", "v": "zz"},
+    {"kind": "zz", "v": "v"},  # a bad kind
+    {"kind": ["v"], "v": "v"},
+    {"kind": "v", "v": 1},  # ids that are no strings
+    {"kind": "v", "v": ["v"]},
+    _vs("v", [0]),
+    _vs("v", ["e0", ["e1"]]),
+    _vs("v", "e0"),
+    _vs("v", {"e0": 1}),
+    {"kind": "v"},  # keys left out
+    {"v": "v"},
+    {"kind": "vS", "v": "v"},
+    "v",  # no document
+    None,
+]
+
+
+def test_element_reader_cases_match_the_reference():
+    g = emitter_to_sink(3)
+    w = {"gen": {"kind": "v", "v": "w"}, "mult": 2}
+    for gen in _READER_CASES:
+        for mult in (1, 0, True, 1.0, -1, 2**70):
+            for doc in (
+                {"terms": [{"gen": gen, "mult": mult}]},
+                {"terms": [w, {"gen": gen, "mult": mult}, w]},  # summed, and raised at its own term
+                {"terms": [{"gen": gen}]},
+                {"terms": [{"mult": mult}, {"gen": gen, "mult": mult}]},
+            ):
+                _same_reading(doc, g)
+                _same_reading(doc, None)
+        for doc in ({"terms": {"gen": gen}}, {"terms": gen}, {"term": []}, [gen], None):
+            _same_reading(doc, g)
+    # S out of index order reads as the alphabet's own generator, summed with its canonical term
+    doc = {"terms": [{"gen": _vs("v", ["e2", "e0"]), "mult": 1}, {"gen": _vs("v", ["e0", "e2"]), "mult": 2}]}
+    assert _same_reading(doc, g) == MonoidElement.single(sgen(g, "v", ["e0", "e2"]), 3)
+
+
+def _outcome(read, doc, g):
+    try:
+        return read(doc, g)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _same_reading(doc, g):
+    got = _outcome(element_from_json, doc, g)
+    assert got == _outcome(_reference_element_from_json, doc, g)
+    if isinstance(got, MonoidElement):
+        assert all(type(m) is int for _, m in got.terms)
+        if g is not None and g.validation.ok:
+            alphabet, index, _ = graph_alphabet(g)
+            # a generator of the graph is its alphabet's own object; one outside it stays as read
+            assert _owned(MonoidElement(tuple(t for t in got.terms if t[0] in index)), alphabet)
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_element_reader_matches_the_term_by_term_reference(data):
+    # the same element or the same exception type and message, raised at the same term
+    g = data.draw(_valid_graphs() if data.draw(st.integers(0, 4)) else _any_graphs, label="graph")
+    doc = data.draw(_element_docs(g), label="element")
+    _same_reading(doc, g)
+    _same_reading(doc, None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_element_reader_sums_well_formed_terms_by_column(data):
+    # documents every term of which names a generator of the graph, listed in
+    # any order and repeated, with S canonical, reversed or shuffled
+    g = data.draw(_valid_graphs(), label="graph")
+    alphabet = generators(g)
+    terms, counts = [], {}
+    for _ in range(data.draw(st.integers(0, 6))):
+        gen = data.draw(st.sampled_from(alphabet))
+        mult = data.draw(st.integers(0, 3) | st.just(2**70))
+        doc = generator_to_json(gen)
+        if gen.is_cofinite:
+            doc["S"] = list(data.draw(st.permutations(gen.edges)))
+        terms.append({"gen": doc, "mult": mult})
+        counts[gen] = counts.get(gen, 0) + mult
+    x = _same_reading({"terms": terms}, g)
+    assert x == MonoidElement.from_counts(counts) and _owned(x, alphabet)
