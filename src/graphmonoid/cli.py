@@ -167,11 +167,10 @@ def _cmd_induced_map(args) -> dict:
     src = _load_graph(args.source)
     dst = _load_graph(args.target)
     m = morphism_from_json(_load_json(args.morphism), src, dst)
-    gen_map = induced_monoid_morphism(m)
     return {
         "map": [
             {"from": generator_to_json(g), "to": element_to_json(img)}
-            for g, img in sorted(gen_map.items(), key=lambda kv: kv[0].sort_key())
+            for g, img in induced_monoid_morphism(m).items()  # in canonical alphabet order
         ]
     }
 

@@ -218,9 +218,8 @@ def psi_generator_map(d: Desingularization) -> dict[Generator, MonoidElement]:
     """Images of all tailed-graph generators for which the inverse map is defined."""
     out = {}
     for gen in generators(d.graph):  # all vertex generators, in name order
-        v, n = d.origin[gen.vertex]
-        if n > 0 and vertex_class(d.source, v) is VertexClass.INFINITE_EMITTER:
-            if len(d.source.materialized(v)) < n:
-                continue
-        out[gen] = d._from_tailed[gen]
+        try:
+            out[gen] = d._from_tailed[gen]
+        except MaterializationError:
+            pass
     return out

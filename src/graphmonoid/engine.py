@@ -210,8 +210,9 @@ def _vec(
     """x as an exponent vector, a list of ints; its total degree must fit in int64.
 
     A generator that x lists more than once gets the sum of its counts, as
-    degree() and the generator maps read it.  A negative count raises, naming
-    its generator: a hand-built element is not checked when it is made.
+    degree() and the generator maps read it.  A count that is not an int
+    (bools included) or is negative raises, naming its generator: a
+    hand-built element is not checked when it is made.
 
     Reduction is in Python ints, which cannot overflow.  Rules over kept
     generators never raise the degree, but a definition x -> W raises it by
@@ -224,6 +225,8 @@ def _vec(
     out = [0] * len(index)
     degree = 0
     for gen, mult in x.terms:
+        if type(mult) is not int:
+            raise EngineError(f"element has a count {mult!r} of generator {gen} that is not an int")
         if mult < 0:
             raise EngineError(f"element has a negative count {mult} of generator {gen}")
         degree += mult

@@ -6,6 +6,10 @@ emitters to infinite emitters.  Direct systems are restricted to finite
 chains; the colimit of a chain is its top object, and equality of limit
 representatives is decided by mapping both to the top and running the word
 engine there.
+
+A MonoidChain's connecting maps and a UniversalMap's family are compiled
+GeneratorMaps, each built once with every image read, so a missing image or
+one outside the codomain is refused at build time; both compare by identity.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .presentation import (
     Image,
     MonoidElement,
     Presentation,
+    PresentationError,
     graph_alphabet,
     mapping_image,
     presentation_of,
@@ -165,6 +170,8 @@ def _induced_map(m: GraphMorphism) -> GeneratorMap:
     target, _, columns = graph_alphabet(m.target)
 
     def image(gen: Generator) -> Image:
+        if gen not in index:
+            raise PresentationError(f"generator {gen} outside the map's domain")
         if gen.is_cofinite:
             img = sgen(m.target, vmap[gen.vertex], [emap[eid] for eid in gen.edges])
             return ((columns[img.vertex, img.edges], 1),)
@@ -231,75 +238,65 @@ def colimit_graph(chain: GraphChain) -> GraphColimit:
     return GraphColimit(chain.graphs[top], tuple(chain.morphism(i, top) for i in range(len(chain))))
 
 
-GenMap = tuple[tuple[Generator, MonoidElement], ...]
+def _compiled(dom: Presentation, cod: Presentation, m: Mapping[Generator, MonoidElement] | GeneratorMap) -> GeneratorMap:
+    """m over dom's and cod's alphabets (a GeneratorMap as it is, a mapping copied and compiled),
+    with every domain column and every mapping entry read, so a missing image or one outside cod
+    raises PresentationError here."""
+    if isinstance(m, GeneratorMap):
+        if m.domain != dom.alphabet or m.codomain != cod.alphabet:
+            raise PresentationError("the map is compiled over other alphabets")
+        f, keys = m, ()
+    else:
+        keys = dict(m)
+        f = GeneratorMap(dom.alphabet, dom.index(), cod.alphabet, mapping_image(keys, cod.index()), cod.rank)
+    for c in range(len(f.domain)):
+        f.column(c)
+    for gen in keys:
+        f.image_of(gen)
+    return f
 
 
-def _freeze_map(m: Mapping[Generator, MonoidElement]) -> GenMap:
-    return tuple(sorted(m.items(), key=lambda kv: kv[0].sort_key()))
-
-
-def _compiled(dom: Presentation, cod: Presentation, m: GenMap) -> GeneratorMap:
-    """A frozen generator map compiled over dom's and cod's alphabets."""
-    return GeneratorMap(dom.alphabet, dom.index(), cod.alphabet, mapping_image(dict(m), cod.index()), cod.rank)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonoidChain:
     presentations: tuple[Presentation, ...]
-    steps: tuple[GenMap, ...]
+    steps: tuple[GeneratorMap, ...]  # step i compiled over levels i and i + 1
 
     @classmethod
     def build(
         cls,
         presentations: Sequence[Presentation],
-        steps: Sequence[Mapping[Generator, MonoidElement]],
+        steps: Sequence[Mapping[Generator, MonoidElement] | GeneratorMap],
     ) -> "MonoidChain":
         presentations = tuple(presentations)
-        frozen = tuple(_freeze_map(s) for s in steps)
         if not presentations:
             raise MorphismError("a chain needs at least one presentation")
-        if len(frozen) != len(presentations) - 1:
+        if len(steps) != len(presentations) - 1:
             raise MorphismError("a chain of k presentations needs k-1 connecting maps")
-        for i, step in enumerate(frozen):
-            dom = dict(step)
-            upper = set(presentations[i + 1].alphabet)
-            for gen in presentations[i].alphabet:
-                if gen not in dom:
-                    raise MorphismError(f"incoherent connecting map {i}: no image for {gen}")
-            for gen, img in step:
-                for got in img.support():
-                    if got not in upper:
-                        raise MorphismError(
-                            f"incoherent connecting map {i}: image of {gen} uses {got} "
-                            f"outside level {i + 1}"
-                        )
-        return cls(presentations, frozen)
+        compiled = []
+        for i, step in enumerate(steps):
+            try:
+                compiled.append(_compiled(presentations[i], presentations[i + 1], step))
+            except PresentationError as exc:
+                raise MorphismError(f"incoherent connecting map {i} to level {i + 1}: {exc}") from None
+        return cls(presentations, tuple(compiled))
 
     def __len__(self) -> int:
         return len(self.presentations)
 
-    @cached_property
-    def _maps(self) -> tuple[GeneratorMap, ...]:
-        """The connecting maps compiled over consecutive levels' alphabets."""
-        return tuple(_compiled(self.presentations[i], self.presentations[i + 1], step) for i, step in enumerate(self.steps))
-
     def step_map(self, i: int) -> dict[Generator, MonoidElement]:
-        return self._maps[i].as_dict()
+        return self.steps[i].as_dict()
 
     def map_up(self, i: int, j: int, x: MonoidElement) -> MonoidElement:
         if not 0 <= i <= j < len(self.presentations):
             raise MorphismError(f"bad chain indices {i}, {j}")
         for k in range(i, j):
-            x = self._maps[k](x)
+            x = self.steps[k](x)
         return x
 
 
 def monoid_chain(chain: GraphChain) -> MonoidChain:
     """Monoid presentations and induced connecting maps of a CK graph chain."""
-    return MonoidChain.build(
-        [presentation_of(g) for g in chain.graphs],
-        [induced_monoid_morphism(step) for step in chain.steps],
-    )
+    return MonoidChain.build([presentation_of(g) for g in chain.graphs], [_induced_map(step) for step in chain.steps])
 
 
 @dataclass(frozen=True)
@@ -326,9 +323,9 @@ class DirectLimit:
     def inject(self, level: int, x: MonoidElement) -> LimitElement:
         if not 0 <= level <= self.top:
             raise MorphismError(f"level {level} is not a chain level (0 to {self.top})")
-        alphabet = set(self.chain.presentations[level].alphabet)
+        index = self.chain.presentations[level].index()
         for gen in x.support():
-            if gen not in alphabet:
+            if gen not in index:
                 raise MorphismError(f"{gen} is not a generator at level {level}")
         return LimitElement(level, x)
 
@@ -350,20 +347,16 @@ def colimit_monoid(chain: MonoidChain) -> DirectLimit:
     return DirectLimit(chain)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UniversalMap:
     limit: DirectLimit
     target: Presentation
-    maps: tuple[GenMap, ...]
-
-    @cached_property
-    def _maps(self) -> tuple[GeneratorMap, ...]:
-        """The map of each level compiled over its alphabet and the target's."""
-        levels = self.limit.chain.presentations
-        return tuple(_compiled(p, self.target, m) for p, m in zip(levels, self.maps))
+    maps: tuple[GeneratorMap, ...]  # level i's map compiled over its alphabet and the target's
 
     def __call__(self, a: LimitElement) -> MonoidElement:
-        return self._maps[a.level](a.element)
+        if not 0 <= a.level < len(self.maps):
+            raise MorphismError(f"level {a.level} is not a chain level (0 to {len(self.maps) - 1})")
+        return self.maps[a.level](a.element)
 
 
 def universal_map(
@@ -374,6 +367,8 @@ def universal_map(
 ) -> UniversalMap:
     """Factor a compatible family of maps through the limit.
 
+    Each map is compiled over its level's alphabet and the target's, so a
+    missing image, or an image outside the target, raises PresentationError.
     Compatibility (each map agrees with the next one composed with the
     connecting map) is verified generator by generator in the target monoid;
     an incompatible family is refused naming a witnessing generator.
@@ -381,15 +376,15 @@ def universal_map(
     chain = limit.chain
     if len(maps) != len(chain):
         raise MorphismError("one map per chain level is required")
-    u = UniversalMap(limit, target, tuple(_freeze_map(m) for m in maps))
-    for i in range(len(chain) - 1):
-        lower, upper, step = u._maps[i], u._maps[i + 1], chain._maps[i]
+    compiled = tuple(_compiled(p, target, m) for p, m in zip(chain.presentations, maps))
+    for i, step in enumerate(chain.steps):
+        lower, upper = compiled[i], compiled[i + 1]
         for gen in chain.presentations[i].alphabet:
             if not equal(target, lower[gen], upper(step[gen]), budget):
                 raise MorphismError(
                     f"incompatible family: maps at levels {i} and {i + 1} disagree on {gen}"
                 )
-    return u
+    return UniversalMap(limit, target, compiled)
 
 
 @dataclass(frozen=True)

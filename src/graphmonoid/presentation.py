@@ -20,9 +20,12 @@ edges), counts are summed by column and the element is built with an int
 sort; a document in no canonical form goes through generator_from_json,
 which checks it and raises its errors.  A GeneratorMap is a monoid
 morphism compiled over a pair of alphabets, one sparse image per domain
-column; phi and psi, induced maps, chain maps and a completed system's
-definitions are all GeneratorMaps, and apply_generator_map stays as the
-reference for a plain dict of images.
+column; phi and psi, induced maps, the connecting maps of a chain, the
+family of a universal map and a completed system's definitions are all
+GeneratorMaps.  A chain and a universal map store the compiled maps
+themselves, not a second copy of their images, and compare by identity.
+apply_generator_map stays as the reference for a plain dict of images.
+A Presentation refuses a relation count that is not a positive int.
 """
 
 from __future__ import annotations
@@ -345,9 +348,11 @@ class Presentation:
             if not lhs or not rhs:
                 raise PresentationError("relation sides must be non-zero")
             for side in (lhs, rhs):
-                for g, _ in side.terms:
+                for g, m in side.terms:
                     if id(g) not in own and g not in known:
                         raise PresentationError(f"relation uses unknown generator {g}")
+                    if type(m) is not int or m < 1:
+                        raise PresentationError(f"relation count {m!r} of {g} is not a positive integer")
 
     # A presentation keys the cache of completed systems and is queried many
     # times over; what it derives from its fields is computed once and kept in

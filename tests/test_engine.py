@@ -1065,21 +1065,26 @@ def test_repeated_generators_are_summed():
 def test_negative_counts_are_refused_on_the_query_path():
     # a hand-built element is not checked when it is made; every query that
     # reads it as a vector refuses it, naming the generator it holds
+    # (a negative count, or one that is not an int: a float, or a bool)
     p = presentation_of(single_edge())
-    x = MonoidElement(((vgen("v"), -1),))
-    y = MonoidElement(((vgen("w"), -1),))
-    named = r"negative count -1 of generator a\(v\)$"
     certificate = equal(p, single("v"), single("w"))
-    for call in (
-        lambda: equal(p, x, y),
-        lambda: equal(p, single("w"), x),
-        lambda: normal_form(completed_system(p), x),
-        lambda: replay_chain(p, x, ()),
-        lambda: certificate_to_json(p, x, certificate),
-        lambda: bfs_reach(p, x, 1),
+    for bad, named in (
+        (-1, r"negative count -1 of generator a\(v\)$"),
+        (1.5, r"count 1\.5 of generator a\(v\) that is not an int$"),
+        (True, r"count True of generator a\(v\) that is not an int$"),
     ):
-        with pytest.raises(EngineError, match=named):
-            call()
+        x = MonoidElement(((vgen("v"), bad),))
+        y = MonoidElement(((vgen("w"), bad),))
+        for call in (
+            lambda: equal(p, x, y),
+            lambda: equal(p, single("w"), x),
+            lambda: normal_form(completed_system(p), x),
+            lambda: replay_chain(p, x, ()),
+            lambda: certificate_to_json(p, x, certificate),
+            lambda: bfs_reach(p, x, 1),
+        ):
+            with pytest.raises(EngineError, match=named):
+                call()
     # per term: a later term does not make up for it
     with pytest.raises(EngineError, match=r"negative count -1 of generator a\(w\)$"):
         equal(p, MonoidElement(((vgen("w"), -1), (vgen("w"), 2))), single("w"))

@@ -291,6 +291,53 @@ def test_monoid_chain_rejects_incoherent_maps():
         MonoidChain.build([p, p], [{}])
 
 
+def test_chain_and_family_maps_refuse_images_outside_their_codomain():
+    chain = monoid_chain(emitter_chain((1, 2)))
+    p0, p1 = chain.presentations
+    step = chain.step_map(0)
+    gen = p0.alphabet[0]
+    # an image outside the next level names the level and the generator
+    with pytest.raises(MorphismError) as err:
+        MonoidChain.build([p0, p1], [{**step, gen: single("elsewhere")}])
+    assert "level 1" in str(err.value) and str(gen) in str(err.value)
+    # so does an extra key, outside level 0, whose image lies outside level 1
+    extra = {**step, vgen("nope"): single("elsewhere")}
+    with pytest.raises(MorphismError) as err:
+        MonoidChain.build([p0, p1], [extra])
+    assert "level 1" in str(err.value) and "a(nope)" in str(err.value)
+    # in a family of maps into the top, the same extra key is refused too
+    limit = colimit_monoid(chain)
+    ident = {g: MonoidElement.single(g) for g in p1.alphabet}
+    assert universal_map(limit, p1, [step, ident])(limit.inject(0, MonoidElement.single(gen))) == step[gen]
+    with pytest.raises(PresentationError, match=r"a\(nope\)"):
+        universal_map(limit, p1, [extra, ident])
+    # a compiled map is taken only over the alphabets of its levels
+    with pytest.raises(MorphismError, match="other alphabets"):
+        MonoidChain.build([p1, p1], [chain.steps[0]])
+
+
+def test_universal_map_refuses_levels_outside_the_chain():
+    p = presentation_of(diamond())
+    ident = {gen: MonoidElement.single(gen) for gen in p.alphabet}
+    limit = colimit_monoid(MonoidChain.build([p, p], [ident]))
+    u = universal_map(limit, p, [ident, ident])
+    for level in (-1, 2):
+        a = LimitElement(level, single("v"))
+        with pytest.raises(MorphismError, match=rf"level {level} is not a chain level \(0 to 1\)"):
+            u(a)
+        with pytest.raises(MorphismError):
+            limit.to_top(a)
+
+
+def test_induced_map_refuses_generators_outside_its_source():
+    from graphmonoid.limits import _induced_map
+
+    mu = _induced_map(emitter_chain((1, 2)).morphism(0, 1))
+    for gen in (vgen("nope"), sgen(emitter_to_sink(2), "v", ["e1"])):
+        with pytest.raises(PresentationError, match="outside the map's domain"):
+            mu(MonoidElement.single(gen))
+
+
 def test_continuity_on_materializing_chain():
     report = check_continuity(emitter_chain(), degree=2)
     assert report.ok, (report.mismatches, report.uncovered_generators)
@@ -586,6 +633,11 @@ def test_induced_and_chain_maps_are_compiled_over_the_alphabets():
         for k in range(top):
             step = mc.step_map(k)
             assert all(_owned(img, mc.presentations[k + 1].alphabet) for img in step.values())
+            # the compiled map itself, every column read when the chain was built
+            f = mc.steps[k]
+            assert f.domain is mc.presentations[k].alphabet and f.codomain is mc.presentations[k + 1].alphabet
+            assert None not in f._columns
+        assert mc != monoid_chain(chain) and mc == mc  # chains compare by identity
     assert checked > 50
 
 

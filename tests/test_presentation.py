@@ -216,6 +216,20 @@ def test_presentation_rejects_unknown_generator_in_relation():
         Presentation((vgen("v"),), ((single("v"), single("w")),))
 
 
+def test_presentation_rejects_relation_counts_that_are_not_positive_ints():
+    # a hand-built element is not checked when it is made: a relation
+    # (-1)*a = b would complete to b -> -a and let the BFS reach (-1, 0)
+    from graphmonoid.presentation import Presentation
+
+    a, b = vgen("a"), vgen("b")
+    for bad in (-1, 0, 1.5, True):
+        odd = MonoidElement(((a, bad),))
+        for rel in ((odd, single("b")), (single("b"), odd), (single("b"), MonoidElement(((b, 1), (a, bad))))):
+            with pytest.raises(PresentationError, match=rf"relation count {bad!r} of a\(a\) is not a positive integer"):
+                Presentation((a, b), (rel,))
+    assert Presentation((a, b), ((MonoidElement(((a, 2),)), single("b")),)).relations[0][0].degree() == 2
+
+
 def test_presentation_rejects_repeated_generator_in_alphabet():
     # the engine sizes vectors by distinct generators and matrices by alphabet entries
     from graphmonoid.presentation import Presentation
