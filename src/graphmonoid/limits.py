@@ -8,8 +8,9 @@ representatives is decided by mapping both to the top and running the word
 engine there.
 
 A MonoidChain's connecting maps and a UniversalMap's family are compiled
-GeneratorMaps, each built once with every image read, so a missing image or
-one outside the codomain is refused at build time; both compare by identity.
+GeneratorMaps, each built once with every image read, so a missing image, one
+outside the codomain or a key outside the domain is refused at build time;
+both compare by identity.
 """
 
 from __future__ import annotations
@@ -240,8 +241,8 @@ def colimit_graph(chain: GraphChain) -> GraphColimit:
 
 def _compiled(dom: Presentation, cod: Presentation, m: Mapping[Generator, MonoidElement] | GeneratorMap) -> GeneratorMap:
     """m over dom's and cod's alphabets (a GeneratorMap as it is, a mapping copied and compiled),
-    with every domain column and every mapping entry read, so a missing image or one outside cod
-    raises PresentationError here."""
+    with every domain column read, so a missing image, one outside cod or a mapping key outside
+    dom raises PresentationError here."""
     if isinstance(m, GeneratorMap):
         if m.domain != dom.alphabet or m.codomain != cod.alphabet:
             raise PresentationError("the map is compiled over other alphabets")
@@ -249,10 +250,11 @@ def _compiled(dom: Presentation, cod: Presentation, m: Mapping[Generator, Monoid
     else:
         keys = dict(m)
         f = GeneratorMap(dom.alphabet, dom.index(), cod.alphabet, mapping_image(keys, cod.index()), cod.rank)
+    for gen in keys:
+        if gen not in f.index:
+            raise PresentationError(f"generator {gen} outside the map's domain")
     for c in range(len(f.domain)):
         f.column(c)
-    for gen in keys:
-        f.image_of(gen)
     return f
 
 

@@ -5,11 +5,12 @@ and one generator a_{v,S} per infinite emitter v and non-empty set S of its
 materialized out-edges.  Relations:
 
   (R1)  a_v = sum of a_{r(e)} over out-edges e, for every regular v;
-  (R2)  a_{v,S} + sum_{e in S} a_{r(e)} = a_v;
-  (R3)  a_{v,S} + sum_{S\\T} a_{r(e)} = a_{v,T} + sum_{T\\S} a_{r(e)}.
+  (R2)  a_{v,{e}} + a_{r(e)} = a_v, for every materialized e;
+  (R3)  a_{v,S} = a_{v,S+e} + a_{r(e)}, for non-empty S and materialized e not in S.
 
-Sinks contribute nothing.  R3 is stored once per unordered pair {S,T};
-the word engine treats relations bidirectionally, so nothing is lost.
+Sinks contribute nothing.  R2 and R3 are the covering steps Y = Z + e of the
+paper's q_Z = q_Y + sum_{Y\\Z} a_{r(e)} for finite Z <= Y (q_S = a_{v,S}, with
+q_{} = a_v), which chain from Z up to Y: k*2^(k-1) for k materialized edges.
 
 A graph's alphabet is built once and kept on the graph (graph_alphabet):
 its relations, its presentation, element_from_json and every GeneratorMap
@@ -443,7 +444,7 @@ def generators(g: Graph) -> tuple[Generator, ...]:
 
 
 def relations(g: Graph) -> tuple[tuple[MonoidElement, MonoidElement], ...]:
-    """Defining relations R1, R2 and (deduplicated) R3 of the graph monoid.
+    """Defining relations R1, R2 and R3 of the graph monoid: per emitter, one covering step per (S, e).
 
     Every side is built by column over the graph's alphabet, whose order is
     the canonical one, from the alphabet's own generators; one term of
@@ -466,14 +467,11 @@ def relations(g: Graph) -> tuple[tuple[MonoidElement, MonoidElement], ...]:
     for v, _, mat in g.emitters:
         ranges = {eid: columns[g.edge(eid).dst, None] for eid in mat}
         a_v = MonoidElement((units[columns[v, None]],))
-        subsets = list(_nonempty_subsets(mat))
-        for sub in subsets:
-            rels.append((side([columns[v, sub], *(ranges[eid] for eid in sub)]), a_v))
-        for s, t in combinations(subsets, 2):
-            sset, tset = set(s), set(t)
-            lhs = side([columns[v, s], *(ranges[eid] for eid in s if eid not in tset)])
-            rhs = side([columns[v, t], *(ranges[eid] for eid in t if eid not in sset)])
-            rels.append((lhs, rhs))
+        rels.extend((side([columns[v, (eid,)], ranges[eid]]), a_v) for eid in mat)
+        for sub in _nonempty_subsets(mat):
+            for eid in (e for e in mat if e not in sub):
+                up = tuple(e for e in mat if e in sub or e == eid)
+                rels.append((MonoidElement((units[columns[v, sub]],)), side([columns[v, up], ranges[eid]])))
     return tuple(rels)
 
 

@@ -316,6 +316,25 @@ def test_chain_and_family_maps_refuse_images_outside_their_codomain():
         MonoidChain.build([p1, p1], [chain.steps[0]])
 
 
+def test_chain_and_family_maps_refuse_keys_outside_their_level():
+    # an extra key whose image does lie in the codomain: map_up and to_top
+    # would otherwise apply it to an element that is not of its level
+    chain = monoid_chain(emitter_chain((1, 2)))
+    p0, p1 = chain.presentations
+    extra = {**chain.step_map(0), vgen("nope"): single("w")}
+    with pytest.raises(MorphismError) as err:
+        MonoidChain.build([p0, p1], [extra])
+    assert "level 1" in str(err.value) and "a(nope) outside the map's domain" in str(err.value)
+    limit = colimit_monoid(chain)
+    ident = {g: MonoidElement.single(g) for g in p1.alphabet}
+    with pytest.raises(PresentationError, match=r"a\(nope\) outside the map's domain"):
+        universal_map(limit, p1, [extra, ident])
+    # the chain as built refuses the generator when it is applied
+    for apply in (lambda x: chain.map_up(0, 1, x), lambda x: limit.to_top(LimitElement(0, x))):
+        with pytest.raises(PresentationError):
+            apply(single("nope"))
+
+
 def test_universal_map_refuses_levels_outside_the_chain():
     p = presentation_of(diamond())
     ident = {gen: MonoidElement.single(gen) for gen in p.alphabet}

@@ -1,14 +1,17 @@
 import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphmonoid.graphs import GraphError
+from graphmonoid.engine import completed_system, equal, replay_chain
+from graphmonoid.graphs import GraphError, VertexClass, out_edges, vertex_class
 from graphmonoid.presentation import (
     Generator,
     MonoidElement,
+    Presentation,
     PresentationError,
     ZERO,
     apply_generator_map,
@@ -19,12 +22,13 @@ from graphmonoid.presentation import (
     generator_to_json,
     generators,
     graph_alphabet,
+    presentation_of,
     relations,
     sgen,
     vgen,
 )
 
-from conftest import diamond, emitter_to_sink, single_edge, single_sink
+from conftest import diamond, emitter_mixed, emitter_to_sink, single_edge, single_sink
 from test_graphs import _any_graphs, _valid_graphs
 
 
@@ -62,9 +66,15 @@ def test_relation_regular_vertex():
 
 
 def test_relation_emitter_r2():
+    # R2 is listed for one-edge sets only; for S = {e0, e1} it holds by
+    # derivation, with a certificate that replays against the presentation
     g = emitter_to_sink(2)
-    s = MonoidElement.single(sgen(g, "v", ["e0", "e1"]))
-    assert (s + 2 * single("w"), single("v")) in relations(g)
+    p = presentation_of(g)
+    lhs = MonoidElement.single(sgen(g, "v", ["e0", "e1"])) + 2 * single("w")
+    assert (MonoidElement.single(sgen(g, "v", ["e0"])) + single("w"), single("v")) in p.relations
+    assert (lhs, single("v")) not in p.relations
+    result = equal(p, lhs, single("v"))
+    assert result.equal and replay_chain(p, lhs, result.chain) == single("v")
 
 
 def test_relations_sink_empty():
@@ -72,10 +82,76 @@ def test_relations_sink_empty():
 
 
 def test_relation_counts_for_emitter():
-    g = emitter_to_sink(2)
-    rels = relations(g)
-    n_subsets = 2**2 - 1
-    assert len(rels) == n_subsets + math.comb(n_subsets, 2)
+    # one covering step per (S, e not in S), S = {} giving R2: k * 2^(k-1)
+    for k in range(1, 7):
+        assert len(relations(emitter_to_sink(k))) == k * 2 ** (k - 1)
+        assert len(relations(emitter_mixed(k))) == k * 2 ** (k - 1) + 1  # and u's R1
+
+
+def _full_relations(g):
+    """The relations as once listed: R1, an R2 for every non-empty S and an
+    R3 for every unordered pair {S, T}, (2^k - 1) * 2^(k-1) per emitter."""
+    rels = [
+        (single(v), elem_sum(single(e.dst) for e in out_edges(g, v)))
+        for v in g.vertices
+        if vertex_class(g, v) is VertexClass.REGULAR
+    ]
+    for v, _, mat in g.emitters:
+
+        def q(sub):
+            return MonoidElement.single(Generator(v, sub))
+
+        def ranges(ids):
+            return elem_sum(single(g.edge(e).dst) for e in ids)
+
+        subsets = [sub for r in range(1, len(mat) + 1) for sub in combinations(mat, r)]
+        rels += [(q(s) + ranges(s), single(v)) for s in subsets]
+        for s, t in combinations(subsets, 2):
+            rels.append((q(s) + ranges(e for e in s if e not in t), q(t) + ranges(e for e in t if e not in s)))
+    return rels
+
+
+def test_covering_relations_generate_the_full_list():
+    # drawn graphs with up to two emitters of up to 5 materialized edges
+    from acceptance_support import random_element, random_mixed_graph
+
+    rng = random.Random(21)
+    graphs = [emitter_to_sink(5), emitter_mixed(5)]
+    graphs += [random_mixed_graph(rng, rng.randint(2, 5), max_mat=5) for _ in range(20)]
+    derived = agreed = 0
+    for g in graphs:
+        p = presentation_of(g)
+        full = _full_relations(g)
+        # every covering relation is one of the full list, sides in its orientation
+        assert set(p.relations) <= set(full)
+        # every relation of the full list holds, with a certificate that replays
+        for lhs, rhs in full:
+            result = equal(p, lhs, rhs)
+            assert result.equal and replay_chain(p, lhs, result.chain) == rhs, (lhs, rhs)
+            derived += 1
+        # drawn pairs, some of them a full relation in a context, get one verdict
+        reference = Presentation(p.alphabet, tuple(full))
+        pool = [random_element(rng, p.alphabet, 3) for _ in range(8)]
+        for _ in range(4):
+            x, (lhs, rhs) = random_element(rng, p.alphabet, 2), rng.choice(full)
+            pool += [x + lhs, x + rhs]
+        for x, y in combinations(pool, 2):
+            assert equal(p, x, y).equal == equal(reference, x, y).equal, (x, y)
+            agreed += 1
+    assert derived > 4000 and agreed == 22 * math.comb(16, 2)
+
+
+def test_emitter_mixed_12_is_presented_and_completed_at_scale():
+    # 4,098 generators: the full list would hold about 8.4 M relations
+    g = emitter_mixed(12)
+    p = presentation_of(g)
+    assert len(p.alphabet) == 4098 and len(p.relations) == 12 * 2**11 + 1
+    assert completed_system(p).spairs_processed == 0
+    mat = g.emitters[0][2]
+    a_v = single("v")
+    top = MonoidElement.single(sgen(g, "v", mat)) + elem_sum(single(g.edge(e).dst) for e in mat)
+    result = equal(p, a_v, top)
+    assert result.equal and replay_chain(p, a_v, result.chain) == top
 
 
 def test_relation_sides_nonzero():
