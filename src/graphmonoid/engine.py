@@ -58,9 +58,9 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from collections.abc import Container, Iterable, Iterator
+from collections.abc import Container, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations_with_replacement, compress
 from typing import TYPE_CHECKING
 
@@ -82,7 +82,6 @@ if TYPE_CHECKING:
 DEFAULT_BUDGET = 100_000
 _INT64_MAX = (1 << 63) - 1
 _MAX_CHAIN = sys.maxsize // 8  # steps one tuple can hold: 8 bytes per step, sys.maxsize bytes in all
-_COMPLETED_CACHE_SIZE = 512  # completed systems kept, least recently used evicted first
 
 
 class EngineError(ValueError):
@@ -101,9 +100,11 @@ class BudgetExceededError(EngineError):
 def resolve_budget(budget: int | None) -> int:
     if budget is None:
         return DEFAULT_BUDGET
+    if type(budget) is not int:
+        raise EngineError(f"budget {budget!r} is not an int")
     if budget < 0:
         raise EngineError(f"budget must be >= 0, got {budget}")
-    return int(budget)
+    return budget
 
 
 Step = tuple[int, int]  # (relation index, +1 forward / -1 backward)
@@ -312,8 +313,8 @@ def _degree_gain(p: Presentation) -> int:
 def _step_table(p: Presentation) -> kernels.StepTable:
     """The steps of p's relations, forward then backward, as a read-only step table built once per presentation.
 
-    Kept on p beside its cached hash, index and relation rules, and shared by
-    every BFS.
+    Kept on p beside its index, relation rules and completed systems, and
+    shared by every BFS.
     """
     table = p.__dict__.get("_step_table")
     if table is None:
@@ -353,23 +354,28 @@ def _invert(chain: tuple[Step, ...]) -> tuple[Step, ...]:
     return tuple((rel, -d) for rel, d in reversed(chain))
 
 
-def _cat(*parts: tuple[Step, ...]) -> tuple[Step, ...]:
-    """Concatenate chains, cancelling each step against a following inverse step.
+def _join(out: list[Step], part: Sequence[Step]) -> None:
+    """Append part to the chain out in place, cancelling each step of out against a following inverse step.
 
     A step and its inverse undo each other at any element, so the result
-    replays wherever the plain concatenation does.  Every part is expected to
-    hold no such pair already; cancellation then only happens where parts
-    meet, and the result is the free reduction of the concatenation.
+    replays wherever the plain concatenation does.  When out and part hold
+    no such pair already, cancellation only happens where they meet, and
+    out becomes the free reduction of the concatenation.
     """
+    i = 0
+    for rel, d in part:  # stops at the first step that survives
+        if not out or out[-1] != (rel, -d):
+            break
+        out.pop()
+        i += 1
+    out.extend(part[i:])
+
+
+def _cat(*parts: Sequence[Step]) -> tuple[Step, ...]:
+    """The free reduction of the chains' concatenation, for parts without an inverse pair (see _join)."""
     out: list[Step] = []
     for part in parts:
-        i = 0
-        for rel, d in part:  # stops at the first step that survives
-            if not out or out[-1] != (rel, -d):
-                break
-            out.pop()
-            i += 1
-        out.extend(part[i:])
+        _join(out, part)
     return tuple(out)
 
 
@@ -418,7 +424,7 @@ def _complete_equations(
     masks: list[int] = []
     rmasks: list[int] = []
     alive: list[bool] = []
-    proofs: list[tuple[Step, ...]] = []
+    proofs: list[list[Step]] = []  # each extended in place as its right side is reduced
     # the live rules in index order, compiled as kernels.reduce scans them, and their indices
     live: list[kernels.Rule] = []
     ids: list[int] = []
@@ -450,7 +456,7 @@ def _complete_equations(
         masks.append(mask)
         rmasks.append(_support(nfv))
         alive.append(True)
-        proofs.append(full)
+        proofs.append(list(full))
         live.append(new)
         ids.append(k_new)
         # in index order: a collapse reduces with the new rule and the older
@@ -469,7 +475,8 @@ def _complete_equations(
                 rhs[k], sr = reduce_trace(r)
                 rmasks[k] = _support(rhs[k])
                 live[pos] = kernels.compile_rule(l, rhs[k])
-                proofs[k] = _cat(proofs[k], *[_power(proofs[j], t) for j, t in sr])
+                for j, t in sr:
+                    _join(proofs[k], _power(proofs[j], t))
             pos += 1
         # a rule whose left side is disjoint from the new one's makes no pair:
         # both reducts of their peak step to the same element, so it joins
@@ -510,7 +517,7 @@ def _complete_equations(
 
     final = sorted(ids, key=lambda k: (sum(lhs[k]), lhs[k], rhs[k]))
     compiled = dict(zip(ids, live))
-    return tuple(compiled[k] for k in final), tuple(proofs[k] for k in final), spairs
+    return tuple(compiled[k] for k in final), tuple(tuple(proofs[k]) for k in final), spairs
 
 
 def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
@@ -537,7 +544,7 @@ def _defines(a: dict[int, int], b: dict[int, int]) -> int | None:
     return None
 
 
-def _eliminate(p: Presentation) -> tuple[list[tuple[int, dict[int, int], tuple[Step, ...]]], list[Equation]]:
+def _eliminate(p: Presentation) -> tuple[list[tuple[int, dict[int, int], list[Step]]], list[Equation]]:
     """The Tietze pass: p's relations with the generators they define substituted away.
 
     Every relation with a side of one generator is read in order, with each
@@ -565,8 +572,8 @@ def _eliminate(p: Presentation) -> tuple[list[tuple[int, dict[int, int], tuple[S
     """
     n = len(p.alphabet)
     index = p.index()
-    # x -> (W, proof from x to W, the proof inverted, degree of W)
-    defined: dict[int, tuple[dict[int, int], tuple[Step, ...], tuple[Step, ...], int]] = {}
+    # x -> (W, proof from x to W, extended in place as W is, degree of W)
+    defined: dict[int, tuple[dict[int, int], list[Step], int]] = {}
     inside: list[set[int]] = [set() for _ in range(n)]  # the defined generators whose W holds a column
     heavy = {index[gen] for a, b in p.relations for gen, m in (*a.terms, *b.terms) if m > n}
 
@@ -579,10 +586,10 @@ def _eliminate(p: Presentation) -> tuple[list[tuple[int, dict[int, int], tuple[S
             total += m
             c = index[gen]
             if c in defined:
-                w, proof, back, _ = defined[c]
+                w, proof, _ = defined[c]
                 for col, k in w.items():
                     out[col] = out.get(col, 0) + m * k
-                parts.append(_power(back if backward else proof, m))
+                parts.append(_power(_invert(proof) if backward else proof, m))
             else:
                 out[c] = out.get(c, 0) + m
         if total > _INT64_MAX:
@@ -597,17 +604,17 @@ def _eliminate(p: Presentation) -> tuple[list[tuple[int, dict[int, int], tuple[S
         u, v = read(a, pre, True), read(b, post, False)
         return None if u == v else (u, v, _cat(*pre, ((i, +1),), *post))
 
-    def define(x: int, w: dict[int, int], degree: int, proof: tuple[Step, ...]) -> None:
+    def define(x: int, w: dict[int, int], degree: int, proof: list[Step]) -> None:
         for y in inside[x]:
-            wy, py, _, dy = defined[y]
+            wy, py, dy = defined[y]
             m = wy.pop(x)
             for c, k in w.items():
                 wy[c] = wy.get(c, 0) + m * k
                 inside[c].add(y)
-            py = _cat(py, _power(proof, m))
-            defined[y] = (wy, py, _invert(py), dy + m * (degree - 1))
+            _join(py, _power(proof, m))
+            defined[y] = (wy, py, dy + m * (degree - 1))
         inside[x].clear()
-        defined[x] = (w, proof, _invert(proof), degree)
+        defined[x] = (w, proof, degree)
         for c in w:
             inside[c].add(x)
 
@@ -627,8 +634,8 @@ def _eliminate(p: Presentation) -> tuple[list[tuple[int, dict[int, int], tuple[S
                 continue
             degree = sum(w.values())
             grow = degree - 1
-            if degree <= n and all(defined[y][3] + defined[y][0][x] * grow <= n for y in inside[x]):
-                define(x, w, degree, _invert(chain) if backward else chain)
+            if degree <= n and all(defined[y][2] + defined[y][0][x] * grow <= n for y in inside[x]):
+                define(x, w, degree, list(_invert(chain) if backward else chain))
                 break
         else:
             rest.append(i)
@@ -643,22 +650,6 @@ def _dense(x: dict[int, int], n: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=_COMPLETED_CACHE_SIZE)
-def _completed(p: Presentation, budget: int) -> RewriteSystem:
-    definitions, equations = _eliminate(p)
-    rules, proofs, spairs = _complete_equations(equations, budget)
-    # x -> W compiled: x's column leaves, W's columns come in, in column order
-    defs = tuple((((x, 1),), tuple(sorted([(x, -1), *w.items()]))) for x, w, _ in definitions)
-    return RewriteSystem(
-        presentation=p,
-        rules=defs + rules,
-        proofs=tuple(proof for _, _, proof in definitions) + proofs,
-        completed=True,
-        spairs_processed=spairs,
-        eliminated=tuple(x for x, _, _ in definitions),
-    )
-
-
 def completed_system(p: Presentation, budget: int | None = None) -> RewriteSystem:
     """p completed after the Tietze pass: one system over p's whole alphabet.
 
@@ -667,10 +658,26 @@ def completed_system(p: Presentation, budget: int | None = None) -> RewriteSyste
     the equations left over the kept generators.  No other rule's left side
     holds an eliminated generator, so no definition overlaps another rule and
     the union is confluent under the block order.  Every proof is a chain of
-    p's relations.  Kept per presentation and budget, least recently used
-    evicted first.
+    p's relations.  Kept on p, one system per resolved budget, for as long as
+    p lives; a completion that runs out of budget keeps nothing.
     """
-    return _completed(p, resolve_budget(budget))
+    budget = resolve_budget(budget)
+    systems = p.__dict__.setdefault("_completed_systems", {})
+    rs = systems.get(budget)
+    if rs is None:
+        definitions, equations = _eliminate(p)
+        rules, proofs, spairs = _complete_equations(equations, budget)
+        # x -> W compiled: x's column leaves, W's columns come in, in column order
+        defs = tuple((((x, 1),), tuple(sorted([(x, -1), *w.items()]))) for x, w, _ in definitions)
+        rs = systems[budget] = RewriteSystem(
+            presentation=p,
+            rules=defs + rules,
+            proofs=tuple(tuple(proof) for _, _, proof in definitions) + proofs,
+            completed=True,
+            spairs_processed=spairs,
+            eliminated=tuple(x for x, _, _ in definitions),
+        )
+    return rs
 
 
 def normal_form(rs: RewriteSystem, x: MonoidElement) -> MonoidElement:

@@ -26,7 +26,8 @@ family of a universal map and a completed system's definitions are all
 GeneratorMaps.  A chain and a universal map store the compiled maps
 themselves, not a second copy of their images, and compare by identity.
 apply_generator_map stays as the reference for a plain dict of images.
-A Presentation refuses a relation count that is not a positive int.
+A Presentation refuses a relation count that is not a positive int.  A
+graph's presentation is kept on the graph too (presentation_of).
 """
 
 from __future__ import annotations
@@ -355,23 +356,15 @@ class Presentation:
                     if type(m) is not int or m < 1:
                         raise PresentationError(f"relation count {m!r} of {g} is not a positive integer")
 
-    # A presentation keys the cache of completed systems and is queried many
-    # times over; what it derives from its fields is computed once and kept in
-    # the instance __dict__ (cached_property writes there past the frozen
-    # __setattr__; the engine keeps its compiled relations and relation
-    # matrices there too).
-    # Equality still compares the fields.
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.alphabet, self.relations))
-
-    def __hash__(self) -> int:
-        return self._hash
+    # A presentation is queried many times over; what it derives from its
+    # fields is computed once and kept in the instance __dict__
+    # (cached_property writes there past the frozen __setattr__; the engine
+    # keeps its compiled relations, step table and completed systems there
+    # too).  Equality and hash still compare the fields.
 
     def __getstate__(self) -> dict:
-        # string hashes differ between processes: a copy or unpickled
-        # presentation derives its data afresh
+        # a copy or unpickled presentation carries no derived data: it
+        # builds its own index and completes its own systems
         return {"alphabet": self.alphabet, "relations": self.relations}
 
     @cached_property
@@ -476,11 +469,16 @@ def relations(g: Graph) -> tuple[tuple[MonoidElement, MonoidElement], ...]:
 
 
 def presentation_of(g: Graph) -> Presentation:
-    """g's presentation, over g's alphabet: the generators are the objects generators(g) returns."""
-    alphabet, index, _ = graph_alphabet(g)
-    p = Presentation(alphabet, relations(g))
-    p.__dict__["_index"] = index  # the graph's index of the same alphabet
-    p.__dict__["_canonical"] = None  # generators(g) is in canonical order
+    """g's presentation, over g's alphabet: the generators are the objects generators(g) returns.
+
+    Built once per graph and kept on it as graph_alphabet is, and with it the systems completed for it.
+    """
+    p = g.__dict__.get("_presentation")
+    if p is None:
+        alphabet, index, _ = graph_alphabet(g)
+        p = g.__dict__["_presentation"] = Presentation(alphabet, relations(g))
+        p.__dict__["_index"] = index  # the graph's index of the same alphabet
+        p.__dict__["_canonical"] = None  # generators(g) is in canonical order
     return p
 
 

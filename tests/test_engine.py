@@ -1129,7 +1129,6 @@ def test_presentation_data_is_built_once():
 
     p, q = presentation_of(emitter_mixed(3)), presentation_of(emitter_mixed(3))
     assert p is not q and p == q and hash(p) == hash(q)
-    assert completed_system(p) is completed_system(q)
     assert p.index() is p.index()
     lhs, rhs = _relation_matrices(p)
     index = p.index()
@@ -1154,16 +1153,77 @@ def test_presentation_data_is_built_once():
     assert set(vars(pickle.loads(pickle.dumps(p)))) == {"alphabet", "relations"}
 
 
+def test_completed_systems_live_on_their_graph():
+    import gc
+    import random
+    import weakref
 
-def test_completed_systems_cache_is_bounded():
-    from graphmonoid import engine
+    from acceptance_support import mixed_corpus
+    from graphmonoid.engine import DEFAULT_BUDGET
 
-    bound = engine._COMPLETED_CACHE_SIZE
-    assert bound == 512
-    for i in range(bound + 1):
-        completed_system(presentation_of(single_edge(f"v{i}", "w")))
-    info = engine._completed.cache_info()
-    assert info.maxsize == info.currsize == bound
+    g = mixed_corpus(random.Random(0))[19]  # its completion reduces S-pairs
+    p = presentation_of(g)
+    assert presentation_of(g) is p
+    rs = completed_system(p)
+    need = rs.spairs_processed
+    assert need > 0
+    # one system per resolved budget
+    assert completed_system(p) is rs is completed_system(p, DEFAULT_BUDGET)
+    small = completed_system(p, need)
+    assert small is not rs and completed_system(p, need) is small
+    assert (small.rules, small.proofs) == (rs.rules, rs.proofs)
+    # a completion that runs out of budget keeps nothing, and a larger budget then completes
+    q = presentation_of(mixed_corpus(random.Random(0))[19])
+    assert q is not p and q == p
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError):
+            completed_system(q, need - 1)
+    assert not q.__dict__.get("_completed_systems")
+    assert completed_system(q, need + 1).rules == rs.rules
+    # the presentation and its systems live as long as the graph does
+    ref = weakref.ref(rs)
+    del p, rs, small
+    gc.collect()
+    assert ref() is not None
+    del g
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("budget", [True, 2.9, 0.5, "7"])
+def test_a_budget_that_is_not_an_int_is_refused(budget):
+    from graphmonoid.engine import resolve_budget
+
+    p = presentation_of(single_edge())
+    message = re.escape(f"budget {budget!r} is not an int")
+    for call in (
+        lambda: resolve_budget(budget),
+        lambda: completed_system(p, budget),
+        lambda: complete(p, budget),
+        lambda: equal(p, single("v"), single("w"), budget),
+    ):
+        with pytest.raises(EngineError, match=message):
+            call()
+    assert "_completed_systems" not in vars(p)
+
+
+def test_a_long_path_listed_from_source_to_sink_completes_in_time():
+    # each definition is put into every earlier one, and their proofs grow
+    # in place: 499,500 steps stored, none copied again
+    import time
+
+    from graphmonoid.graphs import Graph
+
+    names = [f"p{i:04d}" for i in range(1000)]
+    p = presentation_of(Graph.build(names, [(f"e{i:04d}", names[i], names[i + 1]) for i in range(999)]))
+    first, last = single(names[0]), single(names[-1])
+    start = time.perf_counter()
+    rs = completed_system(p)
+    result = equal(p, first, last)
+    assert time.perf_counter() - start < 10.0
+    assert len(rs.eliminated) == 999 and sum(map(len, rs.proofs)) == 999 * 1000 // 2
+    assert result.equal and len(result.chain) == 999
+    assert replay_chain(p, first, result.chain) == last
 
 def test_alphabet_mismatch_rejected():
     p = presentation_of(single_sink())
