@@ -41,7 +41,7 @@ common normal form only when it is read.
 
 The query path (completion, reduction, equality, certificates and their
 replay) works on Python ints and never imports numpy; so does the continuity
-check, which samples with exponent_vectors.  numpy is imported only by the
+check, which samples by column combinations.  numpy is imported only by the
 batch oracles: bfs_reach, elements_up_to_degree, the rule matrices of a system
 and the step table of a presentation's relations, built on first access from
 the compiled rules.
@@ -662,7 +662,9 @@ def completed_system(p: Presentation, budget: int | None = None) -> RewriteSyste
     p lives; a completion that runs out of budget keeps nothing.
     """
     budget = resolve_budget(budget)
-    systems = p.__dict__.setdefault("_completed_systems", {})
+    systems = p.__dict__.get("_completed_systems")
+    if systems is None:
+        systems = p.__dict__["_completed_systems"] = {}
     rs = systems.get(budget)
     if rs is None:
         definitions, equations = _eliminate(p)
@@ -692,7 +694,7 @@ def normal_form(rs: RewriteSystem, x: MonoidElement) -> MonoidElement:
     return _unvec(kernels.reduce(_read(rs, x), rules), rs.presentation)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EqualityResult:
     """Decision plus certificate: a replayable chain when equal, separating
     normal forms when not.
@@ -712,6 +714,20 @@ class EqualityResult:
     proofs: tuple[tuple[Step, ...], ...] = ()
     runs: tuple[tuple[int, int], ...] = ()
     rules: tuple[kernels.Rule, ...] | None = None
+
+    def __init__(
+        self,
+        equal: bool,
+        presentation: Presentation,
+        vectors: tuple[tuple[int, ...], tuple[int, ...]],
+        proofs: tuple[tuple[Step, ...], ...] = (),
+        runs: tuple[tuple[int, int], ...] = (),
+        rules: tuple[kernels.Rule, ...] | None = None,
+    ):
+        # the fields in one update of the instance dict, past the frozen __setattr__
+        self.__dict__.update(
+            equal=equal, presentation=presentation, vectors=vectors, proofs=proofs, runs=runs, rules=rules
+        )
 
     def __bool__(self) -> bool:
         return self.equal
@@ -759,16 +775,21 @@ def equal(p: Presentation, u: MonoidElement, v: MonoidElement, budget: int | Non
     """Decide u = v in the monoid presented by p.
 
     Sides with the same exponent vector are equal with no runs and are not
-    reduced here (see EqualityResult).  Raises BudgetExceededError if
-    completion cannot finish in budget; that is an explicit undecided
-    outcome, never a wrong answer.
+    reduced here (see EqualityResult).  v is not read when it is u, or
+    equals u with int counts: u's read checks what v's would.  Raises
+    BudgetExceededError if completion cannot finish in budget; that is an
+    explicit undecided outcome, never a wrong answer.
     """
     rs = completed_system(p, budget)
     su: list[tuple[int, int]] = []
     sv: list[tuple[int, int]] = []
-    x, y = _read(rs, u, su), _read(rs, v, sv)
+    x = _read(rs, u, su)
+    # v equal to u, with counts of u's type (1 == True, but True is no
+    # count), reads as u does: u's read made every check v's would
+    same = v is u or all(type(m) is int for _, m in v.terms) and v == u
+    y = x if same else _read(rs, v, sv)
     rules = rs._completed_rules
-    if x == y and su == sv:
+    if same or x == y and su == sv:
         # u and v have one exponent vector: both traces would be one trace,
         # and cancel to no runs at all
         vec = tuple(x)
@@ -783,11 +804,15 @@ def equal(p: Presentation, u: MonoidElement, v: MonoidElement, budget: int | Non
         (k, a), (_, b) = su.pop(), sv.pop()
         if a != b:
             (su if a > b else sv).append((k, abs(a - b)))
-    steps = sum(_power_length(rs.proofs[k], t) for k, t in su + sv)
+    proofs = rs.proofs
+    # len(proof) * t bounds each run's length; the exact lengths only when that bound is too long
+    steps = sum(len(proofs[k]) * t for k, t in su + sv)
+    if steps > _MAX_CHAIN:
+        steps = sum(_power_length(proofs[k], t) for k, t in su + sv)
     if steps > _MAX_CHAIN:
         raise EngineError(f"certificate chain of {steps} steps is longer than a tuple can hold ({_MAX_CHAIN})")
     runs = (*su, *[(k, -t) for k, t in reversed(sv)])
-    return EqualityResult(True, p, (tuple(nfu), tuple(nfv)), rs.proofs, runs)
+    return EqualityResult(True, p, (tuple(nfu), tuple(nfv)), proofs, runs)
 
 
 def _reduce(x: list[int], rules: tuple[kernels.Rule, ...], trace: list[tuple[int, int]], offset: int) -> list[int]:

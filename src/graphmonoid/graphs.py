@@ -84,6 +84,11 @@ class Graph:
     # __dict__ (equality and hash still compare the fields); reversed, so
     # that the first of repeated ids wins, as a scan would find it.
 
+    def __getstate__(self) -> dict:
+        # a copy or unpickled graph carries no derived data: it builds its
+        # own lookups, alphabet and presentation
+        return {"vertices": self.vertices, "edges": self.edges, "emitters": self.emitters}
+
     @cached_property
     def _edge_by_id(self) -> dict[str, Edge]:
         return {e.id: e for e in reversed(self.edges)}

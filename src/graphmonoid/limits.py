@@ -18,10 +18,11 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from itertools import combinations_with_replacement
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import kernels
-from .engine import RewriteSystem, completed_system, equal, exponent_vectors
+from .engine import EngineError, RewriteSystem, completed_system, equal
 from .graphs import Graph, GraphError, VertexClass, out_edges, require_valid, vertex_class
 from .presentation import (
     Generator,
@@ -420,6 +421,26 @@ def _first_rows(
     return out
 
 
+def _sample(n_generators: int, degree: int) -> list[tuple[int, ...]]:
+    """The elements of total degree <= degree over n generators, each as the columns it counts,
+    with repetition, in engine.exponent_vectors' order."""
+    if degree < 0:
+        raise EngineError(f"degree must be >= 0, got {degree}")
+    columns = range(n_generators)
+    return [combo for d in range(degree + 1) for combo in combinations_with_replacement(columns, d)]
+
+
+def _pushed(f: GeneratorMap, sample: list[tuple[int, ...]]) -> Iterator[list[int]]:
+    """f.vector of each sampled element, summed from the images of its columns."""
+    n, column = len(f.codomain), f.column
+    for combo in sample:
+        y = [0] * n
+        for c in combo:
+            for d, m in column(c):
+                y[d] += m
+        yield y
+
+
 def check_continuity(
     chain: GraphChain,
     into_top: GraphMorphism | None = None,
@@ -476,17 +497,17 @@ def check_continuity(
         # checked on its own: a composite of CK morphisms need not be CK
         phi_i = mu_i if into_top is None else _induced_map(compose(into_top, to_last))
         covered.update(phi_i.column(c)[0][0] for c in range(len(phi_i.domain)))
-        sample = list(exponent_vectors(len(p_i.alphabet), degree))
+        sample = _sample(len(p_i.alphabet), degree)
         sizes.append(len(sample))
         # each sample pushed and read through the definitions of the system
         # it is reduced in, in one map; the rows are then reduced by the rest
-        here = _first_rows(map(rs_i._definitions.vector, sample), rs_i._completed_rules, nfs[rs_i])
-        mid = _first_rows(map(mu_i.then(mid_rs._definitions).vector, sample), mid_rs._completed_rules, nfs[mid_rs])
+        here = _first_rows(_pushed(rs_i._definitions, sample), rs_i._completed_rules, nfs[rs_i])
+        mid = _first_rows(_pushed(mu_i.then(mid_rs._definitions), sample), mid_rs._completed_rules, nfs[mid_rs])
         if into_top is None:
             top = mid
         else:
             to_top = phi_i.then(top_rs._definitions)
-            top = _first_rows(map(to_top.vector, sample), top_rs._completed_rules, nfs[top_rs])
+            top = _first_rows(_pushed(to_top, sample), top_rs._completed_rules, nfs[top_rs])
         # (classes, other side, message): rows in one class must agree on the other side
         checks = (
             (here, top, "are equal at the level but their images differ in the top graph"),

@@ -45,16 +45,37 @@ class PresentationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Generator:
-    """a_v when edges is None, else a_{v,S} with S = edges in index order."""
+class Generator(tuple):
+    """a_v when edges is None, else a_{v,S} with S = edges in index order.
 
-    vertex: str
-    edges: tuple[str, ...] | None = None
+    An immutable value: the pair (vertex, edges), kept as a tuple, so it
+    hashes as that tuple does with tuple's C hash.  It equals another
+    Generator with the same fields and nothing else, a plain tuple included.
+    """
 
-    def __post_init__(self):
-        if self.edges is not None and not self.edges:
+    __slots__ = ()
+
+    def __new__(cls, vertex: str, edges: tuple[str, ...] | None = None):
+        if edges is not None and not edges:
             raise PresentationError("cofinite generator needs a non-empty edge set")
+        return tuple.__new__(cls, (vertex, edges))
+
+    vertex = property(operator.itemgetter(0))
+    edges = property(operator.itemgetter(1))
+
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return isinstance(other, Generator) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"Generator(vertex={self[0]!r}, edges={self[1]!r})"
 
     @property
     def is_cofinite(self) -> bool:

@@ -1090,6 +1090,38 @@ def test_negative_counts_are_refused_on_the_query_path():
         equal(p, MonoidElement(((vgen("w"), -1), (vgen("w"), 2))), single("w"))
 
 
+def test_identical_sides_are_read_once_with_every_check():
+    # equal(p, x, x) reads x once; it refuses what reading both sides refuses,
+    # with the same error, and an equal copy of x with counts of another type
+    # is still read and refused
+    p = presentation_of(emitter_to_sink(2))
+    v, outside = vgen("v"), vgen("nowhere")
+    for bad in (
+        MonoidElement(((v, -1),)),
+        MonoidElement(((v, 1.5),)),
+        MonoidElement(((v, True),)),
+        MonoidElement(((v, np.int64(1)),)),
+        MonoidElement(((outside, 1),)),
+        MonoidElement(((v, 2**62), (vgen("w"), 2**62))),
+    ):
+        with pytest.raises(EngineError) as two_reads:
+            equal(p, bad, single("w"))
+        for other in (bad, MonoidElement(bad.terms)):
+            with pytest.raises(EngineError) as one_read:
+                equal(p, bad, other)
+            assert str(one_read.value) == str(two_reads.value)
+    for counts in ((True,), (1.0,), (np.int64(1),)):
+        with pytest.raises(EngineError, match=r"count .* of generator a\(v\) that is not an int$"):
+            equal(p, single("v"), MonoidElement(((v, *counts),)))
+    rs = completed_system(p)
+    q = MonoidElement.single(sgen(emitter_to_sink(2), "v", ["e0"]))
+    for x in (MonoidElement(), single("v"), 3 * single("v") + q):
+        for y in (x, MonoidElement(x.terms)):
+            res = equal(p, x, y)
+            assert res.equal and res.runs == () and res.chain == ()
+            assert res.normal_form == res.rhs_normal_form == normal_form(rs, x)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_small_presentations(), st.data())
 def test_expand_frontier_matches_two_passes(px, data):

@@ -317,3 +317,25 @@ def test_lookups_match_the_scans_they_replace(g):
         assert _outcome(out_edges, g, v) == _outcome(_scan_out_edges, g, v)
     assert g.validation == validate_graph(g)
     assert _outcome(topological_order, g) == _outcome(_scan_topological_order, g)
+
+
+def test_a_copied_or_unpickled_graph_carries_no_derived_data():
+    import copy
+    import pickle
+
+    from conftest import emitter_mixed
+    from graphmonoid.engine import completed_system, equal
+    from graphmonoid.presentation import MonoidElement, presentation_of, vgen
+
+    g = emitter_mixed(8)
+    bare = len(pickle.dumps(g))
+    p = presentation_of(g)
+    completed_system(p)
+    # the lookups, alphabet, presentation and completed systems stay behind
+    assert len(pickle.dumps(g)) == bare < 1000
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert twin == g and hash(twin) == hash(g)
+        assert set(vars(twin)) == {"vertices", "edges", "emitters"}
+        q = presentation_of(twin)
+        assert q is not p and q == p and "_completed_systems" not in vars(q)
+        assert equal(q, MonoidElement.single(vgen("u")), MonoidElement.single(vgen("w")))

@@ -583,6 +583,52 @@ def test_continuity_matches_the_batch_reference():
     assert seen == {"ContinuityReport", "BudgetExceededError", "MorphismError"}
 
 
+def _drawn_chains(seed: int, count: int):
+    """Seeded chains that materialize one more edge of an emitter per level, on mixed graphs."""
+    from acceptance_support import materializing_chain, random_mixed_graph
+
+    rng = random.Random(seed)
+    chains = []
+    while len(chains) < count:
+        g = random_mixed_graph(rng, rng.randint(2, 4), max_mat=2)
+        if g.emitters:
+            v, _, mat = g.emitters[rng.randrange(len(g.emitters))]
+            chains.append(materializing_chain(g, v, range(len(mat), len(mat) + rng.randint(2, 3))))
+    return chains
+
+
+def test_sparse_continuity_sample_matches_the_dense_reference(monkeypatch):
+    # the degree <= d sample as column combinations, pushed through the maps'
+    # column images, against exponent_vectors rows pushed by GeneratorMap.vector
+    from graphmonoid import limits
+    from graphmonoid.engine import exponent_vectors
+
+    cases = [(chain, into_top) for _, chain, into_top in _continuity_cases()]
+    cases += [(chain, None) for chain in _drawn_chains(23, 8)]
+    for degree in range(4):
+        for n in range(5):
+            rows = [[combo.count(c) for c in range(n)] for combo in limits._sample(n, degree)]
+            assert rows == list(exponent_vectors(n, degree))
+    for chain, _ in cases:
+        for g, to_last in zip(chain.graphs, colimit_graph(chain).injections):
+            for f in (limits._induced_map(to_last), completed_system(presentation_of(g))._definitions):
+                n = len(f.domain)
+                assert list(limits._pushed(f, limits._sample(n, 2))) == list(map(f.vector, exponent_vectors(n, 2)))
+
+    def outcomes():
+        return [_outcome(check_continuity, chain, into_top, degree) for chain, into_top in cases for degree in (-1, 0, 2, 3)]
+
+    sparse = outcomes()
+    with monkeypatch.context() as m:
+        m.setattr(limits, "_sample", lambda n, degree: list(exponent_vectors(n, degree)))
+        m.setattr(limits, "_pushed", lambda f, sample: map(f.vector, sample))
+        assert outcomes() == sparse
+    # negative degrees keep their error; the cases reach mismatches and merged classes
+    assert ("EngineError", "degree must be >= 0, got -1") in sparse
+    reports = [r for r in sparse if isinstance(r, ContinuityReport)]
+    assert any(r.mismatches for r in reports) and any(any(r.merged_classes) for r in reports)
+
+
 def test_continuity_reduces_each_vector_once_per_system(monkeypatch):
     # every sample is pushed and read through the definitions of the system
     # it is reduced in, by one compiled map, and then reduced once by that

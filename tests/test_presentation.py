@@ -271,6 +271,33 @@ def test_generator_needs_nonempty_edge_set():
         Generator("v", ())
 
 
+def test_generator_is_an_immutable_value():
+    import copy
+    import pickle
+
+    for vertex, edges in (("v", None), ("v", ("e0", "e2"))):
+        gen = Generator(vertex, edges)
+        assert (gen.vertex, gen.edges) == (vertex, edges)
+        assert repr(gen) == f"Generator(vertex={vertex!r}, edges={edges!r})"
+        # tuple's hash of the fields, so set and dict orders are those of the pairs
+        assert hash(gen) == hash((vertex, edges))
+        for twin in (
+            Generator(vertex, edges),
+            copy.copy(gen),
+            copy.deepcopy(gen),
+            *(pickle.loads(pickle.dumps(gen, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+        ):
+            assert type(twin) is Generator and twin == gen and not twin != gen and hash(twin) == hash(gen)
+        # equal only to a Generator: not to the plain pair, from either side
+        pair = (vertex, edges)
+        assert not gen == pair and not pair == gen
+        assert gen != pair and pair != gen
+        assert gen != Generator("w", edges) and gen != Generator(vertex, ("e1",))
+        for name in ("vertex", "edges", "other"):
+            with pytest.raises(AttributeError):
+                setattr(gen, name, "w")
+
+
 def test_element_json_round_trip():
     g = emitter_to_sink(2)
     x = 2 * single("v") + MonoidElement.single(sgen(g, "v", ["e1", "e0"]), 3)
