@@ -114,6 +114,8 @@ class Desingularization:
 def desingularize(g: Graph, level: int) -> Desingularization:
     """Build the truncated row-finite approximation at the given level."""
     require_valid(g)
+    if type(level) is not int:
+        raise GraphError(f"truncation level {level!r} is not an int")
     if level < 1:
         raise GraphError(f"truncation level must be >= 1, got {level}")
     vertices: list[str] = []

@@ -112,14 +112,15 @@ Step = tuple[int, int]  # (relation index, +1 forward / -1 backward)
 
 @dataclass(frozen=True, eq=False)
 class RewriteSystem:
-    # rules are oriented by the block order with the eliminated columns on
-    # top: an element's eliminated part is compared first, then the rest,
-    # each graded-lexicographically (total degree first, ties broken on the
-    # alphabet's order); with nothing eliminated it is graded-lex
+    """A completed rewrite system: completion raises instead of returning an unfinished one.
+
+    Rules are oriented by the block order with the eliminated columns on top: an element's
+    eliminated part is compared first, then the rest, each graded-lex (total degree first, ties
+    broken on the alphabet's order).  Queries read them through _defined, which checks them once.
+    """
     presentation: Presentation
     rules: tuple[kernels.Rule, ...]  # compiled for kernels.reduce
     proofs: tuple[tuple[Step, ...], ...]
-    completed: bool
     spairs_processed: int
     eliminated: tuple[int, ...] = ()  # columns of the generators the Tietze pass defined away
 
@@ -142,7 +143,23 @@ class RewriteSystem:
 
     @cached_property
     def _defined(self) -> dict[int, int]:
-        """Eliminated column -> the index of its definition, each checked to read x -> W."""
+        """Eliminated column -> the index of its definition, once every rule is
+        checked to step downhill and every definition to read x -> W.
+
+        Every query reads this before it reduces, so that reduction ends.  A
+        rule steps downhill in the block order when the part of rhs - lhs that
+        decides lowers the degree, or keeps it and its first nonzero entry is
+        negative.  The part on the eliminated columns decides when it is
+        nonzero, the rest otherwise.
+        """
+        top = set(self.eliminated)
+        for k, (_, delta) in enumerate(self.rules):
+            part = [(c, d) for c, d in delta if c in top] or delta
+            drop = sum(d for _, d in part)
+            if drop > 0 or drop == 0 and (not part or part[0][1] > 0):
+                lhs, rhs = self.rule(k)
+                order = "the block order" if top else "graded-lex order"
+                raise EngineError(f"rule {k}, {lhs} -> {rhs}, is not downhill in {order}")
         for k, x in enumerate(self.eliminated):
             need, delta = self.rules[k]
             if need != ((x, 1),) or (x, -1) not in delta:
@@ -169,26 +186,6 @@ class RewriteSystem:
     def _completed_rules(self) -> tuple[kernels.Rule, ...]:
         """The rules after the definitions: what reduces a vector once it is read through them."""
         return self.rules[len(self.eliminated) :]
-
-    @cached_property
-    def _downhill_rules(self) -> tuple[kernels.Rule, ...]:
-        """The completed rules, once every rule is checked to step downhill in the block order
-        (graded-lex when nothing is eliminated), so that reduction ends.
-
-        A rule steps downhill when the part of rhs - lhs that decides lowers
-        the degree, or keeps it and its first nonzero entry is negative.  The
-        part on the eliminated columns decides when it is nonzero, the rest
-        otherwise.
-        """
-        top = set(self.eliminated)
-        for k, (_, delta) in enumerate(self.rules):
-            part = [(c, d) for c, d in delta if c in top] or delta
-            drop = sum(d for _, d in part)
-            if drop > 0 or drop == 0 and (not part or part[0][1] > 0):
-                lhs, rhs = self.rule(k)
-                order = "the block order" if top else "graded-lex order"
-                raise EngineError(f"rule {k}, {lhs} -> {rhs}, is not downhill in {order}")
-        return self._completed_rules
 
     @cached_property
     def _matrices(self) -> tuple[np.ndarray, np.ndarray]:
@@ -313,7 +310,7 @@ def _degree_gain(p: Presentation) -> int:
 def _step_table(p: Presentation) -> kernels.StepTable:
     """The steps of p's relations, forward then backward, as a read-only step table built once per presentation.
 
-    Kept on p beside its index, relation rules and completed systems, and
+    Kept on p beside its index, relation rules and completed system, and
     shared by every BFS.
     """
     table = p.__dict__.get("_step_table")
@@ -531,7 +528,7 @@ def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
     index = p.index()
     equations = ((_vec(u, index), _vec(v, index), ((i, +1),)) for i, (u, v) in enumerate(p.relations))
     rules, proofs, spairs = _complete_equations(equations, budget)
-    return RewriteSystem(presentation=p, rules=rules, proofs=proofs, completed=True, spairs_processed=spairs)
+    return RewriteSystem(presentation=p, rules=rules, proofs=proofs, spairs_processed=spairs)
 
 
 def _defines(a: dict[int, int], b: dict[int, int]) -> int | None:
@@ -658,27 +655,28 @@ def completed_system(p: Presentation, budget: int | None = None) -> RewriteSyste
     the equations left over the kept generators.  No other rule's left side
     holds an eliminated generator, so no definition overlaps another rule and
     the union is confluent under the block order.  Every proof is a chain of
-    p's relations.  Kept on p, one system per resolved budget, for as long as
-    p lives; a completion that runs out of budget keeps nothing.
+    p's relations.
+
+    Kept on p, one system for as long as p lives; a completion that runs out
+    of budget keeps nothing.  Completion is deterministic, so a budget below
+    the kept system's spairs_processed raises what a cold run would.
     """
     budget = resolve_budget(budget)
-    systems = p.__dict__.get("_completed_systems")
-    if systems is None:
-        systems = p.__dict__["_completed_systems"] = {}
-    rs = systems.get(budget)
+    rs = p.__dict__.get("_completed_system")
     if rs is None:
         definitions, equations = _eliminate(p)
         rules, proofs, spairs = _complete_equations(equations, budget)
         # x -> W compiled: x's column leaves, W's columns come in, in column order
         defs = tuple((((x, 1),), tuple(sorted([(x, -1), *w.items()]))) for x, w, _ in definitions)
-        rs = systems[budget] = RewriteSystem(
+        rs = p.__dict__["_completed_system"] = RewriteSystem(
             presentation=p,
             rules=defs + rules,
             proofs=tuple(tuple(proof) for _, _, proof in definitions) + proofs,
-            completed=True,
             spairs_processed=spairs,
             eliminated=tuple(x for x, _, _ in definitions),
         )
+    elif rs.spairs_processed > budget:
+        raise BudgetExceededError(budget + 1, budget)  # where _complete_equations stops
     return rs
 
 
@@ -688,10 +686,7 @@ def normal_form(rs: RewriteSystem, x: MonoidElement) -> MonoidElement:
     Raises EngineError when rs holds a rule that is not downhill in its
     order: the block order when it has eliminated generators, else graded-lex.
     """
-    if not rs.completed:
-        raise EngineError("rewrite system is not completed")
-    rules = rs._downhill_rules  # first: a flipped definition is no definition to read through
-    return _unvec(kernels.reduce(_read(rs, x), rules), rs.presentation)
+    return _unvec(kernels.reduce(_read(rs, x), rs._completed_rules), rs.presentation)
 
 
 @dataclass(frozen=True, init=False)
@@ -921,10 +916,13 @@ def bfs_reach(
 
     Saturation means the breadth-first closure stopped producing new elements
     before the depth bound (and before any size cap), so the congruence class
-    of x is exactly the returned set.  Raises EngineError on a negative depth,
-    cap or count of x, and when depth steps could take an element past the
-    int64 range of the frontier rows.
+    of x is exactly the returned set.  Raises EngineError on a depth or cap
+    that is not an int, on a negative depth, cap or count of x, and when
+    depth steps could take an element past the int64 range of the frontier
+    rows.
     """
+    if type(depth) is not int or max_size is not None and type(max_size) is not int:
+        raise EngineError(f"depth {depth!r} and max_size {max_size!r} must be ints")
     if depth < 0:
         raise EngineError("depth must be >= 0")
     if max_size is not None and max_size < 0:

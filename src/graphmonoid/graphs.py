@@ -235,6 +235,8 @@ def materialize_edges(g: Graph, v: str, k: int) -> Graph:
     """
     mat = g.materialized(v)  # raises unless v is an infinite emitter
     desc = g.descriptor(v)
+    if type(k) is not int:
+        raise GraphError(f"edge count {k!r} is not an int")
     if k < len(mat):
         raise GraphError(f"cannot shrink materialized edges of {v!r} from {len(mat)} to {k}")
     if k == len(mat):

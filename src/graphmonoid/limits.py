@@ -424,8 +424,6 @@ def _first_rows(
 def _sample(n_generators: int, degree: int) -> list[tuple[int, ...]]:
     """The elements of total degree <= degree over n generators, each as the columns it counts,
     with repetition, in engine.exponent_vectors' order."""
-    if degree < 0:
-        raise EngineError(f"degree must be >= 0, got {degree}")
     columns = range(n_generators)
     return [combo for d in range(degree + 1) for combo in combinations_with_replacement(columns, d)]
 
@@ -468,6 +466,10 @@ def check_continuity(
     injectivity is not checked; the number of merged classes per level is
     reported instead.
     """
+    if type(degree) is not int:
+        raise EngineError(f"degree {degree!r} is not an int")
+    if degree < 0:
+        raise EngineError(f"degree must be >= 0, got {degree}")
     colimit = colimit_graph(chain)  # raises unless every step is CK
     last = len(chain) - 1
     if into_top is not None:
@@ -553,8 +555,11 @@ def chain_from_json(data: dict) -> GraphChain:
     from .graphs import graph_from_json
 
     try:
-        graphs = [graph_from_json(g) for g in data["graphs"]]
+        raw_gs = data["graphs"]
         raw_ms = data.get("morphisms", [])
+        if not isinstance(raw_gs, list) or not isinstance(raw_ms, list):
+            raise MorphismError("'graphs' and 'morphisms' must be arrays")
+        graphs = [graph_from_json(g) for g in raw_gs]
     except (KeyError, TypeError) as exc:
         raise MorphismError(f"malformed system document: {exc}") from exc
     if len(raw_ms) != len(graphs) - 1:

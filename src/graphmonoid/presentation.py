@@ -380,12 +380,12 @@ class Presentation:
     # A presentation is queried many times over; what it derives from its
     # fields is computed once and kept in the instance __dict__
     # (cached_property writes there past the frozen __setattr__; the engine
-    # keeps its compiled relations, step table and completed systems there
+    # keeps its compiled relations, step table and completed system there
     # too).  Equality and hash still compare the fields.
 
     def __getstate__(self) -> dict:
         # a copy or unpickled presentation carries no derived data: it
-        # builds its own index and completes its own systems
+        # builds its own index and completes its own system
         return {"alphabet": self.alphabet, "relations": self.relations}
 
     @cached_property

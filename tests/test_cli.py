@@ -365,6 +365,17 @@ def test_colimit_and_continuity(files, capsys):
     assert doc["ok"] is True and doc["merged_classes"] == [0, 0, 0]
 
 
+@pytest.mark.parametrize("key", ["graphs", "morphisms"])
+@pytest.mark.parametrize("value", [True, 3, "ab", {}])
+def test_system_lists_that_are_not_arrays_are_invalid(files, capsys, key, value):
+    system = {"graphs": [{"vertices": ["a"]}], "morphisms": [], key: value}
+    sp = files("sys.json", system)
+    for argv in (["colimit"], ["continuity-check"]):
+        code, out = invoke(capsys, *argv, "--system", sp)
+        assert code == EXIT_INVALID
+        assert "'graphs' and 'morphisms' must be arrays" in json.loads(out)["error"]
+
+
 def test_continuity_against_extension_top(files, capsys):
     graphs = [emitter_to_sink(k) for k in (1, 2)]
     morphs = [

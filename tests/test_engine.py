@@ -42,7 +42,7 @@ def pres(gens, rels):
 
 def test_complete_empty_relations():
     rs = complete(pres("vw", []))
-    assert rs.completed and rs.rule_count == 0
+    assert rs.rule_count == 0
 
 
 def test_complete_single_relation_orientation():
@@ -75,15 +75,6 @@ def test_acyclic_normal_form():
     rs = completed_system(presentation_of(single_edge()))
     assert normal_form(rs, single("v")) == single("w")
     assert normal_form(rs, MonoidElement()) == MonoidElement()
-
-
-def test_uncompleted_system_refused():
-    from dataclasses import replace
-
-    rs = complete(pres("v", []))
-    broken = replace(rs, completed=False)
-    with pytest.raises(EngineError):
-        normal_form(broken, single("v"))
 
 
 def test_normal_form_refuses_a_rule_that_is_not_downhill():
@@ -1199,27 +1190,54 @@ def test_completed_systems_live_on_their_graph():
     rs = completed_system(p)
     need = rs.spairs_processed
     assert need > 0
-    # one system per resolved budget
+    # one system per presentation, for every budget it fits in
     assert completed_system(p) is rs is completed_system(p, DEFAULT_BUDGET)
-    small = completed_system(p, need)
-    assert small is not rs and completed_system(p, need) is small
-    assert (small.rules, small.proofs) == (rs.rules, rs.proofs)
+    assert completed_system(p, need) is rs
     # a completion that runs out of budget keeps nothing, and a larger budget then completes
     q = presentation_of(mixed_corpus(random.Random(0))[19])
     assert q is not p and q == p
     for _ in range(2):
         with pytest.raises(BudgetExceededError):
             completed_system(q, need - 1)
-    assert not q.__dict__.get("_completed_systems")
+    assert "_completed_system" not in vars(q)
     assert completed_system(q, need + 1).rules == rs.rules
-    # the presentation and its systems live as long as the graph does
+    assert vars(q)["_completed_system"] is completed_system(q)
+    # the presentation and its system live as long as the graph does
     ref = weakref.ref(rs)
-    del p, rs, small
+    del p, rs
     gc.collect()
     assert ref() is not None
     del g
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("i", [19, 15])  # 3 and 9 S-pairs
+def test_a_kept_system_answers_every_budget_as_a_cold_run(i):
+    import copy
+    import random
+
+    from acceptance_support import mixed_corpus
+
+    p = presentation_of(mixed_corpus(random.Random(0))[i])
+    need = completed_system(p).spairs_processed
+    assert need > 0
+    for budget in range(need + 2):
+        twin = copy.copy(p)
+        assert twin == p and "_completed_system" not in vars(twin)
+        answers = []
+        for q in (p, twin):
+            try:
+                rs = completed_system(q, budget)
+            except BudgetExceededError as e:
+                answers.append((e.processed, e.budget, str(e)))
+            else:
+                answers.append((rs.rules, rs.proofs, rs.spairs_processed, rs.eliminated))
+        assert answers[0] == answers[1]
+        if budget < need:
+            assert answers[0][:2] == (budget + 1, budget) and "_completed_system" not in vars(twin)
+        else:
+            assert vars(twin)["_completed_system"].spairs_processed == need
 
 
 @pytest.mark.parametrize("budget", [True, 2.9, 0.5, "7"])
@@ -1236,7 +1254,8 @@ def test_a_budget_that_is_not_an_int_is_refused(budget):
     ):
         with pytest.raises(EngineError, match=message):
             call()
-    assert "_completed_systems" not in vars(p)
+    assert "_completed_system" not in vars(p)
+    assert completed_system(p) is vars(p)["_completed_system"]
 
 
 def test_a_long_path_listed_from_source_to_sink_completes_in_time():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -367,9 +368,33 @@ def test_continuity_rejects_negative_degree():
     # a negative degree is invalid input, not a sample of the zero element alone
     with pytest.raises(EngineError, match="degree"):
         elements_up_to_degree(3, -1)
+    g = emitter_to_sink(2)
     with pytest.raises(EngineError, match="degree"):
-        check_continuity(GraphChain.build([emitter_to_sink(2)], []), degree=-1)
+        check_continuity(GraphChain.build([g], []), degree=-1)
+    assert "_completed_system" not in vars(presentation_of(g))  # refused before any completion
     assert elements_up_to_degree(3, 0).tolist() == [[0, 0, 0]]
+
+
+@pytest.mark.parametrize("size", [2.5, True, "2"])
+def test_a_size_that_is_not_an_int_is_refused(size):
+    # bools included, as the budget is: True is no count of 1
+    from graphmonoid.desingularize import desingularize
+    from graphmonoid.engine import bfs_reach
+    from graphmonoid.graphs import GraphError
+
+    g = emitter_to_sink(2)
+    bare = Graph.build(["v"], [], {"v": (EdgeIndexDescriptor((), ("v",)), [])})
+    x = MonoidElement.single(vgen("v"))
+    p = presentation_of(g)
+    for error, text, call in (
+        (GraphError, f"truncation level {size!r} is not an int", lambda: desingularize(g, size)),
+        (GraphError, f"edge count {size!r} is not an int", lambda: materialize_edges(bare, "v", size)),
+        (EngineError, f"depth {size!r} and max_size None must be ints", lambda: bfs_reach(p, x, size)),
+        (EngineError, f"depth 2 and max_size {size!r} must be ints", lambda: bfs_reach(p, x, 2, size)),
+        (EngineError, f"degree {size!r} is not an int", lambda: check_continuity(GraphChain.build([g], []), degree=size)),
+    ):
+        with pytest.raises(error, match=re.escape(text)):
+            call()
 
 
 def test_continuity_example_pair():
