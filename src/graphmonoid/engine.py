@@ -960,6 +960,8 @@ def bfs_reach(
 
 def exponent_vectors(n_generators: int, degree: int) -> Iterator[list[int]]:
     """All exponent vectors of total degree <= degree, as lists of ints, in deterministic order."""
+    if type(n_generators) is not int or type(degree) is not int:
+        raise EngineError(f"generator count {n_generators!r} and degree {degree!r} must be ints")
     if n_generators < 0:
         raise EngineError(f"generator count must be >= 0, got {n_generators}")
     if degree < 0:

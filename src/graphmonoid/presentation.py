@@ -5,12 +5,13 @@ and one generator a_{v,S} per infinite emitter v and non-empty set S of its
 materialized out-edges.  Relations:
 
   (R1)  a_v = sum of a_{r(e)} over out-edges e, for every regular v;
-  (R2)  a_{v,{e}} + a_{r(e)} = a_v, for every materialized e;
-  (R3)  a_{v,S} = a_{v,S+e} + a_{r(e)}, for non-empty S and materialized e not in S.
+  (R2)  a_{v,S} = a_{v,M} + sum of a_{r(e)} over e in M\\S, for every proper
+        subset S of the materialized edges M of an emitter v (a_{v,{}} = a_v).
 
-Sinks contribute nothing.  R2 and R3 are the covering steps Y = Z + e of the
-paper's q_Z = q_Y + sum_{Y\\Z} a_{r(e)} for finite Z <= Y (q_S = a_{v,S}, with
-q_{} = a_v), which chain from Z up to Y: k*2^(k-1) for k materialized edges.
+Sinks contribute nothing.  R2 is the paper's q_Z = q_Y + sum_{Y\\Z} a_{r(e)}
+for finite Z <= Y (q_S = a_{v,S}, with q_{} = a_v) at Y = M; the relation for
+any Z <= Y follows from those for Z and Y.  So an emitter with k materialized
+edges has 2^k - 1 relations, one per generator a_{v,S} other than a_{v,M}.
 
 A graph's alphabet is built once and kept on the graph (graph_alphabet):
 its relations, its presentation, element_from_json and every GeneratorMap
@@ -419,11 +420,6 @@ class Presentation:
         return None if canonical is None else canonical[1]
 
 
-def _nonempty_subsets(ids: tuple[str, ...]):
-    for r in range(1, len(ids) + 1):
-        yield from combinations(ids, r)
-
-
 Key = tuple[str, tuple[str, ...] | None]  # a generator's (vertex, edges)
 
 
@@ -439,8 +435,8 @@ def graph_alphabet(g: Graph) -> tuple[tuple[Generator, ...], dict[Generator, int
         require_valid(g)
         gens = [Generator(v) for v in g.vertices]
         for v, _, mat in g.emitters:
-            for sub in _nonempty_subsets(mat):
-                gens.append(Generator(v, sub))
+            for r in range(1, len(mat) + 1):
+                gens.extend(Generator(v, sub) for sub in combinations(mat, r))
         gens.sort(key=Generator.sort_key)
         gens = tuple(gens)
         index = {gen: c for c, gen in enumerate(gens)}
@@ -458,11 +454,13 @@ def generators(g: Graph) -> tuple[Generator, ...]:
 
 
 def relations(g: Graph) -> tuple[tuple[MonoidElement, MonoidElement], ...]:
-    """Defining relations R1, R2 and R3 of the graph monoid: per emitter, one covering step per (S, e).
+    """Defining relations R1 and R2 of the graph monoid: per emitter, one per proper subset S of M.
 
-    Every side is built by column over the graph's alphabet, whose order is
-    the canonical one, from the alphabet's own generators; one term of
-    multiplicity 1 is one shared object per generator.
+    S runs in size-then-index order.  S = {} reads a_{v,M} + sum_M a_{r(e)} = a_v,
+    any other S reads a_{v,S} = a_{v,M} + sum_{M\\S} a_{r(e)}.  Every side is
+    built by column over the graph's alphabet, whose order is the canonical
+    one, from the alphabet's own generators; one term of multiplicity 1 is
+    one shared object per generator.
     """
     alphabet, _, columns = graph_alphabet(g)
     units = [(gen, 1) for gen in alphabet]
@@ -480,12 +478,11 @@ def relations(g: Graph) -> tuple[tuple[MonoidElement, MonoidElement], ...]:
             rels.append((a_v, side([columns[e.dst, None] for e in out_edges(g, v)])))
     for v, _, mat in g.emitters:
         ranges = {eid: columns[g.edge(eid).dst, None] for eid in mat}
-        a_v = MonoidElement((units[columns[v, None]],))
-        rels.extend((side([columns[v, (eid,)], ranges[eid]]), a_v) for eid in mat)
-        for sub in _nonempty_subsets(mat):
-            for eid in (e for e in mat if e not in sub):
-                up = tuple(e for e in mat if e in sub or e == eid)
-                rels.append((MonoidElement((units[columns[v, sub]],)), side([columns[v, up], ranges[eid]])))
+        for r in range(len(mat)):
+            for sub in combinations(mat, r):
+                q = MonoidElement((units[columns[v, sub or None]],))
+                top = side([columns[v, mat]] + [ranges[e] for e in mat if e not in sub])
+                rels.append((q, top) if sub else (top, q))
     return tuple(rels)
 
 

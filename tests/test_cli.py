@@ -550,7 +550,7 @@ def test_query_commands_never_import_numpy(files):
         assert status == {"exit": EXIT_OK, "numpy": False, "loaded": []}, argv
         docs.append(doc)
     assert docs[0]["valid"] is True and docs[-1]["equal"] is True
-    assert len(docs[-1]["certificate"]["steps"]) == 5
+    assert len(docs[-1]["certificate"]["steps"]) == 3
     # an invalid query still exits 2 with its message
     status, doc = _run_fresh("equal", "--graph", gp, "--lhs", up, "--rhs", gp)
     assert status["exit"] == EXIT_INVALID and doc["error"].startswith("malformed element")

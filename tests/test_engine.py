@@ -462,7 +462,7 @@ def test_completion_is_deterministic():
 
 @pytest.mark.parametrize(
     "k, spairs, rules, proof_steps, longest_proof",
-    [(4, 20, 22, 136, 17), (5, 40, 42, 344, 27), (6, 70, 79, 768, 39)],
+    [(4, 20, 22, 66, 8), (5, 40, 42, 130, 8), (6, 70, 79, 246, 12)],
 )
 def test_completion_counters_are_pinned(k, spairs, rules, proof_steps, longest_proof):
     from conftest import emitter_mixed
@@ -514,6 +514,29 @@ def test_eliminated_completion_counters_are_pinned(k, level, spairs, rules, elim
     for r, proof in enumerate(rs.proofs):
         lhs, rhs = rs.rule(r)
         assert replay_chain(p, lhs, proof) == rhs
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_an_emitter_to_a_sink_keeps_only_its_top_and_the_sink(k):
+    # one relation per a_{v,S} with S a proper subset of M: the Tietze pass
+    # defines each away by its own relation, one step, and keeps a_w and a_{v,M}
+    g = emitter_to_sink(k)
+    p = presentation_of(g)
+    rs = completed_system(p)
+    kept = set(p.alphabet) - {p.alphabet[c] for c in rs.eliminated}
+    assert kept == {vgen("w"), sgen(g, "v", g.emitters[0][2])}
+    assert (rs.spairs_processed, rs.rule_count) == (0, 2**k - 1)
+    assert [len(proof) for proof in rs.proofs] == [1] * (2**k - 1)
+
+
+def test_emitter_mixed_14_is_counted_not_timed():
+    # 16,386 generators; covering steps S -> S+e would have been 114,689 relations
+    from conftest import emitter_mixed
+
+    p = presentation_of(emitter_mixed(14))
+    rs = completed_system(p)
+    assert len(p.relations) == 2**14
+    assert (rs.spairs_processed, sum(map(len, rs.proofs))) == (0, 24_576)
 
 
 def _double_edge_path(n):
@@ -1015,7 +1038,7 @@ def _graph_presentations(draw):
 @settings(max_examples=100, deadline=None)
 @given(_graph_presentations(), st.integers(0, 5), st.none() | st.integers(0, 60))
 def test_bfs_reach_matches_the_row_by_row_loop_on_graphs(px, depth, max_size):
-    # R2 and R3 sides of several terms, loops, sinks and materialized emitters
+    # R1 and R2 sides of several terms, loops, sinks and materialized emitters
     from graphmonoid.engine import _step_table
 
     p, x = px
@@ -1292,6 +1315,16 @@ def test_negative_generator_count_is_an_engine_error():
     with pytest.raises(EngineError, match="generator count must be >= 0, got -1"):
         elements_up_to_degree(-1, 1)
     assert list(exponent_vectors(0, 1)) == [[]]
+
+
+@pytest.mark.parametrize("n, degree", [(2, 2.5), (2, True), (2.0, 1), (False, 1), (2, "2"), (2, None)])
+def test_a_size_that_is_not_an_int_is_an_engine_error(n, degree):
+    from graphmonoid.engine import exponent_vectors
+
+    with pytest.raises(EngineError, match="must be ints"):
+        list(exponent_vectors(n, degree))
+    with pytest.raises(EngineError, match="must be ints"):
+        elements_up_to_degree(n, degree)
 
 
 def test_certificates_replay_on_seeded_pairs():

@@ -66,12 +66,15 @@ def test_relation_regular_vertex():
 
 
 def test_relation_emitter_r2():
-    # R2 is listed for one-edge sets only; for S = {e0, e1} it holds by
-    # derivation, with a certificate that replays against the presentation
+    # the relation at a_v reads a_{v,M} + sum_M a_{r(e)} = a_v; R2 for
+    # S = {e0} is not listed, and holds by derivation, with a certificate
+    # that replays against the presentation
     g = emitter_to_sink(2)
     p = presentation_of(g)
-    lhs = MonoidElement.single(sgen(g, "v", ["e0", "e1"])) + 2 * single("w")
-    assert (MonoidElement.single(sgen(g, "v", ["e0"])) + single("w"), single("v")) in p.relations
+    s0, top = (MonoidElement.single(sgen(g, "v", ids)) for ids in (["e0"], ["e0", "e1"]))
+    lhs = s0 + single("w")
+    assert (top + 2 * single("w"), single("v")) in p.relations
+    assert (s0, top + single("w")) in p.relations
     assert (lhs, single("v")) not in p.relations
     result = equal(p, lhs, single("v"))
     assert result.equal and replay_chain(p, lhs, result.chain) == single("v")
@@ -82,10 +85,10 @@ def test_relations_sink_empty():
 
 
 def test_relation_counts_for_emitter():
-    # one covering step per (S, e not in S), S = {} giving R2: k * 2^(k-1)
+    # one relation per proper subset S of the materialized edges: 2^k - 1
     for k in range(1, 7):
-        assert len(relations(emitter_to_sink(k))) == k * 2 ** (k - 1)
-        assert len(relations(emitter_mixed(k))) == k * 2 ** (k - 1) + 1  # and u's R1
+        assert len(relations(emitter_to_sink(k))) == 2**k - 1
+        assert len(relations(emitter_mixed(k))) == 2**k - 1 + 1  # and u's R1
 
 
 def _full_relations(g):
@@ -122,7 +125,7 @@ def test_covering_relations_generate_the_full_list():
     for g in graphs:
         p = presentation_of(g)
         full = _full_relations(g)
-        # every covering relation is one of the full list, sides in its orientation
+        # every listed relation is one of the full list, sides in its orientation
         assert set(p.relations) <= set(full)
         # every relation of the full list holds, with a certificate that replays
         for lhs, rhs in full:
@@ -145,7 +148,7 @@ def test_emitter_mixed_12_is_presented_and_completed_at_scale():
     # 4,098 generators: the full list would hold about 8.4 M relations
     g = emitter_mixed(12)
     p = presentation_of(g)
-    assert len(p.alphabet) == 4098 and len(p.relations) == 12 * 2**11 + 1
+    assert len(p.alphabet) == 4098 and len(p.relations) == 2**12
     assert completed_system(p).spairs_processed == 0
     mat = g.emitters[0][2]
     a_v = single("v")
