@@ -322,8 +322,12 @@ def _step_table(p: Presentation) -> kernels.StepTable:
 
 
 def _unvec(v: Iterable[int], p: Presentation) -> MonoidElement:
-    """The element with exponent vector v over p's alphabet (a list of ints or an int64 row)."""
-    return element_of(p.alphabet, p.rank, {c: n for c, n in enumerate(v) if n})
+    """The element with exponent vector v over p's alphabet (a list or tuple of ints, or an int64 row).
+
+    element_of reads v as a list, with its count checks; over an alphabet
+    in canonical order, it builds the terms in one pass over v.
+    """
+    return element_of(p.alphabet, p.rank, v if type(v) is list else list(v))
 
 
 def _compare(u: list[int], v: list[int]) -> int:
@@ -689,6 +693,23 @@ def normal_form(rs: RewriteSystem, x: MonoidElement) -> MonoidElement:
     return _unvec(kernels.reduce(_read(rs, x), rs._completed_rules), rs.presentation)
 
 
+class _lazy:
+    """A field computed on first access and kept in the instance __dict__, as
+    functools.cached_property keeps it, but without its lock: on Python 3.11
+    that lock is one per class, taken on every first access of every instance.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True, init=False)
 class EqualityResult:
     """Decision plus certificate: a replayable chain when equal, separating
@@ -731,7 +752,7 @@ class EqualityResult:
     def alphabet(self) -> tuple[Generator, ...]:
         return self.presentation.alphabet
 
-    @cached_property
+    @_lazy
     def _normal_forms(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         if self.rules is None:
             return self.vectors
@@ -746,15 +767,15 @@ class EqualityResult:
     def rhs_vector(self) -> tuple[int, ...]:
         return self._normal_forms[1]
 
-    @cached_property
+    @_lazy
     def lhs_normal_form(self) -> MonoidElement:
         return _unvec(self.lhs_vector, self.presentation)
 
-    @cached_property
+    @_lazy
     def rhs_normal_form(self) -> MonoidElement:
         return _unvec(self.rhs_vector, self.presentation)
 
-    @cached_property
+    @_lazy
     def chain(self) -> tuple[Step, ...] | None:
         if not self.equal:
             return None
@@ -781,7 +802,7 @@ def equal(p: Presentation, u: MonoidElement, v: MonoidElement, budget: int | Non
     x = _read(rs, u, su)
     # v equal to u, with counts of u's type (1 == True, but True is no
     # count), reads as u does: u's read made every check v's would
-    same = v is u or all(type(m) is int for _, m in v.terms) and v == u
+    same = v is u or v == u and all(type(m) is int for _, m in v.terms)
     y = x if same else _read(rs, v, sv)
     rules = rs._completed_rules
     if same or x == y and su == sv:
@@ -811,7 +832,12 @@ def equal(p: Presentation, u: MonoidElement, v: MonoidElement, budget: int | Non
 
 
 def _reduce(x: list[int], rules: tuple[kernels.Rule, ...], trace: list[tuple[int, int]], offset: int) -> list[int]:
-    """kernels.reduce of x by rules, its runs appended to trace with rule indices offset."""
+    """kernels.reduce of x by rules, its runs appended to trace with rule indices offset.
+
+    With no rules, x is its own normal form and is returned as it is, not copied.
+    """
+    if not rules:
+        return x
     if not offset:
         return kernels.reduce(x, rules, trace)
     runs: list[tuple[int, int]] = []
@@ -825,17 +851,21 @@ def _walk_chain(
 ) -> list[int]:
     """Apply a chain from start, one relation instance at a time, and return the end vector.
 
-    Raises EngineError when a step is not a pair of a relation index (an int
-    in range, not a bool) and a direction of exactly +1 or -1, or when its
-    relation does not apply to the element reached so far.  When contexts is
-    a list, each step's context (the part of the element the step leaves
-    untouched) is appended to it.  The sums are Python ints: no step can
-    overflow.
+    Raises EngineError when the chain is not iterable, when a step is not a
+    pair of a relation index (an int in range, not a bool) and a direction
+    of exactly +1 or -1, or when its relation does not apply to the element
+    reached so far.  When contexts is a list, each step's context (the part
+    of the element the step leaves untouched) is appended to it.  The sums
+    are Python ints: no step can overflow.
     """
     forward, backward = _relation_rules(p)
     n = len(forward)
     cur = _vec(start, p.index())
-    for step in chain:
+    try:
+        steps = iter(chain)
+    except TypeError:
+        raise EngineError(f"chain {chain!r} is not a sequence of steps") from None
+    for step in steps:
         try:
             rel, d = step
         except (TypeError, ValueError):
@@ -866,7 +896,8 @@ def replay_chain(p: Presentation, start: MonoidElement, chain: tuple[Step, ...])
 def certificate_to_json(p: Presentation, start: MonoidElement, result: EqualityResult) -> dict:
     """Serialize a certificate; chain steps carry their context element.
 
-    Made for json.dumps: the steps' contexts share one document per generator.
+    Made for json.dumps: the steps' contexts share one document per
+    generator, built only for the generators some context holds.
     """
     if not result.equal:
         return {
@@ -884,15 +915,16 @@ def certificate_to_json(p: Presentation, start: MonoidElement, result: EqualityR
     order = range(len(alphabet)) if canonical is None else canonical[0]
     if canonical is not None:
         contexts = [[ctx[i] for i in order] for ctx in contexts]
-    gens = [generator_to_json(alphabet[i]) for i in order]
     columns = range(len(order))
+    used = [list(compress(columns, ctx)) for ctx in contexts]
+    gens = {c: generator_to_json(alphabet[order[c]]) for c in set().union(*used)}
     steps = [
         {
             "relation": rel,
             "direction": "forward" if direction > 0 else "backward",
-            "context": {"terms": [{"gen": gens[c], "mult": ctx[c]} for c in compress(columns, ctx)]},
+            "context": {"terms": [{"gen": gens[c], "mult": ctx[c]} for c in cols]},
         }
-        for (rel, direction), ctx in zip(chain, contexts)
+        for (rel, direction), ctx, cols in zip(chain, contexts, used)
     ]
     return {
         "kind": "chain",

@@ -36,7 +36,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Mapping
 
 from .graphs import Graph, VertexClass, out_edges, require_valid, vertex_class
@@ -171,11 +171,25 @@ class MonoidElement:
         return elem_sum((self, other))
 
     def __mul__(self, n: int) -> "MonoidElement":
+        """n * self, in canonical form.
+
+        Scaling keeps the canonical term order, so a canonical element (see
+        _canonical) is scaled term by term, and ``x * 1`` is x itself.  Any
+        other element is made canonical first: each term is checked as
+        single checks it (a count that is not an integer, or is negative,
+        raises) and the terms are summed as elem_sum sums them, so a
+        generator listed twice gets the sum of its counts.
+        """
         if type(n) is not int:
             n = _integer(n, "scalar")
         if n < 0:
             raise PresentationError("multiplicity must be non-negative")
-        return MonoidElement.from_counts({g: m * n for g, m in self.terms})
+        terms = self.terms
+        if not _canonical(terms):
+            terms = elem_sum(MonoidElement.single(g, m) for g, m in terms).terms
+        elif n == 1:
+            return self
+        return MonoidElement(tuple([(g, m * n) for g, m in terms])) if n else ZERO
 
     __rmul__ = __mul__
 
@@ -189,6 +203,25 @@ class MonoidElement:
 
 
 ZERO = MonoidElement()
+
+
+def _canonical(terms: tuple[tuple[Generator, int], ...]) -> bool:
+    """Whether terms are as from_counts builds them: int counts of at least 1,
+    generators strictly increasing in canonical order (Generator.sort_key)."""
+    prev = None
+    for g, m in terms:
+        if type(m) is not int or m < 1:
+            return False
+        if prev is not None:
+            # sort_key compared without building it: every a_v first, by
+            # vertex, then every a_{v,S}, by (vertex, edges) as a tuple
+            if prev[1] is None:
+                if g[1] is None and not prev[0] < g[0]:
+                    return False
+            elif g[1] is None or not prev < g:
+                return False
+        prev = g
+    return True
 
 
 def elem_sum(items: Iterable[MonoidElement]) -> MonoidElement:
@@ -320,14 +353,24 @@ class GeneratorMap:
         return {gen: self[gen] for gen in self.domain}
 
 
-def element_of(alphabet: tuple[Generator, ...], rank: list[int] | None, counts: Mapping[int, int]) -> MonoidElement:
+def element_of(
+    alphabet: tuple[Generator, ...], rank: list[int] | None, counts: Mapping[int, int] | list[int]
+) -> MonoidElement:
     """The sum of counts[c] * alphabet[c], built from the alphabet's own generators.
 
-    Its terms are in canonical order: column order, or the order of rank[c]
-    when rank is given (see Presentation.rank), with an int sort.  Counts
-    are checked as from_counts checks them, and zero counts are dropped.
+    counts maps columns to counts: a mapping, or a list over the whole
+    alphabet (an exponent vector), read at its nonzero entries.  The terms
+    are in canonical order: column order, or the order of rank[c] when rank
+    is given (see Presentation.rank), with an int sort; a list with no rank
+    is in that order already and is read in one pass.  Counts are checked as
+    from_counts checks them, and zero counts are dropped.
     """
-    cols = sorted(counts) if rank is None else sorted(counts, key=rank.__getitem__)
+    if type(counts) is list:
+        cols = compress(range(len(counts)), counts)
+        if rank is not None:
+            cols = sorted(cols, key=rank.__getitem__)
+    else:
+        cols = sorted(counts) if rank is None else sorted(counts, key=rank.__getitem__)
     terms = []
     for c in cols:
         n = counts[c]

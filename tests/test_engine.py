@@ -20,8 +20,10 @@ from graphmonoid.engine import (
     replay_chain,
 )
 from graphmonoid.presentation import (
+    Generator,
     MonoidElement,
     Presentation,
+    PresentationError,
     presentation_of,
     sgen,
     vgen,
@@ -335,6 +337,80 @@ def test_replay_rejects_malformed_steps(step, message):
         replay_chain(p, x, ((0, 1), step))
     with pytest.raises(EngineError, match=message):
         certificate_to_json(p, x, _result_with_chain(p, x, ((0, 1), step)))
+
+
+@pytest.mark.parametrize("chain", [None, 5, 1.5, True])
+def test_replay_rejects_a_chain_that_is_not_a_sequence(chain):
+    p = presentation_of(diamond())
+    x = p.relations[0][0]
+    with pytest.raises(EngineError, match=f"chain {chain!r} is not a sequence of steps"):
+        replay_chain(p, x, chain)
+
+
+def test_certificate_json_builds_documents_only_for_context_generators(monkeypatch):
+    # a deterministic count of the generator documents certificate_to_json
+    # builds: one per generator its steps' contexts hold, none for the rest
+    # of the 34 columns of emitter_mixed(5)
+    import graphmonoid.engine as engine
+    from conftest import emitter_mixed
+
+    p = presentation_of(emitter_mixed(5))
+    built = []
+    real = engine.generator_to_json
+    monkeypatch.setattr(engine, "generator_to_json", lambda gen: built.append(gen) or real(gen))
+    alphabet = p.alphabet
+    counts = []
+    # each relation alone (its certificate's contexts are all zero), then in
+    # the context of a_u + a_{v,{e0,e1}} + 2 a_w
+    context = MonoidElement.from_counts({vgen("u"): 1, vgen("w"): 2, Generator("v", ("e0", "e1")): 1})
+    for c in (MonoidElement(), context):
+        for lhs, rhs in p.relations:
+            result = equal(p, c + lhs, c + rhs)
+            built.clear()
+            certificate_to_json(p, c + lhs, result)
+            _, contexts = _reference_walk(p, c + lhs, result.chain)
+            used = {gen for ctx in contexts for gen in ctx.support()}
+            assert len(built) == len(set(built)) and set(built) == used
+            counts.append(len(built))
+    assert len(alphabet) == 34 and len(p.relations) == 32
+    # every call used to build all 34: 2,176 documents over these 64 certificates
+    assert (sum(counts[:32]), sum(counts[32:]), max(counts)) == (0, 142, 5)
+
+
+def test_unvec_matches_element_of():
+    # lists of ints, tuples and int64 rows, zero included, over alphabets in
+    # canonical order and over one in the reverse order
+    from graphmonoid.engine import _unvec
+    from graphmonoid.presentation import element_of
+    from conftest import emitter_mixed
+
+    rng = np.random.default_rng(3)
+    for p in (presentation_of(emitter_mixed(3)), presentation_of(diamond()), _reversed_alphabet_case()[0]):
+        n = len(p.alphabet)
+        rows = np.concatenate([np.zeros((1, n), dtype=np.int64), rng.integers(0, 4, size=(40, n)) * (rng.random((40, n)) < 0.4)])
+        for row in rows:
+            vec = row.tolist()
+            want = element_of(p.alphabet, p.rank, {c: m for c, m in enumerate(vec) if m})
+            for v in (vec, tuple(vec), row):
+                x = _unvec(v, p)
+                assert x == want and all(type(m) is int for _, m in x.terms)
+                assert all(any(g is gen for gen in p.alphabet) for g, _ in x.terms)
+        assert _unvec([0] * n, p) == MonoidElement()
+        big = [2**70] + [0] * (n - 1)
+        assert _unvec(big, p) == element_of(p.alphabet, p.rank, {0: 2**70})
+        for bad in ([-1] + [0] * (n - 1), [1.5] + [0] * (n - 1)):
+            with pytest.raises(PresentationError) as want:
+                element_of(p.alphabet, p.rank, {0: bad[0]})
+            with pytest.raises(PresentationError) as got:
+                _unvec(bad, p)
+            assert str(got.value) == str(want.value)
+
+
+def test_reduce_with_no_rules_returns_the_vector_read():
+    from graphmonoid.engine import _reduce
+
+    x, trace = [0, 2, 1], []
+    assert _reduce(x, (), trace, 3) is x and trace == []
 
 
 def test_equality_results_build_their_elements_and_chain_on_first_access():

@@ -262,6 +262,56 @@ def test_multiplicities_must_be_integers():
     assert not MonoidElement.from_counts({av: np.int64(0)})
 
 
+def _scaled_reference(x, n):
+    # counts summed per generator, times n, then from_counts
+    counts = {}
+    for g, m in x.terms:
+        counts[g] = counts.get(g, 0) + m
+    return MonoidElement.from_counts({g: m * n for g, m in counts.items()})
+
+
+def test_scaling_sums_a_generator_listed_twice():
+    a = vgen("v")
+    x = MonoidElement(((a, 1), (a, 2)))
+    assert x.degree() == 3
+    assert x * 1 == x + ZERO == MonoidElement.single(a, 3)
+    assert x * 2 == 2 * x == MonoidElement.single(a, 6)
+    assert x * 0 == ZERO
+    # out of order, and a generator listed twice around another
+    b, c = vgen("w"), Generator("v", ("e0",))
+    y = MonoidElement(((c, 1), (b, 2), (a, 1), (b, 1)))
+    assert y * 1 == MonoidElement(((a, 1), (b, 3), (c, 1))) == elem_sum((y,))
+    assert y * 3 == _scaled_reference(y, 3)
+    # a count that is not an integer (a bool included), or is negative, raises
+    for bad in ((a, 0.5), (a, -1), (a, "1"), (a, True)):
+        for n in (0, 1, 2):
+            with pytest.raises(PresentationError):
+                MonoidElement((bad,)) * n
+
+
+def test_scaling_a_canonical_element_by_one_is_the_element():
+    g = emitter_mixed(3)
+    alphabet = presentation_of(g).alphabet
+    for x in (ZERO, MonoidElement.single(alphabet[0]), MonoidElement.from_counts({gen: 2 for gen in alphabet})):
+        assert x * 1 is x and 1 * x is x
+        assert (x * 5).terms == tuple((gen, 5 * m) for gen, m in x.terms)
+
+
+_scaling_generators = st.sampled_from(
+    [vgen("u"), vgen("v"), Generator("u", ("e0",)), Generator("u", ("e0", "e1")), Generator("v", ("e1",))]
+)
+_hand_built = st.lists(st.tuples(_scaling_generators, st.integers(min_value=0, max_value=4)), max_size=6).map(
+    lambda terms: MonoidElement(tuple(terms))
+)
+
+
+@given(st.one_of(_hand_built.map(lambda x: x + ZERO), _hand_built), st.integers(min_value=0, max_value=7))
+def test_scaling_matches_the_summed_reference(x, n):
+    # drawn canonical elements and hand-built ones, out of order or listing a generator twice
+    assert x * n == n * x == _scaled_reference(x, n)
+    assert (x * n).degree() == n * x.degree()
+
+
 def test_sgen_sorts_by_edge_index():
     g = emitter_to_sink(3)
     assert sgen(g, "v", ["e2", "e0"]).edges == ("e0", "e2")
