@@ -31,13 +31,13 @@ GraphError) gets no entry, so the error is raised again on every call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 
 from .graphs import (
     Graph,
     GraphError,
     VertexClass,
-    out_edges,
+    lazy,
     require_valid,
     vertex_class,
 )
@@ -88,7 +88,11 @@ class Desingularization:
     origin: dict[str, tuple[str, int]] = field(compare=False, repr=False)
 
     def mentions_boundary(self, y: MonoidElement) -> bool:
-        return any(g.vertex in self.boundary for g in y.support())
+        boundary = self.boundary
+        for g, _ in y.terms:
+            if g[0] in boundary:
+                return True
+        return False
 
     # phi and psi compiled over the two alphabets, each generator's image
     # computed on its first use and kept in the instance __dict__ (as Graph
@@ -96,14 +100,14 @@ class Desingularization:
     # image rules hold the graphs and the origin map, not the
     # Desingularization, so there is no reference cycle.
 
-    @cached_property
+    @lazy
     def _to_tailed(self) -> GeneratorMap:
         """phi: the source alphabet into the tailed graph's."""
         source, index, _ = graph_alphabet(self.source)
         tailed, _, columns = graph_alphabet(self.graph)
         return GeneratorMap(source, index, tailed, partial(_to_tailed_image, self.source, self.level, columns))
 
-    @cached_property
+    @lazy
     def _from_tailed(self) -> GeneratorMap:
         """psi: the tailed graph's alphabet into the source alphabet."""
         tailed, index, _ = graph_alphabet(self.graph)
@@ -118,29 +122,29 @@ def desingularize(g: Graph, level: int) -> Desingularization:
         raise GraphError(f"truncation level {level!r} is not an int")
     if level < 1:
         raise GraphError(f"truncation level must be >= 1, got {level}")
-    vertices: list[str] = []
     edges: list[tuple[str, str, str]] = []
     boundary: set[str] = set()
-    origin: dict[str, tuple[str, int]] = {}
-    for v in g.vertices:
-        vertices.append(w_name(v, 0))
-        origin[w_name(v, 0)] = (v, 0)
-        cls = vertex_class(g, v)
-        if cls is VertexClass.REGULAR:
-            for n, e in enumerate(out_edges(g, v)):
-                edges.append((f_name(v, n), w_name(v, 0), w_name(e.dst, 0)))
+    origin: dict[str, tuple[str, int]] = {}  # every tailed vertex
+    emitters = g._emitter_by_vertex
+    for v, out in g._out_edges.items():  # the vertices in order, each with its out-edges
+        w0 = w_name(v, 0)
+        origin[w0] = (v, 0)
+        if out and v not in emitters:  # v is regular
+            for n, e in enumerate(out):
+                edges.append((f_name(v, n), w0, w_name(e.dst, 0)))
             continue
+        tail = [w0]
         for n in range(1, level + 1):
-            vertices.append(w_name(v, n))
-            origin[w_name(v, n)] = (v, n)
-        boundary.add(w_name(v, level))
+            tail.append(w_name(v, n))
+            origin[tail[n]] = (v, n)
+        boundary.add(tail[level])
         for n in range(level):
-            edges.append((g_name(v, n), w_name(v, n), w_name(v, n + 1)))
-        if cls is VertexClass.INFINITE_EMITTER:
-            desc = g.descriptor(v)
+            edges.append((g_name(v, n), tail[n], tail[n + 1]))
+        if v in emitters:
+            desc = emitters[v][0]
             for n in range(level):
-                edges.append((f_name(v, n), w_name(v, n), w_name(desc.range_at(n), 0)))
-    tailed = Graph.build(vertices, edges)
+                edges.append((f_name(v, n), tail[n], w_name(desc.range_at(n), 0)))
+    tailed = Graph.build(origin, edges)
     require_valid(tailed)
     return Desingularization(g, level, tailed, frozenset(boundary), origin)
 

@@ -58,13 +58,13 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from collections.abc import Container, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations_with_replacement, compress
 from typing import TYPE_CHECKING
 
 from . import kernels
+from .graphs import lazy
 from .presentation import (
     Generator,
     GeneratorMap,
@@ -141,7 +141,7 @@ class RewriteSystem:
     # definitions first, each as one run, in rule order; _read reports those
     # runs, and the vector and the runs are the same.
 
-    @cached_property
+    @lazy
     def _defined(self) -> dict[int, int]:
         """Eliminated column -> the index of its definition, once every rule is
         checked to step downhill and every definition to read x -> W.
@@ -166,7 +166,7 @@ class RewriteSystem:
                 raise EngineError(f"rule {k} does not define the eliminated generator {self.presentation.alphabet[x]}")
         return {x: k for k, x in enumerate(self.eliminated)}
 
-    @cached_property
+    @lazy
     def _definitions(self) -> GeneratorMap:
         """The definitions as one map of the alphabet into itself."""
         p, rules, defined = self.presentation, self.rules, self._defined
@@ -182,12 +182,12 @@ class RewriteSystem:
 
         return GeneratorMap(p.alphabet, index, p.alphabet, image, p.rank)
 
-    @cached_property
+    @lazy
     def _completed_rules(self) -> tuple[kernels.Rule, ...]:
         """The rules after the definitions: what reduces a vector once it is read through them."""
         return self.rules[len(self.eliminated) :]
 
-    @cached_property
+    @lazy
     def _matrices(self) -> tuple[np.ndarray, np.ndarray]:
         return kernels.rule_matrices(self.rules, len(self.presentation.alphabet))
 
@@ -202,9 +202,7 @@ class RewriteSystem:
         return self._matrices[1]
 
 
-def _vec(
-    x: MonoidElement, index: dict[Generator, int], defined: Container[int] = (), hits: list[int] | None = None
-) -> list[int]:
+def _vec(x: MonoidElement, index: dict[Generator, int]) -> list[int]:
     """x as an exponent vector, a list of ints; its total degree must fit in int64.
 
     A generator that x lists more than once gets the sum of its counts, as
@@ -217,8 +215,7 @@ def _vec(
     deg W - 1 per application, so a normal form may leave the int64 range
     that x's own degree was checked against.  A relation step may raise it
     too: bfs_reach checks the degree its steps can reach against int64
-    before it fills int64 rows (_degree_gain).  The columns of x's terms that
-    are in defined are appended to hits.
+    before it fills int64 rows (_degree_gain).
     """
     out = [0] * len(index)
     degree = 0
@@ -235,30 +232,44 @@ def _vec(
         except KeyError:
             raise EngineError(f"element uses generator {gen} outside the alphabet") from None
         out[c] += mult
-        if c in defined:
-            hits.append(c)
     return out
 
 
 def _read(rs: RewriteSystem, x: MonoidElement, trace: list[tuple[int, int]] | None = None) -> list[int]:
     """x as an exponent vector read through rs's definitions, in one pass.
 
-    The vector is _vec's (with its checks) with each eliminated generator
-    replaced by its definition; when trace is a list, the definitions' runs
-    (rule index, times) are appended to it in rule order, as kernels.reduce
-    over all of rs's rules would report them before any other run.
+    The vector is _vec's with each eliminated generator replaced by its
+    definition; when trace is a list, the definitions' runs (rule index,
+    times) are appended to it in rule order, as kernels.reduce over all of
+    rs's rules would report them before any other run.  A term or a total
+    degree that fails a check of _vec's sends x through _vec, which raises.
     """
     defined = rs._defined
+    index = rs.presentation._index
+    out = [0] * len(index)
     hits: list[int] = []
-    out = _vec(x, rs.presentation.index(), defined, hits)
+    degree = 0
+    for gen, mult in x.terms:
+        if type(mult) is not int or mult < 0:
+            _vec(x, index)
+        c = index.get(gen)
+        if c is None:
+            _vec(x, index)
+        out[c] += mult
+        degree += mult
+        if c in defined:
+            hits.append(c)
+    if degree > _INT64_MAX:
+        _vec(x, index)
     if hits:
-        column = rs._definitions.column
+        definitions = rs._definitions
+        images = definitions._columns
         hits.sort()  # definitions are in column order
         for c in hits:
             m = out[c]
             if m:
                 out[c] = 0
-                for d, n in column(c):
+                for d, n in images[c] or definitions.column(c):
                     out[d] += m * n
                 if trace is not None:
                     trace.append((defined[c], m))
@@ -352,7 +363,7 @@ def _support(x: list[int]) -> int:
 
 
 def _invert(chain: tuple[Step, ...]) -> tuple[Step, ...]:
-    return tuple((rel, -d) for rel, d in reversed(chain))
+    return tuple([(rel, -d) for rel, d in reversed(chain)])
 
 
 def _join(out: list[Step], part: Sequence[Step]) -> None:
@@ -576,7 +587,7 @@ def _eliminate(p: Presentation) -> tuple[list[tuple[int, dict[int, int], list[St
     # x -> (W, proof from x to W, extended in place as W is, degree of W)
     defined: dict[int, tuple[dict[int, int], list[Step], int]] = {}
     inside: list[set[int]] = [set() for _ in range(n)]  # the defined generators whose W holds a column
-    heavy = {index[gen] for a, b in p.relations for gen, m in (*a.terms, *b.terms) if m > n}
+    heavy = {index[gen] for sides in p.relations for x in sides for gen, m in x.terms if m > n}
 
     def read(x: MonoidElement, parts: list[tuple[Step, ...]], backward: bool) -> dict[int, int]:
         # x as columns with every defined one replaced, the proofs that lead
@@ -689,25 +700,11 @@ def normal_form(rs: RewriteSystem, x: MonoidElement) -> MonoidElement:
 
     Raises EngineError when rs holds a rule that is not downhill in its
     order: the block order when it has eliminated generators, else graded-lex.
+    With no completed rules, the vector read is the normal form, as in equal.
     """
-    return _unvec(kernels.reduce(_read(rs, x), rs._completed_rules), rs.presentation)
-
-
-class _lazy:
-    """A field computed on first access and kept in the instance __dict__, as
-    functools.cached_property keeps it, but without its lock: on Python 3.11
-    that lock is one per class, taken on every first access of every instance.
-    """
-
-    def __init__(self, func):
-        self.func = func
-        self.name = func.__name__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
+    x = _read(rs, x)
+    rules = rs._completed_rules
+    return _unvec(kernels.reduce(x, rules) if rules else x, rs.presentation)
 
 
 @dataclass(frozen=True, init=False)
@@ -740,10 +737,14 @@ class EqualityResult:
         runs: tuple[tuple[int, int], ...] = (),
         rules: tuple[kernels.Rule, ...] | None = None,
     ):
-        # the fields in one update of the instance dict, past the frozen __setattr__
-        self.__dict__.update(
-            equal=equal, presentation=presentation, vectors=vectors, proofs=proofs, runs=runs, rules=rules
-        )
+        # the fields written into the instance dict, past the frozen __setattr__
+        d = self.__dict__
+        d["equal"] = equal
+        d["presentation"] = presentation
+        d["vectors"] = vectors
+        d["proofs"] = proofs
+        d["runs"] = runs
+        d["rules"] = rules
 
     def __bool__(self) -> bool:
         return self.equal
@@ -752,7 +753,7 @@ class EqualityResult:
     def alphabet(self) -> tuple[Generator, ...]:
         return self.presentation.alphabet
 
-    @_lazy
+    @lazy
     def _normal_forms(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         if self.rules is None:
             return self.vectors
@@ -767,15 +768,15 @@ class EqualityResult:
     def rhs_vector(self) -> tuple[int, ...]:
         return self._normal_forms[1]
 
-    @_lazy
+    @lazy
     def lhs_normal_form(self) -> MonoidElement:
         return _unvec(self.lhs_vector, self.presentation)
 
-    @_lazy
+    @lazy
     def rhs_normal_form(self) -> MonoidElement:
         return _unvec(self.rhs_vector, self.presentation)
 
-    @_lazy
+    @lazy
     def chain(self) -> tuple[Step, ...] | None:
         if not self.equal:
             return None
@@ -794,15 +795,25 @@ def equal(p: Presentation, u: MonoidElement, v: MonoidElement, budget: int | Non
     reduced here (see EqualityResult).  v is not read when it is u, or
     equals u with int counts: u's read checks what v's would.  Raises
     BudgetExceededError if completion cannot finish in budget; that is an
-    explicit undecided outcome, never a wrong answer.
+    explicit undecided outcome, never a wrong answer.  With no budget, the
+    system kept on p is used as it is when it fits the default budget.
     """
-    rs = completed_system(p, budget)
+    rs = p.__dict__.get("_completed_system") if budget is None else None
+    if rs is None or rs.spairs_processed > DEFAULT_BUDGET:
+        rs = completed_system(p, budget)
     su: list[tuple[int, int]] = []
     sv: list[tuple[int, int]] = []
     x = _read(rs, u, su)
-    # v equal to u, with counts of u's type (1 == True, but True is no
-    # count), reads as u does: u's read made every check v's would
-    same = v is u or v == u and all(type(m) is int for _, m in v.terms)
+    # v equal to u (of u's type with u's terms, as == compares elements),
+    # with counts of u's type (1 == True, but True is no count), reads as u
+    # does: u's read made every check v's would
+    same = v is u
+    if not same and type(v) is type(u) and v.terms == u.terms:
+        for _, m in v.terms:
+            if type(m) is not int:
+                break
+        else:
+            same = True
     y = x if same else _read(rs, v, sv)
     rules = rs._completed_rules
     if same or x == y and su == sv:
@@ -810,10 +821,11 @@ def equal(p: Presentation, u: MonoidElement, v: MonoidElement, budget: int | Non
         # and cancel to no runs at all
         vec = tuple(x)
         return EqualityResult(True, p, (vec, vec), rs.proofs, (), rules)
-    nfu = _reduce(x, rules, su, len(rs.eliminated))
-    nfv = _reduce(y, rules, sv, len(rs.eliminated))
-    if nfu != nfv:
-        return EqualityResult(False, p, (tuple(nfu), tuple(nfv)))
+    if rules:  # x and y become the normal forms
+        x = _reduce(x, rules, su, len(rs.eliminated))
+        y = _reduce(y, rules, sv, len(rs.eliminated))
+    if x != y:
+        return EqualityResult(False, p, (tuple(x), tuple(y)))
     # the chain is u's proofs, then v's inverted; runs of one rule that
     # meet in the middle cancel: p^a + p^-b reduces to p^(a-b)
     while su and sv and su[-1][0] == sv[-1][0]:
@@ -822,13 +834,14 @@ def equal(p: Presentation, u: MonoidElement, v: MonoidElement, budget: int | Non
             (su if a > b else sv).append((k, abs(a - b)))
     proofs = rs.proofs
     # len(proof) * t bounds each run's length; the exact lengths only when that bound is too long
-    steps = sum(len(proofs[k]) * t for k, t in su + sv)
+    steps = sum([len(proofs[k]) * t for k, t in su + sv])
     if steps > _MAX_CHAIN:
         steps = sum(_power_length(proofs[k], t) for k, t in su + sv)
     if steps > _MAX_CHAIN:
         raise EngineError(f"certificate chain of {steps} steps is longer than a tuple can hold ({_MAX_CHAIN})")
     runs = (*su, *[(k, -t) for k, t in reversed(sv)])
-    return EqualityResult(True, p, (tuple(nfu), tuple(nfv)), proofs, runs)
+    vec = tuple(x)
+    return EqualityResult(True, p, (vec, vec), proofs, runs)
 
 
 def _reduce(x: list[int], rules: tuple[kernels.Rule, ...], trace: list[tuple[int, int]], offset: int) -> list[int]:
@@ -842,7 +855,7 @@ def _reduce(x: list[int], rules: tuple[kernels.Rule, ...], trace: list[tuple[int
         return kernels.reduce(x, rules, trace)
     runs: list[tuple[int, int]] = []
     y = kernels.reduce(x, rules, runs)
-    trace.extend((k + offset, t) for k, t in runs)
+    trace += [(k + offset, t) for k, t in runs]
     return y
 
 

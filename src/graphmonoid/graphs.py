@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping
 
 
@@ -19,7 +18,24 @@ class GraphError(ValueError):
     """Raised for operations on malformed graphs or unknown ids."""
 
 
-@dataclass(frozen=True)
+class lazy:
+    """A field computed on first access and kept in the instance __dict__, as
+    functools.cached_property keeps it, but without its lock: on Python 3.11
+    that lock is one per class, taken on every first access of every instance.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
+@dataclass(frozen=True, slots=True)
 class Edge:
     id: str
     src: str
@@ -89,15 +105,15 @@ class Graph:
         # own lookups, alphabet and presentation
         return {"vertices": self.vertices, "edges": self.edges, "emitters": self.emitters}
 
-    @cached_property
+    @lazy
     def _edge_by_id(self) -> dict[str, Edge]:
         return {e.id: e for e in reversed(self.edges)}
 
-    @cached_property
+    @lazy
     def _emitter_by_vertex(self) -> dict[str, tuple[EdgeIndexDescriptor, tuple[str, ...]]]:
         return {v: (desc, mat) for v, desc, mat in reversed(self.emitters)}
 
-    @cached_property
+    @lazy
     def _out_edges(self) -> dict[str, list[Edge]]:
         out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         for e in self.edges:
@@ -105,7 +121,7 @@ class Graph:
                 out[e.src].append(e)
         return out
 
-    @cached_property
+    @lazy
     def validation(self) -> "ValidationReport":
         """``validate_graph(self)``, computed once."""
         return validate_graph(self)

@@ -58,8 +58,8 @@ StepTable = tuple["np.ndarray", "np.ndarray", "np.ndarray"]
 def compile_rule(lhs: Sequence[int], rhs: Sequence[int]) -> Rule:
     """The rule lhs -> rhs in the sparse form reduce() reads."""
     return (
-        tuple((c, n) for c, n in enumerate(lhs) if n),
-        tuple((c, b - a) for c, (a, b) in enumerate(zip(lhs, rhs)) if a != b),
+        tuple([(c, n) for c, n in enumerate(lhs) if n]),
+        tuple([(c, b - a) for c, (a, b) in enumerate(zip(lhs, rhs)) if a != b]),
     )
 
 

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import kernels
 from .engine import EngineError, RewriteSystem, completed_system, equal
-from .graphs import Graph, GraphError, VertexClass, out_edges, require_valid, vertex_class
+from .graphs import Graph, GraphError, VertexClass, lazy, out_edges, require_valid, vertex_class
 from .presentation import (
     Generator,
     GeneratorMap,
@@ -64,7 +63,7 @@ class GraphMorphism:
             tuple(sorted(edge_map.items())),
         )
 
-    @cached_property
+    @lazy
     def _maps(self) -> tuple[dict[str, str], dict[str, str]]:
         # built once and shared by every caller: read them, never mutate them
         return dict(self.vertex_pairs), dict(self.edge_pairs)
@@ -429,12 +428,17 @@ def _sample(n_generators: int, degree: int) -> list[tuple[int, ...]]:
 
 
 def _pushed(f: GeneratorMap, sample: list[tuple[int, ...]]) -> Iterator[list[int]]:
-    """f.vector of each sampled element, summed from the images of its columns."""
-    n, column = len(f.codomain), f.column
+    """f.vector of each sampled element, summed from the images of its columns.
+
+    The images are read first, in column order: past degree 0 the sample
+    lists each column alone in that order, so the same image raises first.
+    """
+    n = len(f.codomain)
+    images = [f.column(c) for c in range(len(f.domain))] if len(sample) > 1 else []
     for combo in sample:
         y = [0] * n
         for c in combo:
-            for d, m in column(c):
+            for d, m in images[c]:
                 y[d] += m
         yield y
 
@@ -504,7 +508,10 @@ def check_continuity(
         # each sample pushed and read through the definitions of the system
         # it is reduced in, in one map; the rows are then reduced by the rest
         here = _first_rows(_pushed(rs_i._definitions, sample), rs_i._completed_rules, nfs[rs_i])
-        mid = _first_rows(_pushed(mu_i.then(mid_rs._definitions), sample), mid_rs._completed_rules, nfs[mid_rs])
+        if i == last:
+            mid = here  # mu_i is the identity of the last graph, and rs_i is mid_rs
+        else:
+            mid = _first_rows(_pushed(mu_i.then(mid_rs._definitions), sample), mid_rs._completed_rules, nfs[mid_rs])
         if into_top is None:
             top = mid
         else:

@@ -35,11 +35,10 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, compress
 from typing import Iterable, Mapping
 
-from .graphs import Graph, VertexClass, out_edges, require_valid, vertex_class
+from .graphs import Graph, lazy, require_valid
 
 
 class PresentationError(ValueError):
@@ -83,14 +82,18 @@ class Generator(tuple):
         return self.edges is not None
 
     def sort_key(self):
-        if self.edges is None:
-            return (0, self.vertex)
-        return (1, self.vertex, self.edges)
+        v, edges = self
+        return (0, v) if edges is None else (1, v, edges)
 
     def __str__(self):
-        if self.edges is None:
-            return f"a({self.vertex})"
-        return f"a({self.vertex},{{{','.join(self.edges)}}})"
+        v, edges = self
+        return f"a({v})" if edges is None else f"a({v},{{{','.join(edges)}}})"
+
+
+def _term_key(term: tuple[Generator, int]):
+    """A term's place in canonical order: its generator's sort_key."""
+    v, edges = term[0]
+    return (0, v) if edges is None else (1, v, edges)
 
 
 def vgen(v: str) -> Generator:
@@ -118,7 +121,16 @@ def _integer(m, what: str) -> int:
     raise PresentationError(f"{what} must be an integer, got {m!r}")
 
 
-@dataclass(frozen=True)
+def _count(m, gen: Generator) -> int:
+    """m as a count of gen, an int of at least 0; callers skip it for an int count that passes."""
+    if type(m) is not int:
+        m = _integer(m, f"multiplicity of {gen}")
+    if m < 0:
+        raise PresentationError(f"negative multiplicity for {gen}")
+    return m
+
+
+@dataclass(frozen=True, slots=True)
 class MonoidElement:
     """Finite formal sum of generators with positive integer multiplicities."""
 
@@ -133,30 +145,27 @@ class MonoidElement:
         """
         items = []
         for gen, mult in counts.items():
-            if type(mult) is not int:
-                mult = _integer(mult, f"multiplicity of {gen}")
-            if mult < 0:
-                raise PresentationError(f"negative multiplicity for {gen}")
-            if mult:
-                items.append((gen, mult))
+            if type(mult) is not int or mult < 1:
+                mult = _count(mult, gen)
+                if not mult:
+                    continue
+            items.append((gen, mult))
         if len(items) > 1:
-            items.sort(key=lambda t: t[0].sort_key())
+            items.sort(key=_term_key)
         return cls(tuple(items))
 
     @classmethod
     def single(cls, gen: Generator, mult: int = 1) -> "MonoidElement":
         """mult * gen, checked as from_counts({gen: mult}) checks it."""
-        if type(mult) is not int:
-            mult = _integer(mult, f"multiplicity of {gen}")
-        if mult < 0:
-            raise PresentationError(f"negative multiplicity for {gen}")
+        if type(mult) is not int or mult < 0:
+            mult = _count(mult, gen)
         return cls(((gen, mult),) if mult else ())
 
     def counts(self) -> dict[Generator, int]:
         return dict(self.terms)
 
     def support(self) -> tuple[Generator, ...]:
-        return tuple(g for g, _ in self.terms)
+        return tuple([g for g, _ in self.terms])
 
     def exponent(self, gen: Generator) -> int:
         for g, m in self.terms:
@@ -197,9 +206,16 @@ class MonoidElement:
         return bool(self.terms)
 
     def __str__(self):
+        """The terms as "m*a(v)" or "a(v,{e,f})" joined by " + ", each Generator formatted inline."""
         if not self.terms:
             return "0"
-        return " + ".join(f"{m}*{g}" if m != 1 else str(g) for g, m in self.terms)
+        parts = []
+        for g, m in self.terms:
+            if type(g) is Generator:
+                v, edges = g
+                g = f"a({v})" if edges is None else f"a({v},{{{','.join(edges)}}})"
+            parts.append(f"{m}*{g}" if m != 1 else f"{g}")
+        return " + ".join(parts)
 
 
 ZERO = MonoidElement()
@@ -225,11 +241,18 @@ def _canonical(terms: tuple[tuple[Generator, int], ...]) -> bool:
 
 
 def elem_sum(items: Iterable[MonoidElement]) -> MonoidElement:
-    """Sum of any number of elements, counted in one dict and sorted once."""
+    """Sum of any number of elements, counted in one dict and sorted once.
+
+    Each term's count is checked as from_counts checks it before it is
+    added (a sum would hide a negative count), naming the term's generator.
+    """
     counts: dict[Generator, int] = {}
+    get = counts.get
     for it in items:
         for g, m in it.terms:
-            counts[g] = counts.get(g, 0) + m
+            if type(m) is not int or m < 0:
+                m = _count(m, g)
+            counts[g] = get(g, 0) + m
     return MonoidElement.from_counts(counts)
 
 
@@ -239,12 +262,16 @@ def apply_generator_map(
     """Additive extension of a generator assignment; a monoid morphism.
 
     mult * image is summed over x's terms in one dict, which is sorted once.
-    A mapping may fill itself on a miss (``__missing__``) and raise its own
-    error there; a plain KeyError means the generator is outside its domain.
+    Each term's count is checked first, as from_counts checks it, naming
+    the term's generator.  A mapping may fill itself on a miss
+    (``__missing__``) and raise its own error there; a plain KeyError means
+    the generator is outside its domain.
     """
     counts: dict[Generator, int] = {}
     get = counts.get
     for gen, mult in x.terms:
+        if type(mult) is not int or mult < 0:
+            mult = _count(mult, gen)
         try:
             image = mapping[gen]
         except KeyError:
@@ -269,7 +296,8 @@ class GeneratorMap:
     result is built in the codomain's canonical order from the codomain's own
     generators.  ``rank`` gives each codomain column's place in that order,
     None when the codomain is in canonical order already.  A lone generator
-    of multiplicity 1 gets its stored image element as it is.
+    of multiplicity 1 gets its stored image element as it is.  Each term's
+    count is checked as apply_generator_map checks it.
     """
 
     def __init__(
@@ -311,14 +339,20 @@ class GeneratorMap:
         return x
 
     def __call__(self, x: MonoidElement) -> MonoidElement:
-        """``apply_generator_map`` of this map to x."""
+        """``apply_generator_map`` of this map to x, in one pass over x's terms."""
         terms = x.terms
-        if len(terms) == 1 and terms[0][1] == 1:
-            return self[terms[0][0]]
+        if len(terms) == 1:
+            gen, mult = terms[0]
+            if mult == 1 and type(mult) is int:
+                c = self.index.get(gen)
+                img = None if c is None else self._elements[c]
+                return self[gen] if img is None else img
         index, columns = self.index, self._columns
         counts: dict[int, int] = {}
         get = counts.get
         for gen, mult in terms:
+            if type(mult) is not int or mult < 0:
+                mult = _count(mult, gen)
             c = index.get(gen)
             img = None if c is None else columns[c]
             if img is None:
@@ -362,8 +396,8 @@ def element_of(
     alphabet (an exponent vector), read at its nonzero entries.  The terms
     are in canonical order: column order, or the order of rank[c] when rank
     is given (see Presentation.rank), with an int sort; a list with no rank
-    is in that order already and is read in one pass.  Counts are checked as
-    from_counts checks them, and zero counts are dropped.
+    is in that order already.  The terms are built in one pass that checks
+    each count as from_counts checks it and drops zero counts.
     """
     if type(counts) is list:
         cols = compress(range(len(counts)), counts)
@@ -374,12 +408,11 @@ def element_of(
     terms = []
     for c in cols:
         n = counts[c]
-        if type(n) is not int:
-            n = _integer(n, f"multiplicity of {alphabet[c]}")
-        if n < 0:
-            raise PresentationError(f"negative multiplicity for {alphabet[c]}")
-        if n:
-            terms.append((alphabet[c], n))
+        if type(n) is not int or n < 1:
+            n = _count(n, alphabet[c])
+            if not n:
+                continue
+        terms.append((alphabet[c], n))
     return MonoidElement(tuple(terms))
 
 
@@ -412,7 +445,7 @@ class Presentation:
             raise PresentationError(f"alphabet lists generator {twice} twice")
         own = set(map(id, self.alphabet))  # the alphabet's own objects pass without a hash
         for lhs, rhs in self.relations:
-            if not lhs or not rhs:
+            if not lhs.terms or not rhs.terms:
                 raise PresentationError("relation sides must be non-zero")
             for side in (lhs, rhs):
                 for g, m in side.terms:
@@ -423,7 +456,7 @@ class Presentation:
 
     # A presentation is queried many times over; what it derives from its
     # fields is computed once and kept in the instance __dict__
-    # (cached_property writes there past the frozen __setattr__; the engine
+    # (graphs.lazy writes there past the frozen __setattr__; the engine
     # keeps its compiled relations, step table and completed system there
     # too).  Equality and hash still compare the fields.
 
@@ -432,7 +465,7 @@ class Presentation:
         # builds its own index and completes its own system
         return {"alphabet": self.alphabet, "relations": self.relations}
 
-    @cached_property
+    @lazy
     def _index(self) -> dict[Generator, int]:
         return {g: i for i, g in enumerate(self.alphabet)}
 
@@ -443,7 +476,7 @@ class Presentation:
         """
         return self._index
 
-    @cached_property
+    @lazy
     def _canonical(self) -> tuple[list[int], list[int]] | None:
         """The columns in canonical generator order and each column's place in
         that order, or None when the alphabet is in canonical order."""
@@ -482,8 +515,8 @@ def graph_alphabet(g: Graph) -> tuple[tuple[Generator, ...], dict[Generator, int
                 gens.extend(Generator(v, sub) for sub in combinations(mat, r))
         gens.sort(key=Generator.sort_key)
         gens = tuple(gens)
-        index = {gen: c for c, gen in enumerate(gens)}
-        columns = {(gen.vertex, gen.edges): c for c, gen in enumerate(gens)}
+        index = dict(zip(gens, range(len(gens))))
+        columns = dict(zip(map(tuple, gens), range(len(gens))))
         alphabet = g.__dict__["_alphabet"] = (gens, index, columns)
     return alphabet
 
@@ -509,16 +542,21 @@ def relations(g: Graph) -> tuple[tuple[MonoidElement, MonoidElement], ...]:
     units = [(gen, 1) for gen in alphabet]
 
     def side(cols: list[int]) -> MonoidElement:
-        counts: dict[int, int] = {}
-        for c in cols:
-            counts[c] = counts.get(c, 0) + 1
-        return MonoidElement(tuple(units[c] if n == 1 else (alphabet[c], n) for c, n in sorted(counts.items())))
+        cols.sort()
+        terms = [units[cols[0]]]
+        for c in cols[1:]:
+            if terms[-1][0] is alphabet[c]:
+                terms[-1] = (alphabet[c], terms[-1][1] + 1)
+            else:
+                terms.append(units[c])
+        return MonoidElement(tuple(terms))
 
     rels: list[tuple[MonoidElement, MonoidElement]] = []
-    for v in g.vertices:
-        if vertex_class(g, v) is VertexClass.REGULAR:
+    emitters = g._emitter_by_vertex
+    for v, edges in g._out_edges.items():  # the vertices in order, each with its out-edges
+        if edges and v not in emitters:  # v is regular
             a_v = MonoidElement((units[columns[v, None]],))
-            rels.append((a_v, side([columns[e.dst, None] for e in out_edges(g, v)])))
+            rels.append((a_v, side([columns[e.dst, None] for e in edges])))
     for v, _, mat in g.emitters:
         ranges = {eid: columns[g.edge(eid).dst, None] for eid in mat}
         for r in range(len(mat)):

@@ -446,11 +446,14 @@ def test_phi_and_psi_check_multiplicities_as_apply_generator_map_does():
 
     d = desingularize(single_edge(), 2)
     source, tailed = generators(d.source), generators(d.graph)
-    for bad in (-1, 1.5):
+    for bad in (-1, 1.5, True, "2"):
         for f, images, alphabet in ((phi, phi_generator_map(d), source), (psi, psi_generator_map(d), tailed)):
-            x = MonoidElement(((alphabet[0], 2), (alphabet[1], bad)))
-            with pytest.raises(PresentationError) as want:
-                apply_generator_map(images, x)
-            with pytest.raises(PresentationError) as got:
-                f(d, x)
-            assert str(got.value) == str(want.value)
+            for x in (MonoidElement(((alphabet[0], 2), (alphabet[1], bad))), MonoidElement(((alphabet[1], bad),))):
+                with pytest.raises(PresentationError) as want:
+                    apply_generator_map(images, x)
+                with pytest.raises(PresentationError) as got:
+                    f(d, x)
+                # checked once per term, naming the generator of the input
+                assert str(got.value) == str(want.value)
+                assert str(got.value).endswith(f"for {alphabet[1]}" if bad == -1 else f"got {bad!r}")
+                assert str(alphabet[1]) in str(got.value)

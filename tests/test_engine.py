@@ -1555,3 +1555,125 @@ def test_substitution_first_runs_come_in_rule_order_on_a_reversed_alphabet():
             nf = normal_form(rs, x)
             assert nf == MonoidElement.from_counts(nf.counts())
     assert several > 10
+
+
+def _read_reference(rs, x):
+    """_vec's vector of x, then each definition applied in rule order, with its runs."""
+    from graphmonoid.engine import _vec
+
+    v = _vec(x, rs.presentation.index())
+    runs = []
+    for k, c in enumerate(rs.eliminated):
+        m = v[c]
+        if m:
+            v[c] = 0
+            for d, n in rs.rules[k][1]:
+                if d != c:
+                    v[d] += m * n
+            runs.append((k, m))
+    return v, runs
+
+
+def _read_corpus():
+    import random
+
+    from acceptance_support import graph_level, mixed_corpus
+    from graphmonoid.desingularize import desingularize
+
+    graphs = mixed_corpus(random.Random(0))
+    return [presentation_of(h) for g in graphs for h in (g, desingularize(g, graph_level(g)).graph)]
+
+
+_READ_CORPUS = _read_corpus()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_read_is_vec_then_the_definitions_on_the_mixed_and_tailed_corpora(data):
+    # hand-built elements: generators listed twice, zero counts and large ones
+    from graphmonoid.engine import _read
+
+    p = data.draw(st.sampled_from(_READ_CORPUS))
+    rs = completed_system(p)
+    cols = st.integers(0, len(p.alphabet) - 1)
+    counts = st.one_of(st.integers(0, 3), st.integers(0, 2**40))
+    terms = data.draw(st.lists(st.tuples(cols, counts), max_size=6))
+    x = MonoidElement(tuple((p.alphabet[c], m) for c, m in terms))
+    trace = []
+    assert (_read(rs, x, trace), trace) == _read_reference(rs, x)
+
+
+def test_equal_keeps_the_type_and_message_of_every_malformed_element_error():
+    from graphmonoid.engine import _vec
+
+    p = presentation_of(single_edge())
+    v, w = vgen("v"), vgen("w")
+    half = 2**62
+    malformed = [
+        ((v, 1), (w, -2)),
+        ((v, 1), (w, True)),
+        ((v, True),),
+        ((v, 1), (w, "2")),
+        ((v, 1), (vgen("x"), 1)),
+        ((vgen("x"), -1),),
+        ((v, half), (w, half)),
+        ((v, half), (w, half), (vgen("x"), 1)),
+    ]
+    good = single("v")
+    for terms in malformed:
+        bad = MonoidElement(terms)
+        with pytest.raises(EngineError) as want:
+            _vec(bad, p.index())
+        for call in (lambda: equal(p, bad, good), lambda: equal(p, good, bad), lambda: normal_form(completed_system(p), bad)):
+            with pytest.raises(EngineError) as got:
+                call()
+            assert type(got.value) is EngineError and str(got.value) == str(want.value)
+    assert [str(e) for e in (want.value,)] == [f"element of total degree {2 * half + 1} exceeds the int64 range"]
+
+
+def test_equal_checks_a_budget_against_the_kept_system():
+    import dataclasses
+    import random
+
+    from acceptance_support import mixed_corpus
+    from graphmonoid.engine import DEFAULT_BUDGET
+
+    p = presentation_of(mixed_corpus(random.Random(0))[19])
+    rs = completed_system(p)
+    need = rs.spairs_processed
+    x = single(p.alphabet[0].vertex)
+    for budget in range(need):
+        with pytest.raises(BudgetExceededError) as err:
+            equal(p, x, x, budget=budget)
+        assert (err.value.processed, err.value.budget) == (budget + 1, budget)
+    assert equal(p, x, x, budget=need) and equal(p, x, x)
+    # with no budget, a kept system past the default budget raises as completed_system does
+    p.__dict__["_completed_system"] = dataclasses.replace(rs, spairs_processed=DEFAULT_BUDGET + 1)
+    with pytest.raises(BudgetExceededError) as err:
+        equal(p, x, x)
+    assert (err.value.processed, err.value.budget) == (DEFAULT_BUDGET + 1, DEFAULT_BUDGET)
+
+
+def test_normal_form_reduces_only_when_there_are_completed_rules(monkeypatch):
+    import random
+
+    from acceptance_support import mixed_corpus
+    from graphmonoid import engine, kernels
+
+    calls = []
+    reduce = kernels.reduce
+    monkeypatch.setattr(engine.kernels, "reduce", lambda *a: calls.append(1) or reduce(*a))
+    bare = completed_system(presentation_of(emitter_to_sink(2)))
+    assert bare._completed_rules == () and bare.eliminated
+    x = 3 * single("v") + single("w")
+    vector = _read_reference(bare, x)[0]
+    assert normal_form(bare, x) == MonoidElement.from_counts(dict(zip(bare.presentation.alphabet, vector)))
+    assert calls == []
+    p = presentation_of(mixed_corpus(random.Random(0))[19])
+    rs = completed_system(p)
+    assert rs._completed_rules
+    calls.clear()  # completion reduces too
+    y = MonoidElement.from_counts({gen: 2 for gen in p.alphabet})
+    vector = reduce(_read_reference(rs, y)[0], rs._completed_rules)
+    assert normal_form(rs, y) == MonoidElement.from_counts(dict(zip(p.alphabet, vector)))
+    assert calls == [1]

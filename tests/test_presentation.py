@@ -351,6 +351,54 @@ def test_generator_is_an_immutable_value():
                 setattr(gen, name, "w")
 
 
+def test_element_and_edge_are_slotted_immutable_values():
+    import copy
+    import dataclasses
+    import pickle
+
+    from graphmonoid.graphs import Edge
+
+    g = emitter_to_sink(2)
+    x = 2 * single("v") + MonoidElement.single(sgen(g, "v", ["e0"]), 3)
+    e = Edge("e", "v", "w")
+    for value, field in ((x, "terms"), (e, "id")):
+        assert not hasattr(value, "__dict__")
+        for twin in (
+            copy.copy(value),
+            copy.deepcopy(value),
+            *(pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+        ):
+            assert type(twin) is type(value) and twin == value and not twin != value and hash(twin) == hash(value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, None)
+    assert hash(x) == hash(MonoidElement(x.terms)) and x != MonoidElement(x.terms[:1])
+    assert x.terms == ((vgen("v"), 2), (sgen(g, "v", ["e0"]), 3))
+    assert str(x) == "2*a(v) + 3*a(v,{e0})" and str(ZERO) == "0"
+    assert dataclasses.replace(x, terms=()) == ZERO
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (True, "multiplicity of a(v) must be an integer, got True"),
+        ("2", "multiplicity of a(v) must be an integer, got '2'"),
+        (1.5, "multiplicity of a(v) must be an integer, got 1.5"),
+        (-1, "negative multiplicity for a(v)"),
+    ],
+)
+def test_elem_sum_checks_each_term_count(bad, message):
+    # a hand-built element is not checked when it is made; a sum checks each
+    # term before adding it, so a negative count is not hidden by a larger one
+    x = MonoidElement(((vgen("v"), bad),))
+    y = MonoidElement.single(vgen("v"), 2)
+    for add in (lambda: elem_sum([y, x]), lambda: y + x, lambda: x + y):
+        with pytest.raises(PresentationError) as err:
+            add()
+        assert str(err.value) == message
+    # numpy integers pass, as from_counts passes them
+    assert elem_sum([MonoidElement(((vgen("v"), np.int64(3)),)), y]) == MonoidElement.single(vgen("v"), 5)
+
+
 def test_element_json_round_trip():
     g = emitter_to_sink(2)
     x = 2 * single("v") + MonoidElement.single(sgen(g, "v", ["e1", "e0"]), 3)
