@@ -1628,7 +1628,8 @@ def test_equal_keeps_the_type_and_message_of_every_malformed_element_error():
             with pytest.raises(EngineError) as got:
                 call()
             assert type(got.value) is EngineError and str(got.value) == str(want.value)
-    assert [str(e) for e in (want.value,)] == [f"element of total degree {2 * half + 1} exceeds the int64 range"]
+    # the last element's degree passes int64 before its foreign generator is read
+    assert str(want.value) == f"element of total degree {2 * half + 1} exceeds the int64 range"
 
 
 def test_equal_checks_a_budget_against_the_kept_system():

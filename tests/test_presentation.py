@@ -385,6 +385,7 @@ def test_element_and_edge_are_slotted_immutable_values():
         (1.5, "multiplicity of a(v) must be an integer, got 1.5"),
         (-1, "negative multiplicity for a(v)"),
     ],
+    ids=["bool", "str", "float", "negative"],
 )
 def test_elem_sum_checks_each_term_count(bad, message):
     # a hand-built element is not checked when it is made; a sum checks each
