@@ -42,16 +42,19 @@ common normal form only when it is read.
 The query path (completion, reduction, equality, certificates and their
 replay) works on Python ints and never imports numpy; so does the continuity
 check, which samples by column combinations.  numpy is imported only by the
-batch oracles: bfs_reach, elements_up_to_degree, the rule matrices of a system
-and the step table of a presentation's relations, built on first access from
-the compiled rules.
+batch oracles: bfs_reach once its frontier grows, elements_up_to_degree, the
+rule matrices of a system and the step table of a presentation's relations,
+built on first access from the compiled rules.
 
 bfs_reach, the oracle that checks verdicts against the congruence itself,
-steps over one step table per presentation (kernels.step_table), built once
-from the relations compiled forward and backward: at each depth, one test of
-every frontier row against every step's support columns, and one
-gather-and-add of the steps that pass.  New rows are found with a set of row
-bytes.
+steps by the relations compiled forward and backward (_relation_rules, which
+chain walks read too).  A depth runs in Python, testing each frontier row
+against each step's sparse left side, while the frontier costs at most
+_PYTHON_BFS_TESTS rule tests (rows times steps); most searches never pass
+that.  From the first depth that would, the rest of the search steps over
+one step table per presentation (kernels.step_table): one test of every
+frontier row against every step's support columns, and one gather-and-add of
+the steps that pass, with new rows found by a set of row bytes.
 """
 
 from __future__ import annotations
@@ -82,6 +85,13 @@ if TYPE_CHECKING:
 DEFAULT_BUDGET = 100_000
 _INT64_MAX = (1 << 63) - 1
 _MAX_CHAIN = sys.maxsize // 8  # steps one tuple can hold: 8 bytes per step, sys.maxsize bytes in all
+# Rule tests (frontier rows times relation steps) past which a BFS depth, and
+# every depth after it, runs over the numpy step table instead of in Python.
+# A numpy depth has a fixed cost (about 9 us on a one-row frontier, 2-core
+# x86 host) that a Python depth of a few dozen tests undercuts; past that,
+# numpy's vectorised test wins.  The mean bfs_reach time over warm-queries'
+# and bfs-crosscheck's inputs is lowest near 48 (the sweep in BENCH_29.json).
+_PYTHON_BFS_TESTS = 48
 
 
 class EngineError(ValueError):
@@ -208,7 +218,9 @@ def _vec(x: MonoidElement, index: dict[Generator, int]) -> list[int]:
     A generator that x lists more than once gets the sum of its counts, as
     degree() and the generator maps read it.  A count that is not an int
     (bools included) or is negative raises, naming its generator: a
-    hand-built element is not checked when it is made.
+    hand-built element is not checked when it is made.  A degree past int64
+    raises at the term that takes the running sum past it, naming that sum,
+    before any later term is read.
 
     Reduction is in Python ints, which cannot overflow.  Rules over kept
     generators never raise the degree, but a definition x -> W raises it by
@@ -226,7 +238,7 @@ def _vec(x: MonoidElement, index: dict[Generator, int]) -> list[int]:
             raise EngineError(f"element has a negative count {mult} of generator {gen}")
         degree += mult
         if degree > _INT64_MAX:
-            raise EngineError(f"element of total degree {x.degree()} exceeds the int64 range")
+            raise EngineError(f"element of total degree {degree} exceeds the int64 range")
         try:
             c = index[gen]
         except KeyError:
@@ -322,7 +334,8 @@ def _step_table(p: Presentation) -> kernels.StepTable:
     """The steps of p's relations, forward then backward, as a read-only step table built once per presentation.
 
     Kept on p beside its index, relation rules and completed system, and
-    shared by every BFS.
+    shared by every BFS whose frontier passes _PYTHON_BFS_TESTS rule tests
+    at some depth; a search that never does never builds it.
     """
     table = p.__dict__.get("_step_table")
     if table is None:
@@ -949,7 +962,13 @@ def certificate_to_json(p: Presentation, start: MonoidElement, result: EqualityR
 def congruence_bfs(
     p: Presentation, x: MonoidElement, depth: int, max_size: int | None = None
 ) -> set[MonoidElement]:
-    """All elements reachable from x by at most depth bidirectional relation steps."""
+    """All elements reachable from x by at most depth bidirectional relation steps.
+
+    bfs_reach's set as elements: each depth runs in Python until its frontier
+    passes _PYTHON_BFS_TESTS rule tests, then over the step table.  A cap
+    (max_size) is checked after each whole depth, so the level it falls in is
+    kept whole.
+    """
     reached, _ = bfs_reach(p, x, depth, max_size)
     return {_unvec(t, p) for t in reached}
 
@@ -961,10 +980,16 @@ def bfs_reach(
 
     Saturation means the breadth-first closure stopped producing new elements
     before the depth bound (and before any size cap), so the congruence class
-    of x is exactly the returned set.  Raises EngineError on a depth or cap
-    that is not an int, on a negative depth, cap or count of x, and when
-    depth steps could take an element past the int64 range of the frontier
-    rows.
+    of x is exactly the returned set.  max_size is checked after each whole
+    depth, so a cap keeps the level it falls in.  Raises EngineError on a
+    depth or cap that is not an int, on a negative depth, cap or count of x,
+    and when depth steps could take an element past the int64 range of the
+    step table's rows.
+
+    A depth steps in Python over p's sparse relation rules while its frontier
+    rows times the steps come to at most _PYTHON_BFS_TESTS; from the first
+    depth past that, the rest of the search runs over p's step table
+    (_bfs_over_table).  The set of vectors is the same either way.
     """
     if type(depth) is not int or max_size is not None and type(max_size) is not int:
         raise EngineError(f"depth {depth!r} and max_size {max_size!r} must be ints")
@@ -980,27 +1005,67 @@ def bfs_reach(
             f"element of total degree {degree} may reach degree {reach} in {depth} relation steps, "
             "which exceeds the int64 range"
         )
+    forward, backward = _relation_rules(p)
+    steps = forward + backward
+    start = tuple(x_vec)
+    seen = {start}
+    frontier = (start,)
+    for level in range(depth):
+        if len(frontier) * len(steps) > _PYTHON_BFS_TESTS:
+            return _bfs_over_table(p, seen, frontier, depth - level, max_size)
+        fresh = set()
+        for row in frontier:
+            for need, delta in steps:
+                for c, m in need:
+                    if row[c] < m:
+                        break
+                else:
+                    y = list(row)
+                    for c, d in delta:
+                        y[c] += d
+                    fresh.add(tuple(y))
+        fresh -= seen
+        if not fresh:
+            return seen, True
+        seen |= fresh
+        if max_size is not None and len(seen) > max_size:
+            return seen, False  # capped before closing the class: not saturated
+        frontier = fresh
+    return seen, not p.relations
+
+
+def _bfs_over_table(
+    p: Presentation, seen: set[tuple[int, ...]], frontier: Iterable[tuple[int, ...]], depth: int,
+    max_size: int | None,
+) -> tuple[set[tuple[int, ...]], bool]:
+    """bfs_reach's last depth levels over p's step table, from the frontier among the vectors seen.
+
+    New rows are found with a set of row bytes, and turned into tuples once,
+    column by column, when the search ends; they are added to seen.
+    """
     import numpy as np
 
     g = len(p.alphabet)
     table = _step_table(p)
-    start = np.array(x_vec, dtype=np.int64)
-    row = np.dtype((np.void, start.itemsize * g))  # a row's bytes as one hashable key
-    seen = {start.tobytes()}
-    frontier = start.reshape(1, g)
-    saturated = not p.relations
+    row = np.dtype((np.void, 8 * g))  # an int64 row's bytes as one hashable key
+    keys = set(np.array(list(seen), np.int64).view(row).ravel().tolist())
+    front = np.array(list(frontier), np.int64)
+    levels = []
+    saturated = False
     for _ in range(depth):
-        fresh = set(kernels.expand(frontier, table).view(row).ravel().tolist())
-        fresh -= seen
+        fresh = set(kernels.expand(front, table).view(row).ravel().tolist())
+        fresh -= keys
         if not fresh:
             saturated = True
             break
-        seen |= fresh
-        if max_size is not None and len(seen) > max_size:
+        keys |= fresh
+        levels.append(b"".join(fresh))
+        if max_size is not None and len(keys) > max_size:
             break  # capped before closing the class: not saturated
-        frontier = np.frombuffer(b"".join(fresh), np.int64).reshape(len(fresh), g)
-    rows = np.frombuffer(b"".join(seen), np.int64).reshape(len(seen), g)
-    return set(map(tuple, rows.tolist())), saturated
+        front = np.frombuffer(levels[-1], np.int64).reshape(len(fresh), g)
+    rows = np.frombuffer(b"".join(levels), np.int64).reshape(-1, g)
+    seen.update(zip(*rows.T.tolist()))
+    return seen, saturated
 
 
 def exponent_vectors(n_generators: int, degree: int) -> Iterator[list[int]]:

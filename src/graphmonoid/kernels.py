@@ -7,8 +7,10 @@ reduced by rules compiled once into sparse form (compile_rule).  The systems
 are small (tens of rules, tens of generators) and a reduction takes few
 steps, so a step costs a short scan over the rules' supports, with no array
 call.  The batch kernels, nf_batch and expand, are numpy, vectorised over the
-rules: expand steps the BFS oracle, and nf_batch, which reduces independently
-of reduce(), is the batch reference of acceptance criterion 3 and the
+rules: expand steps the BFS oracle's large frontiers (a depth runs in Python
+over the sparse relation rules until its frontier passes the engine's
+_PYTHON_BFS_TESTS rule tests), and nf_batch, which reduces independently of
+reduce(), is the batch reference of acceptance criterion 3 and the
 benchmark.  numpy is imported inside the functions that use it, so reduction
 alone never loads it.
 

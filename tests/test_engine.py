@@ -957,18 +957,21 @@ def test_degree_past_int64_is_an_engine_error():
     from graphmonoid.engine import bfs_reach
 
     p = presentation_of(single_edge())
-    x = 2**62 * single("v") + 2**62 * single("w")  # each term fits in int64, the sum does not
+    past = 2**62 * single("v") + 2**62 * single("w")  # each term fits in int64, the sum does not
+    # the running degree passes int64 before a count that is not an int is read
+    later = MonoidElement(((vgen("v"), 2**62), (vgen("w"), 2**62), (vgen("v"), "1")))
     rs = completed_system(p)
-    for call in (
-        lambda: normal_form(rs, x),
-        lambda: equal(p, x, single("w")),
-        lambda: equal(p, single("w"), x),
-        lambda: equal(p, x, x),
-        lambda: bfs_reach(p, x, 1),
-        lambda: replay_chain(p, x, ()),
-    ):
-        with pytest.raises(EngineError, match="total degree 9223372036854775808 exceeds the int64 range"):
-            call()
+    for x in (past, later):
+        for call in (
+            lambda: normal_form(rs, x),
+            lambda: equal(p, x, single("w")),
+            lambda: equal(p, single("w"), x),
+            lambda: equal(p, x, x),
+            lambda: bfs_reach(p, x, 1),
+            lambda: replay_chain(p, x, ()),
+        ):
+            with pytest.raises(EngineError, match="total degree 9223372036854775808 exceeds the int64 range"):
+                call()
     # one short of the limit still reduces, in one run
     y = (2**62 - 1) * single("v") + 2**62 * single("w")
     assert normal_form(rs, y) == (2**63 - 1) * single("w")
@@ -1092,11 +1095,20 @@ def _small_presentations(draw):
 
 
 _DOUBLING = pres("vw", [(single("v"), 2 * single("v")), (single("w"), 2 * single("w"))])
+# six steps; levels of 1, 3, 6, 10, 15, 21 rows: the frontier of 10 rows costs
+# 60 rule tests, so depths 1-3 run in Python and depths 4-6 over the step table
+_TRIPLING = (pres("uvw", [(single(c), 2 * single(c)) for c in "uvw"]), single("u") + single("v") + single("w"))
 
 
 @settings(max_examples=150, deadline=None)
 @given(_small_presentations(), st.integers(0, 6), st.none() | st.integers(0, 40))
 @example((_DOUBLING, single("v") + single("w")), 3, 4)  # level sizes 1, 2, 3: the cap falls inside level 2
+@example(_TRIPLING, 6, None)  # switches to the step table after three depths
+@example(_TRIPLING, 6, 15)  # 20 vectors after depth 3: the cap falls in a Python depth
+@example(_TRIPLING, 6, 30)  # 35 vectors after depth 4: the cap falls in a step-table depth
+@example(_TRIPLING, 6, 35)  # a cap met exactly does not stop the search
+@example(_TRIPLING, 0, None)
+@example((pres("uv", []), 2 * single("u")), 3, None)  # no relations: saturated at once
 def test_bfs_reach_matches_the_row_by_row_loop(px, depth, max_size):
     p, x = px
     assert bfs_reach(p, x, depth, max_size) == _bfs_reach_by_rows(p, x, depth, max_size)
@@ -1111,8 +1123,18 @@ def _graph_presentations(draw):
     return p, MonoidElement.from_counts(counts)
 
 
+# six steps; 4, 12 and 23 vectors after depths 1-3 in Python, 33 and 41 after
+# depths 4 and 5 over the step table
+_DIAMOND_BFS = (presentation_of(diamond()), 2 * single("u") + 2 * single("v"))
+
+
 @settings(max_examples=100, deadline=None)
 @given(_graph_presentations(), st.integers(0, 5), st.none() | st.integers(0, 60))
+@example(_DIAMOND_BFS, 5, None)
+@example(_DIAMOND_BFS, 5, 8)  # the cap falls in depth 2, in Python
+@example(_DIAMOND_BFS, 5, 33)  # depth 4 meets the cap and depth 5 passes it, both over the step table
+@example(_DIAMOND_BFS, 0, None)
+@example((presentation_of(single_sink()), 3 * single("v")), 2, None)  # no relations
 def test_bfs_reach_matches_the_row_by_row_loop_on_graphs(px, depth, max_size):
     # R1 and R2 sides of several terms, loops, sinks and materialized emitters
     from graphmonoid.engine import _step_table
@@ -1121,6 +1143,30 @@ def test_bfs_reach_matches_the_row_by_row_loop_on_graphs(px, depth, max_size):
     assert bfs_reach(p, x, depth, max_size) == _bfs_reach_by_rows(p, x, depth, max_size)
     table = _step_table(p)
     assert _step_table(p) is table and not any(m.flags.writeable for m in table)
+
+
+def test_bfs_reach_switches_to_the_step_table_once(monkeypatch):
+    from graphmonoid import engine
+
+    switches = []
+    over_table = engine._bfs_over_table
+
+    def spy(p, seen, frontier, depth, max_size):
+        switches.append((len(seen), depth))
+        return over_table(p, seen, frontier, depth, max_size)
+
+    monkeypatch.setattr(engine, "_bfs_over_table", spy)
+    # six steps: frontiers of 6 and 10 rows fall on either side of the switch
+    assert 6 * 6 <= engine._PYTHON_BFS_TESTS < 6 * 10
+    p, x = _TRIPLING
+    assert bfs_reach(p, x, 6) == _bfs_reach_by_rows(p, x, 6)
+    assert switches == [(20, 3)]  # after depth 3, for the three depths left
+    switches.clear()
+    bfs_reach(p, x, 3)
+    bfs_reach(p, x, 6, 15)
+    assert switches == []  # the search ends, or is capped, before the frontier grows
+    assert bfs_reach(*_DIAMOND_BFS, 5) == _bfs_reach_by_rows(*_DIAMOND_BFS, 5)
+    assert switches == [(23, 2)]
 
 
 def test_bfs_reach_refuses_a_negative_cap_or_count():
@@ -1628,8 +1674,9 @@ def test_equal_keeps_the_type_and_message_of_every_malformed_element_error():
             with pytest.raises(EngineError) as got:
                 call()
             assert type(got.value) is EngineError and str(got.value) == str(want.value)
-    # the last element's degree passes int64 before its foreign generator is read
-    assert str(want.value) == f"element of total degree {2 * half + 1} exceeds the int64 range"
+    # the last element's degree passes int64 before its foreign generator is
+    # read; the error names the degree of the terms read so far
+    assert str(want.value) == f"element of total degree {2 * half} exceeds the int64 range"
 
 
 def test_equal_checks_a_budget_against_the_kept_system():
