@@ -44,7 +44,6 @@ from .engine import (
     EngineError,
     EqualityResult,
     RewriteSystem,
-    complete,
     congruence_bfs,
     equal,
     normal_form,

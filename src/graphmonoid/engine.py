@@ -8,7 +8,7 @@ keeps every degree within the alphabet's size.  What is left is completed over
 the kept generators; the system holds the definitions x -> W first, then those
 rules, and is confluent and terminating under the block order that puts the
 eliminated generators above the rest.  Normal forms are over the kept
-generators.  complete skips the pass and completes the relations as given.
+generators, and completed_system is the one completion entry point.
 Queries apply the definitions as one substitution: an element is read into
 its exponent vector through them in one pass (a GeneratorMap of the alphabet
 into itself), which reports their runs in rule order, and only the completed
@@ -122,17 +122,19 @@ Step = tuple[int, int]  # (relation index, +1 forward / -1 backward)
 
 @dataclass(frozen=True, eq=False)
 class RewriteSystem:
-    """A completed rewrite system: completion raises instead of returning an unfinished one.
+    """A completed rewrite system, as completed_system returns it: completion raises instead of
+    returning an unfinished one.
 
     Rules are oriented by the block order with the eliminated columns on top: an element's
     eliminated part is compared first, then the rest, each graded-lex (total degree first, ties
-    broken on the alphabet's order).  Queries read them through _defined, which checks them once.
+    broken on the alphabet's order); with nothing eliminated, that is graded-lex.  Queries read
+    them through _defined, which checks them once.
     """
     presentation: Presentation
     rules: tuple[kernels.Rule, ...]  # compiled for kernels.reduce
     proofs: tuple[tuple[Step, ...], ...]
     spairs_processed: int
-    eliminated: tuple[int, ...] = ()  # columns of the generators the Tietze pass defined away
+    eliminated: tuple[int, ...]  # columns of the generators the Tietze pass defined away
 
     @property
     def rule_count(self) -> int:
@@ -545,20 +547,6 @@ def _complete_equations(
     return tuple(compiled[k] for k in final), tuple(tuple(proofs[k]) for k in final), spairs
 
 
-def complete(p: Presentation, budget: int | None = None) -> RewriteSystem:
-    """Complete the presentation into a confluent rewrite system over its whole alphabet.
-
-    Deterministic given the presentation; raises BudgetExceededError when the
-    S-pair budget runs out.  Nothing is eliminated: completed_system is the
-    same completion after the Tietze pass.
-    """
-    budget = resolve_budget(budget)
-    index = p.index()
-    equations = ((_vec(u, index), _vec(v, index), ((i, +1),)) for i, (u, v) in enumerate(p.relations))
-    rules, proofs, spairs = _complete_equations(equations, budget)
-    return RewriteSystem(presentation=p, rules=rules, proofs=proofs, spairs_processed=spairs)
-
-
 def _defines(a: dict[int, int], b: dict[int, int]) -> int | None:
     """The generator the relation a = b defines through its side a, if any: a is
     one generator of multiplicity 1, absent from b."""
@@ -709,11 +697,12 @@ def completed_system(p: Presentation, budget: int | None = None) -> RewriteSyste
 
 
 def normal_form(rs: RewriteSystem, x: MonoidElement) -> MonoidElement:
-    """Unique irreducible element congruent to x under a completed system.
+    """Unique irreducible element congruent to x under rs, a system completed_system returned.
 
-    Raises EngineError when rs holds a rule that is not downhill in its
-    order: the block order when it has eliminated generators, else graded-lex.
-    With no completed rules, the vector read is the normal form, as in equal.
+    The normal form is over the generators rs keeps.  Raises EngineError when
+    rs holds a rule that is not downhill in its order: the block order when
+    it has eliminated generators, else graded-lex.  With no completed rules,
+    the vector read is the normal form, as in equal.
     """
     x = _read(rs, x)
     rules = rs._completed_rules

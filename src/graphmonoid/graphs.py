@@ -345,9 +345,15 @@ def graph_from_json(data: dict) -> Graph:
 
 
 def boundary_from_json(data: dict) -> frozenset[str]:
+    """The vertices a Graph JSON document marks with "boundary"; GraphError on a malformed document."""
+    raw_vs = data.get("vertices", []) if isinstance(data, dict) else None
+    if not isinstance(raw_vs, list):
+        raise GraphError("graph document must be a JSON object whose 'vertices' is an array")
     out = set()
-    for item in data.get("vertices", []):
+    for item in raw_vs:
         if isinstance(item, dict) and item.get("boundary"):
+            if not isinstance(item.get("id"), str):
+                raise GraphError(f"malformed vertex entry {item!r}")
             out.add(item["id"])
     return frozenset(out)
 

@@ -162,16 +162,14 @@ class MonoidElement:
         return cls(((gen, mult),) if mult else ())
 
     def counts(self) -> dict[Generator, int]:
-        return dict(self.terms)
+        """Each generator's count, summed over the terms that list it and checked, as elem_sum does."""
+        return dict(elem_sum((self,)).terms)
 
     def support(self) -> tuple[Generator, ...]:
         return tuple([g for g, _ in self.terms])
 
     def exponent(self, gen: Generator) -> int:
-        for g, m in self.terms:
-            if g == gen:
-                return m
-        return 0
+        return self.counts().get(gen, 0)
 
     def degree(self) -> int:
         return sum(m for _, m in self.terms)

@@ -578,6 +578,13 @@ def test_package_names_resolve_on_first_use():
     assert {"psi", "cross_check", "GraphChain", "oracle"} <= set(dir(graphmonoid))
     with pytest.raises(AttributeError):
         graphmonoid.no_such_name
+    # every name the package lists resolves: no stale export or _LAZY entry;
+    # completed_system is the one completion entry point
+    for name in dir(graphmonoid):
+        getattr(graphmonoid, name)
+    assert "complete" not in dir(graphmonoid) and not hasattr(graphmonoid.engine, "complete")
+    with pytest.raises(AttributeError):
+        graphmonoid.complete
 
 
 def test_continuity_check_runs_in_a_fresh_interpreter(files):

@@ -11,7 +11,6 @@ from graphmonoid.engine import (
     EqualityResult,
     bfs_reach,
     certificate_to_json,
-    complete,
     completed_system,
     congruence_bfs,
     elements_up_to_degree,
@@ -42,13 +41,29 @@ def pres(gens, rels):
     return Presentation(tuple(vgen(v) for v in gens), tuple(rels))
 
 
+def _plain_completion(p, budget=None):
+    """p completed as its relations are given, with no Tietze pass.
+
+    The reference completed_system is checked against, and the input on
+    which completion reduces many S-pairs: after the pass, the corpora here
+    leave few or none.
+    """
+    from graphmonoid.engine import RewriteSystem, _complete_equations, _vec, resolve_budget
+
+    budget = resolve_budget(budget)
+    index = p.index()
+    equations = ((_vec(u, index), _vec(v, index), ((i, +1),)) for i, (u, v) in enumerate(p.relations))
+    rules, proofs, spairs = _complete_equations(equations, budget)
+    return RewriteSystem(presentation=p, rules=rules, proofs=proofs, spairs_processed=spairs, eliminated=())
+
+
 def test_complete_empty_relations():
-    rs = complete(pres("vw", []))
+    rs = completed_system(pres("vw", []))
     assert rs.rule_count == 0
 
 
 def test_complete_single_relation_orientation():
-    rs = complete(pres("vw", [(single("v"), single("w"))]))
+    rs = completed_system(pres("vw", [(single("v"), single("w"))]))
     assert rs.rule_count == 1
     lhs, rhs = rs.rule(0)
     assert (lhs, rhs) == (single("v"), single("w"))  # a_v is greater in the order
@@ -56,7 +71,7 @@ def test_complete_single_relation_orientation():
 
 def test_complete_doubling_rule():
     # hand completion: a single rule 2a_v -> a_v, no critical pairs arise
-    rs = complete(pres("vw", [(2 * single("v"), single("v"))]))
+    rs = completed_system(pres("vw", [(2 * single("v"), single("v"))]))
     assert rs.rule_count == 1
     assert rs.rule(0) == (2 * single("v"), single("v"))
     assert normal_form(rs, 2 * single("v")) == single("v")
@@ -87,7 +102,7 @@ def test_normal_form_refuses_a_rule_that_is_not_downhill():
     from graphmonoid import kernels
 
     g = emitter_mixed(3)
-    rs = complete(presentation_of(g))
+    rs = _plain_completion(presentation_of(g))
     k = 7
     lhs, rhs = kernels.rule_sides(rs.rules[k], len(rs.presentation.alphabet))
     x = single("w") + MonoidElement.single(sgen(g, "v", ["e1"])) + MonoidElement.single(sgen(g, "v", ["e1", "e2"]))
@@ -117,7 +132,7 @@ def test_normal_form_refuses_a_flipped_definition_rule():
     rs = completed_system(p)
     x = single("v") + MonoidElement.single(sgen(g, "v", ["e1"]))
     nf = normal_form(rs, x)
-    assert rs.eliminated and complete(p).eliminated == ()
+    assert rs.eliminated
     width = len(p.alphabet)
     for k, column in enumerate(rs.eliminated):
         lhs, rhs = kernels.rule_sides(rs.rules[k], width)
@@ -530,7 +545,7 @@ def test_normal_form_idempotent():
 
 def test_completion_is_deterministic():
     p = presentation_of(emitter_to_sink(3))
-    a, b = complete(p), complete(p)
+    a, b = _plain_completion(p), _plain_completion(p)
     assert np.array_equal(a.lhs, b.lhs)
     assert np.array_equal(a.rhs, b.rhs)
     assert a.proofs == b.proofs
@@ -543,7 +558,7 @@ def test_completion_is_deterministic():
 def test_completion_counters_are_pinned(k, spairs, rules, proof_steps, longest_proof):
     from conftest import emitter_mixed
 
-    rs = complete(presentation_of(emitter_mixed(k)))
+    rs = _plain_completion(presentation_of(emitter_mixed(k)))
     lengths = [len(proof) for proof in rs.proofs]
     assert rs.spairs_processed == spairs
     assert rs.rule_count == rules
@@ -565,7 +580,7 @@ def _graph_16(level):
 def test_completion_work_on_a_tailed_two_emitter_cycle_is_pinned():
     # deterministic counters stand in for a timing: the S-pairs the chain
     # criterion and the disjoint-support skip leave to reduce
-    rs = complete(presentation_of(_graph_16(6)))
+    rs = _plain_completion(presentation_of(_graph_16(6)))
     assert rs.spairs_processed == 1872
     assert rs.rule_count == 145
 
@@ -679,7 +694,7 @@ def test_completed_rules_are_pinned():
 
     h = hashlib.sha256()
     for g in completion_corpus() + [_graph_16(level) for level in (4, 5, 6, 7)]:
-        h.update(repr(complete(presentation_of(g)).rules).encode())
+        h.update(repr(_plain_completion(presentation_of(g)).rules).encode())
     assert h.hexdigest() == "187b1ab87179879204b319c0e0656dc42d8bc5fb602068f5a3211c7e463d707c"
 
 
@@ -692,7 +707,7 @@ def test_completion_keeps_its_compiled_rules_in_step_with_its_matrices():
 
     for g in completion_corpus():
         p = presentation_of(g)
-        rs = complete(p)
+        rs = _plain_completion(p)
         assert rs.rules == kernels.compile_rules(rs.lhs, rs.rhs)
         assert rs.lhs.shape == rs.rhs.shape == (rs.rule_count, len(p.alphabet))
         for k, proof in enumerate(rs.proofs):
@@ -766,7 +781,7 @@ def _confluence_violations(rs):
 def test_completed_systems_pass_the_confluence_check():
     for g in completion_corpus():
         p = presentation_of(g)
-        assert _confluence_violations(complete(p)) == []
+        assert _confluence_violations(_plain_completion(p)) == []
         assert _confluence_violations(completed_system(p)) == []
 
 
@@ -793,7 +808,7 @@ def _assert_the_check_fails_without_a_rule_or_with_one_flipped(rs):
 def test_confluence_check_fails_without_a_rule_or_with_one_flipped():
     from conftest import emitter_mixed
 
-    _assert_the_check_fails_without_a_rule_or_with_one_flipped(complete(presentation_of(emitter_mixed(3))))
+    _assert_the_check_fails_without_a_rule_or_with_one_flipped(_plain_completion(presentation_of(emitter_mixed(3))))
 
 
 def test_confluence_check_fails_on_eliminated_systems_without_a_rule_or_with_one_flipped():
@@ -812,12 +827,12 @@ def test_confluence_check_fails_on_eliminated_systems_without_a_rule_or_with_one
 
 def _elimination_violations(g, degree):
     """Where completed_system, after the Tietze pass, disagrees with plain
-    complete on g's elements up to degree, or fails the confluence check."""
+    completion on g's elements up to degree, or fails the confluence check."""
     from graphmonoid import kernels
     from graphmonoid.engine import _unvec, exponent_vectors
 
     p = presentation_of(g)
-    rs, reference = completed_system(p), complete(p)
+    rs, reference = completed_system(p), _plain_completion(p)
     out = _confluence_violations(rs)
     vectors = list(exponent_vectors(len(p.alphabet), degree))
     ours = [tuple(kernels.reduce(x, rs.rules)) for x in vectors]
@@ -1020,7 +1035,7 @@ def test_chain_longer_than_a_tuple_is_refused_before_it_is_built():
 def test_budget_exhaustion_is_explicit():
     p = presentation_of(emitter_to_sink(3))
     with pytest.raises(BudgetExceededError) as err:
-        complete(p, budget=0)
+        _plain_completion(p, budget=0)
     assert err.value.budget == 0
 
 
@@ -1394,7 +1409,6 @@ def test_a_budget_that_is_not_an_int_is_refused(budget):
     for call in (
         lambda: resolve_budget(budget),
         lambda: completed_system(p, budget),
-        lambda: complete(p, budget),
         lambda: equal(p, single("v"), single("w"), budget),
     ):
         with pytest.raises(EngineError, match=message):

@@ -179,6 +179,11 @@ def test_json_boundary_annotation():
     assert {"id": "w", "boundary": True} in doc["vertices"]
     assert graph_from_json(json.loads(json.dumps(doc))) == g
     assert boundary_from_json(doc) == frozenset({"w"})
+    # a malformed document is a GraphError, as graph_from_json makes it
+    for bad in ({"vertices": [{"boundary": True}]}, {"vertices": [{"id": 3, "boundary": True}]}, ["v"], "v",
+                {"vertices": "ab"}, {"vertices": {"w": True}}):
+        with pytest.raises(GraphError):
+            boundary_from_json(bad)
 
 
 # -- the graph's lookups against the scans they replaced -----------------------

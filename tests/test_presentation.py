@@ -282,11 +282,19 @@ def test_scaling_sums_a_generator_listed_twice():
     y = MonoidElement(((c, 1), (b, 2), (a, 1), (b, 1)))
     assert y * 1 == MonoidElement(((a, 1), (b, 3), (c, 1))) == elem_sum((y,))
     assert y * 3 == _scaled_reference(y, 3)
+    # counts and exponent read the sum too, as degree and x * 1 do
+    z = MonoidElement(((a, 2), (b, 1), (a, 3)))
+    assert z.counts() == {a: 5, b: 1} == dict((z * 1).terms)
+    assert (z.exponent(a), z.exponent(b), z.exponent(c)) == (5, 1, 0)
+    assert z.exponent(a) + z.exponent(b) == z.degree()
     # a count that is not an integer (a bool included), or is negative, raises
     for bad in ((a, 0.5), (a, -1), (a, "1"), (a, True)):
         for n in (0, 1, 2):
             with pytest.raises(PresentationError):
                 MonoidElement((bad,)) * n
+        for read in (lambda x: x.counts(), lambda x: x.exponent(a), lambda x: x.exponent(b)):
+            with pytest.raises(PresentationError):
+                read(MonoidElement(((b, 1), bad)))
 
 
 def test_scaling_a_canonical_element_by_one_is_the_element():
