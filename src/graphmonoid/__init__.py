@@ -6,9 +6,9 @@ their explicit generator maps, transport elements along CK-morphisms and
 chains, and cross-check everything against a path-counting oracle on DAGs.
 """
 
-import sys
-from importlib import import_module
-from types import ModuleType
+import sys as _sys
+from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
 from .graphs import (
     Edge,
@@ -99,9 +99,9 @@ _LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names
 def __getattr__(name: str):
     module = _LAZY_NAMES.get(name)
     if module is not None:
-        value = getattr(import_module(f".{module}", __name__), name)
+        value = getattr(_import_module(f".{module}", __name__), name)
     elif name in _LAZY:
-        value = import_module(f".{name}", __name__)
+        value = _import_module(f".{name}", __name__)
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value
@@ -109,16 +109,18 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY_NAMES) | set(_LAZY))
+    """The exports and submodules, loaded or lazy, with the module's dunder names; no private helper."""
+    public = {name for name in globals() if not name.startswith("_") or name.startswith("__")}
+    return sorted(public | set(_LAZY_NAMES) | set(_LAZY))
 
 
-class _Package(ModuleType):
+class _Package(_ModuleType):
     def __setattr__(self, name: str, value) -> None:
         # loading the submodule desingularize binds it here under the name of
         # its main function, which the package exports under that name
-        if name == "desingularize" and isinstance(value, ModuleType):
+        if name == "desingularize" and isinstance(value, _ModuleType):
             value = value.desingularize
         super().__setattr__(name, value)
 
 
-sys.modules[__name__].__class__ = _Package
+_sys.modules[__name__].__class__ = _Package

@@ -127,7 +127,7 @@ class RewriteSystem:
 
     Rules are oriented by the block order with the eliminated columns on top: an element's
     eliminated part is compared first, then the rest, each graded-lex (total degree first, ties
-    broken on the alphabet's order); with nothing eliminated, that is graded-lex.  Queries read
+    by the canonical generator order); with nothing eliminated, that is graded-lex.  Queries read
     them through _defined, which checks them once.
     """
     presentation: Presentation
@@ -192,7 +192,7 @@ class RewriteSystem:
             k = defined.get(c)
             return ((c, 1),) if k is None else tuple(t for t in rules[k][1] if t[0] != c)
 
-        return GeneratorMap(p.alphabet, index, p.alphabet, image, p.rank)
+        return GeneratorMap(p.alphabet, index, p.alphabet, image)
 
     @lazy
     def _completed_rules(self) -> tuple[kernels.Rule, ...]:
@@ -350,10 +350,9 @@ def _step_table(p: Presentation) -> kernels.StepTable:
 def _unvec(v: Iterable[int], p: Presentation) -> MonoidElement:
     """The element with exponent vector v over p's alphabet (a list or tuple of ints, or an int64 row).
 
-    element_of reads v as a list, with its count checks; over an alphabet
-    in canonical order, it builds the terms in one pass over v.
+    element_of reads v as a list, with its count checks, and builds the terms in one pass over v.
     """
-    return element_of(p.alphabet, p.rank, v if type(v) is list else list(v))
+    return element_of(p.alphabet, v if type(v) is list else list(v))
 
 
 def _compare(u: list[int], v: list[int]) -> int:
@@ -923,16 +922,11 @@ def certificate_to_json(p: Presentation, start: MonoidElement, result: EqualityR
     chain = result.chain or ()
     contexts: list[list[int]] = []
     _walk_chain(p, start, chain, contexts)
-    # a context's terms in canonical generator order, as element_to_json writes
-    # them; presentation_of's alphabet is in that order already
+    # a context's terms in column order, which is the canonical order element_to_json writes
     alphabet = p.alphabet
-    canonical = p._canonical
-    order = range(len(alphabet)) if canonical is None else canonical[0]
-    if canonical is not None:
-        contexts = [[ctx[i] for i in order] for ctx in contexts]
-    columns = range(len(order))
+    columns = range(len(alphabet))
     used = [list(compress(columns, ctx)) for ctx in contexts]
-    gens = {c: generator_to_json(alphabet[order[c]]) for c in set().union(*used)}
+    gens = {c: generator_to_json(alphabet[c]) for c in set().union(*used)}
     steps = [
         {
             "relation": rel,

@@ -10,7 +10,8 @@ engine there.
 A MonoidChain's connecting maps and a UniversalMap's family are compiled
 GeneratorMaps, each built once with every image read, so a missing image, one
 outside the codomain or a key outside the domain is refused at build time;
-both compare by identity.
+both compare by identity.  A chain level is an int: any other level, a bool
+or a float included, is refused with MorphismError.
 """
 
 from __future__ import annotations
@@ -213,7 +214,7 @@ class GraphChain:
         return len(self.graphs)
 
     def morphism(self, i: int, j: int) -> GraphMorphism:
-        if not 0 <= i <= j < len(self.graphs):
+        if type(i) is not int or type(j) is not int or not 0 <= i <= j < len(self.graphs):
             raise MorphismError(f"bad chain indices {i}, {j}")
         m = identity_morphism(self.graphs[i])
         for k in range(i, j):
@@ -249,7 +250,7 @@ def _compiled(dom: Presentation, cod: Presentation, m: Mapping[Generator, Monoid
         f, keys = m, ()
     else:
         keys = dict(m)
-        f = GeneratorMap(dom.alphabet, dom.index(), cod.alphabet, mapping_image(keys, cod.index()), cod.rank)
+        f = GeneratorMap(dom.alphabet, dom.index(), cod.alphabet, mapping_image(keys, cod.index()))
     for gen in keys:
         if gen not in f.index:
             raise PresentationError(f"generator {gen} outside the map's domain")
@@ -289,7 +290,7 @@ class MonoidChain:
         return self.steps[i].as_dict()
 
     def map_up(self, i: int, j: int, x: MonoidElement) -> MonoidElement:
-        if not 0 <= i <= j < len(self.presentations):
+        if type(i) is not int or type(j) is not int or not 0 <= i <= j < len(self.presentations):
             raise MorphismError(f"bad chain indices {i}, {j}")
         for k in range(i, j):
             x = self.steps[k](x)
@@ -323,7 +324,7 @@ class DirectLimit:
         return len(self.chain) - 1
 
     def inject(self, level: int, x: MonoidElement) -> LimitElement:
-        if not 0 <= level <= self.top:
+        if type(level) is not int or not 0 <= level <= self.top:
             raise MorphismError(f"level {level} is not a chain level (0 to {self.top})")
         index = self.chain.presentations[level].index()
         for gen in x.support():
@@ -356,7 +357,7 @@ class UniversalMap:
     maps: tuple[GeneratorMap, ...]  # level i's map compiled over its alphabet and the target's
 
     def __call__(self, a: LimitElement) -> MonoidElement:
-        if not 0 <= a.level < len(self.maps):
+        if type(a.level) is not int or not 0 <= a.level < len(self.maps):
             raise MorphismError(f"level {a.level} is not a chain level (0 to {len(self.maps) - 1})")
         return self.maps[a.level](a.element)
 

@@ -27,8 +27,13 @@ family of a universal map and a completed system's definitions are all
 GeneratorMaps.  A chain and a universal map store the compiled maps
 themselves, not a second copy of their images, and compare by identity.
 apply_generator_map stays as the reference for a plain dict of images.
-A Presentation refuses a relation count that is not a positive int.  A
-graph's presentation is kept on the graph too (presentation_of).
+
+A Presentation's alphabet is strictly increasing in canonical order
+(Generator.sort_key), so its column order is canonical order: an element
+built by column, in column order, is in canonical term order.  A
+Presentation refuses any other alphabet, and a relation count that is not a
+positive int.  A graph's presentation is kept on the graph too
+(presentation_of).
 """
 
 from __future__ import annotations
@@ -56,8 +61,8 @@ class Generator(tuple):
     __slots__ = ()
 
     def __new__(cls, vertex: str, edges: tuple[str, ...] | None = None):
-        if edges is not None and not edges:
-            raise PresentationError("cofinite generator needs a non-empty edge set")
+        if edges is not None and (type(edges) is not tuple or not edges):
+            raise PresentationError(f"cofinite generator needs a non-empty tuple of edges, got {edges!r}")
         return tuple.__new__(cls, (vertex, edges))
 
     vertex = property(operator.itemgetter(0))
@@ -94,6 +99,15 @@ def _term_key(term: tuple[Generator, int]):
     """A term's place in canonical order: its generator's sort_key."""
     v, edges = term[0]
     return (0, v) if edges is None else (1, v, edges)
+
+
+def _precedes(a: Generator, b: Generator) -> bool:
+    """Whether a comes strictly before b in canonical order (Generator.sort_key), compared
+    without building keys: every a_v first, by vertex, then every a_{v,S}, by (vertex, edges)
+    as a tuple."""
+    if a[1] is None:
+        return b[1] is not None or a[0] < b[0]
+    return b[1] is not None and a < b
 
 
 def vgen(v: str) -> Generator:
@@ -224,16 +238,8 @@ def _canonical(terms: tuple[tuple[Generator, int], ...]) -> bool:
     generators strictly increasing in canonical order (Generator.sort_key)."""
     prev = None
     for g, m in terms:
-        if type(m) is not int or m < 1:
+        if type(m) is not int or m < 1 or prev is not None and not _precedes(prev, g):
             return False
-        if prev is not None:
-            # sort_key compared without building it: every a_v first, by
-            # vertex, then every a_{v,S}, by (vertex, edges) as a tuple
-            if prev[1] is None:
-                if g[1] is None and not prev[0] < g[0]:
-                    return False
-            elif g[1] is None or not prev < g:
-                return False
         prev = g
     return True
 
@@ -291,11 +297,10 @@ class GeneratorMap:
     A generator outside the domain alphabet has its image computed on every
     use.  The map applies to exponent vectors (``vector``) and to elements
     (calling it): an element's terms are summed by codomain column, and the
-    result is built in the codomain's canonical order from the codomain's own
-    generators.  ``rank`` gives each codomain column's place in that order,
-    None when the codomain is in canonical order already.  A lone generator
-    of multiplicity 1 gets its stored image element as it is.  Each term's
-    count is checked as apply_generator_map checks it.
+    result is built in column order, which is canonical order, from the
+    codomain's own generators.  A lone generator of multiplicity 1 gets its
+    stored image element as it is.  Each term's count is checked as
+    apply_generator_map checks it.
     """
 
     def __init__(
@@ -304,12 +309,10 @@ class GeneratorMap:
         index: Mapping[Generator, int],
         codomain: tuple[Generator, ...],
         image,
-        rank: list[int] | None = None,
     ):
         self.domain = domain
         self.index = index  # domain generator -> column
         self.codomain = codomain
-        self.rank = rank
         self._image = image
         self._columns: list[Image | None] = [None] * len(domain)
         self._elements: list[MonoidElement | None] = [None] * len(domain)
@@ -330,10 +333,10 @@ class GeneratorMap:
         """The image of one generator as an element."""
         c = self.index.get(gen)
         if c is None:
-            return element_of(self.codomain, self.rank, dict(self._image(gen)))
+            return element_of(self.codomain, dict(self._image(gen)))
         x = self._elements[c]
         if x is None:
-            x = self._elements[c] = element_of(self.codomain, self.rank, dict(self.column(c)))
+            x = self._elements[c] = element_of(self.codomain, dict(self.column(c)))
         return x
 
     def __call__(self, x: MonoidElement) -> MonoidElement:
@@ -357,7 +360,7 @@ class GeneratorMap:
                 img = self.image_of(gen)
             for d, m in img:
                 counts[d] = get(d, 0) + m * mult
-        return element_of(self.codomain, self.rank, counts)
+        return element_of(self.codomain, counts)
 
     def vector(self, x) -> list[int]:
         """The image of exponent vector x over the domain, over the codomain."""
@@ -378,31 +381,23 @@ class GeneratorMap:
                     counts[d] = counts.get(d, 0) + m * n
             return tuple(sorted(counts.items()))
 
-        return GeneratorMap(self.domain, self.index, outer.codomain, image, outer.rank)
+        return GeneratorMap(self.domain, self.index, outer.codomain, image)
 
     def as_dict(self) -> dict[Generator, MonoidElement]:
         """Every domain generator with its image element."""
         return {gen: self[gen] for gen in self.domain}
 
 
-def element_of(
-    alphabet: tuple[Generator, ...], rank: list[int] | None, counts: Mapping[int, int] | list[int]
-) -> MonoidElement:
+def element_of(alphabet: tuple[Generator, ...], counts: Mapping[int, int] | list[int]) -> MonoidElement:
     """The sum of counts[c] * alphabet[c], built from the alphabet's own generators.
 
     counts maps columns to counts: a mapping, or a list over the whole
     alphabet (an exponent vector), read at its nonzero entries.  The terms
-    are in canonical order: column order, or the order of rank[c] when rank
-    is given (see Presentation.rank), with an int sort; a list with no rank
-    is in that order already.  The terms are built in one pass that checks
-    each count as from_counts checks it and drops zero counts.
+    are in column order, which is canonical order (a mapping's columns get
+    an int sort), and are built in one pass that checks each count as
+    from_counts checks it and drops zero counts.
     """
-    if type(counts) is list:
-        cols = compress(range(len(counts)), counts)
-        if rank is not None:
-            cols = sorted(cols, key=rank.__getitem__)
-    else:
-        cols = sorted(counts) if rank is None else sorted(counts, key=rank.__getitem__)
+    cols = compress(range(len(counts)), counts) if type(counts) is list else sorted(counts)
     terms = []
     for c in cols:
         n = counts[c]
@@ -437,11 +432,15 @@ class Presentation:
     relations: tuple[tuple[MonoidElement, MonoidElement], ...]
 
     def __post_init__(self):
-        known = set(self.alphabet)
-        if len(known) != len(self.alphabet):
-            twice = next(g for i, g in enumerate(self.alphabet) if g in self.alphabet[:i])
+        alphabet = self.alphabet
+        known = set(alphabet)
+        if len(known) != len(alphabet):
+            twice = next(g for i, g in enumerate(alphabet) if g in alphabet[:i])
             raise PresentationError(f"alphabet lists generator {twice} twice")
-        own = set(map(id, self.alphabet))  # the alphabet's own objects pass without a hash
+        for a, b in zip(alphabet, alphabet[1:]):
+            if not _precedes(a, b):
+                raise PresentationError(f"alphabet lists {b} after {a}, out of canonical order")
+        own = set(map(id, alphabet))  # the alphabet's own objects pass without a hash
         for lhs, rhs in self.relations:
             if not lhs.terms or not rhs.terms:
                 raise PresentationError("relation sides must be non-zero")
@@ -473,25 +472,6 @@ class Presentation:
         One dict, built once and shared by every caller: read it, never mutate it.
         """
         return self._index
-
-    @lazy
-    def _canonical(self) -> tuple[list[int], list[int]] | None:
-        """The columns in canonical generator order and each column's place in
-        that order, or None when the alphabet is in canonical order."""
-        alphabet = self.alphabet
-        order = sorted(range(len(alphabet)), key=lambda c: alphabet[c].sort_key())
-        if order == list(range(len(order))):
-            return None
-        rank = [0] * len(order)
-        for i, c in enumerate(order):
-            rank[c] = i
-        return order, rank
-
-    @property
-    def rank(self) -> list[int] | None:
-        """Each column's place in canonical generator order, None when the alphabet is in that order."""
-        canonical = self._canonical
-        return None if canonical is None else canonical[1]
 
 
 Key = tuple[str, tuple[str, ...] | None]  # a generator's (vertex, edges)
@@ -575,7 +555,6 @@ def presentation_of(g: Graph) -> Presentation:
         alphabet, index, _ = graph_alphabet(g)
         p = g.__dict__["_presentation"] = Presentation(alphabet, relations(g))
         p.__dict__["_index"] = index  # the graph's index of the same alphabet
-        p.__dict__["_canonical"] = None  # generators(g) is in canonical order
     return p
 
 
@@ -677,7 +656,7 @@ def element_from_json(data: dict, g: Graph | None = None) -> MonoidElement:
         require_valid(g)
     if others:
         return MonoidElement.from_counts({**{alphabet[c]: n for c, n in counts.items()}, **others})
-    return element_of(alphabet, None, counts)
+    return element_of(alphabet, counts)
 
 
 def presentation_to_json(p: Presentation) -> dict:

@@ -583,6 +583,8 @@ def test_package_names_resolve_on_first_use():
     for name in dir(graphmonoid):
         getattr(graphmonoid, name)
     assert "complete" not in dir(graphmonoid) and not hasattr(graphmonoid.engine, "complete")
+    # the lazy loader's helpers are not exports
+    assert not {"sys", "import_module", "ModuleType", "_Package"} & set(dir(graphmonoid))
     with pytest.raises(AttributeError):
         graphmonoid.complete
 

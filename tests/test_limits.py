@@ -190,6 +190,32 @@ def test_inject_checks_the_level():
             limit.inject(level, single("w"))
 
 
+def test_levels_that_are_not_ints_are_refused():
+    # a bool or a float is no chain level, even where it compares as one
+    graphs = emitter_chain((1, 2))
+    chain = monoid_chain(graphs)
+    limit = colimit_monoid(chain)
+    p = chain.presentations[1]
+    ident = {gen: MonoidElement.single(gen) for gen in p.alphabet}
+    u = universal_map(limit, p, [chain.steps[0].as_dict(), ident])
+    x = single("w")
+    for level in (True, False, 1.0, 0.0, 0.5):
+        refused = (
+            lambda: limit.inject(level, x),
+            lambda: limit.to_top(LimitElement(level, x)),
+            lambda: limit.add(LimitElement(level, x), LimitElement(1, x)),
+            lambda: chain.map_up(0, level, x),
+            lambda: chain.map_up(level, 1, x),
+            lambda: graphs.morphism(0, level),
+            lambda: graphs.morphism(level, 1),
+            lambda: u(LimitElement(level, x)),
+        )
+        for call in refused:
+            with pytest.raises(MorphismError, match=re.escape(str(level))):
+                call()
+    assert limit.inject(1, x).level == 1 and chain.map_up(0, 1, x) == x and u(LimitElement(1, x)) == x
+
+
 def test_limit_rejects_foreign_generators():
     limit = colimit_monoid(monoid_chain(emitter_chain()))
     g3 = emitter_to_sink(3)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from itertools import combinations
 
 import numpy as np
@@ -328,8 +329,11 @@ def test_sgen_sorts_by_edge_index():
 
 
 def test_generator_needs_nonempty_edge_set():
-    with pytest.raises(PresentationError):
-        Generator("v", ())
+    # edges other than a tuple, a list say, would build, then raise TypeError at the first hash
+    for edges in ((), ["e0"], [], "e0", {"e0"}, 0):
+        with pytest.raises(PresentationError, match=re.escape(f"non-empty tuple of edges, got {edges!r}")):
+            Generator("v", edges)
+    assert Generator("v", ("e0",)).edges == ("e0",) and Generator("v").edges is None
 
 
 def test_generator_is_an_immutable_value():
@@ -451,6 +455,24 @@ def test_presentation_rejects_repeated_generator_in_alphabet():
         Presentation((vgen("v"), vgen("w"), vgen("v")), ((single("v"), single("w")),))
 
 
+def test_presentation_refuses_an_alphabet_out_of_canonical_order():
+    # column order is canonical order (Generator.sort_key): every a_v by
+    # vertex, then every a_{v,S} by (vertex, edges)
+    from graphmonoid.presentation import Presentation
+
+    v, w, vs, ws = vgen("v"), vgen("w"), Generator("v", ("e1",)), Generator("w", ("e0",))
+    for alphabet, first, second in (
+        ((w, v), w, v),
+        ((v, vs, w), vs, w),
+        ((v, w, ws, vs), ws, vs),
+        ((v, Generator("v", ("e1", "e2")), Generator("v", ("e1",))), Generator("v", ("e1", "e2")), Generator("v", ("e1",))),
+    ):
+        with pytest.raises(PresentationError, match=re.escape(f"alphabet lists {second} after {first}, out of canonical order")):
+            Presentation(alphabet, ())
+    alphabet = (v, w, Generator("v", ("e0",)), vs, Generator("v", ("e1", "e2")), ws)
+    assert Presentation(alphabet, ()).alphabet == tuple(sorted(alphabet, key=Generator.sort_key))
+
+
 def _owned(x: MonoidElement, alphabet) -> bool:
     """Whether every generator of x is an object of alphabet itself, not an equal copy."""
     ids = {id(gen) for gen in alphabet}
@@ -465,7 +487,7 @@ def test_one_generator_object_per_alphabet_entry():
         alphabet = generators(g)
         assert generators(g) is alphabet
         p = presentation_of(g)
-        assert p.alphabet is alphabet and p.rank is None
+        assert p.alphabet is alphabet
         assert all(_owned(side, alphabet) for rel in relations(g) for side in rel)
         assert relations(g) == p.relations
         # the sides are the canonical elements, term order included
