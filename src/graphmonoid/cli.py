@@ -89,6 +89,7 @@ def _text_lines(doc, prefix: str = ""):
     elif isinstance(doc, list):
         for v in doc:
             if isinstance(v, (dict, list)):
+                yield f"{prefix}-"
                 yield from _text_lines(v, prefix + "  ")
             else:
                 yield f"{prefix}- {v}"

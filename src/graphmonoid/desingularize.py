@@ -95,9 +95,8 @@ class Desingularization:
         return False
 
     # phi and psi compiled over the two alphabets, each generator's image
-    # computed on its first use and kept in the instance __dict__ (as Graph
-    # keeps its lookups); equality and hash still compare the fields.  The
-    # image rules hold the graphs and the origin map, not the
+    # computed on its first use; equality and hash still compare the
+    # fields.  The image rules hold the graphs and the origin map, not the
     # Desingularization, so there is no reference cycle.
 
     @lazy

@@ -290,61 +290,50 @@ def _read(rs: RewriteSystem, x: MonoidElement, trace: list[tuple[int, int]] | No
     return out
 
 
+@lazy
 def _relation_rules(p: Presentation) -> tuple[tuple[kernels.Rule, ...], tuple[kernels.Rule, ...]]:
     """p's relations compiled forward (left side to right) and backward, built once per presentation.
 
     Built from the sides' terms by column, not from dense vectors, with
-    every repeated (column, count) pair and side stored once.  Kept on p as
-    its step table is, and read by every chain walk and by the step table.
+    every repeated (column, count) pair and side stored once.
     """
-    pair = p.__dict__.get("_relation_rules")
-    if pair is None:
-        index = p.index()
-        shared = {}
-        intern = shared.setdefault
+    index = p.index()
+    shared = {}
+    intern = shared.setdefault
 
-        def side(x: MonoidElement) -> dict[int, int]:
-            out = {}
-            for gen, m in x.terms:
-                c = index[gen]
-                out[c] = out.get(c, 0) + m  # as _vec reads a term
-            return out
+    def side(x: MonoidElement) -> dict[int, int]:
+        out = {}
+        for gen, m in x.terms:
+            c = index[gen]
+            out[c] = out.get(c, 0) + m  # as _vec reads a term
+        return out
 
-        def rule(a: dict[int, int], b: dict[int, int]) -> kernels.Rule:
-            # kernels.compile_rule of the dense sides
-            need = tuple(intern(t, t) for t in sorted(a.items()) if t[1])
-            delta = ((c, b.get(c, 0) - a.get(c, 0)) for c in sorted(a.keys() | b.keys()))
-            step = tuple(intern(t, t) for t in delta if t[1])
-            return intern(need, need), intern(step, step)
+    def rule(a: dict[int, int], b: dict[int, int]) -> kernels.Rule:
+        # kernels.compile_rule of the dense sides
+        need = tuple(intern(t, t) for t in sorted(a.items()) if t[1])
+        delta = ((c, b.get(c, 0) - a.get(c, 0)) for c in sorted(a.keys() | b.keys()))
+        step = tuple(intern(t, t) for t in delta if t[1])
+        return intern(need, need), intern(step, step)
 
-        sides = [(side(u), side(v)) for u, v in p.relations]
-        pair = (tuple(rule(a, b) for a, b in sides), tuple(rule(b, a) for a, b in sides))
-        p.__dict__["_relation_rules"] = pair
-    return pair
+    sides = [(side(u), side(v)) for u, v in p.relations]
+    return tuple(rule(a, b) for a, b in sides), tuple(rule(b, a) for a, b in sides)
 
 
+@lazy
 def _degree_gain(p: Presentation) -> int:
     """The most one relation step, either way, raises an element's degree, computed once per presentation."""
-    gain = p.__dict__.get("_degree_gain")
-    if gain is None:
-        gain = max((abs(sum(d for _, d in delta)) for _, delta in _relation_rules(p)[0]), default=0)
-        p.__dict__["_degree_gain"] = gain
-    return gain
+    return max((abs(sum(d for _, d in delta)) for _, delta in _relation_rules(p)[0]), default=0)
 
 
+@lazy
 def _step_table(p: Presentation) -> kernels.StepTable:
     """The steps of p's relations, forward then backward, as a read-only step table built once per presentation.
 
-    Kept on p beside its index, relation rules and completed system, and
-    shared by every BFS whose frontier passes _PYTHON_BFS_TESTS rule tests
+    Shared by every BFS whose frontier passes _PYTHON_BFS_TESTS rule tests
     at some depth; a search that never does never builds it.
     """
-    table = p.__dict__.get("_step_table")
-    if table is None:
-        forward, backward = _relation_rules(p)
-        table = kernels.step_table(*kernels.rule_matrices(forward + backward, len(p.alphabet)))
-        p.__dict__["_step_table"] = table
-    return table
+    forward, backward = _relation_rules(p)
+    return kernels.step_table(*kernels.rule_matrices(forward + backward, len(p.alphabet)))
 
 
 def _unvec(v: Iterable[int], p: Presentation) -> MonoidElement:

@@ -10,6 +10,7 @@ range of every index, materialized or not.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -18,20 +19,34 @@ class GraphError(ValueError):
     """Raised for operations on malformed graphs or unknown ids."""
 
 
+_MISSING = object()
+
+
 class lazy:
-    """A field computed on first access and kept in the instance __dict__, as
-    functools.cached_property keeps it, but without its lock: on Python 3.11
-    that lock is one per class, taken on every first access of every instance.
+    """A value computed once from one object, kept in its __dict__ under the function's name.
+
+    Every such value is kept this way but the completed system, which
+    depends on a budget (engine.completed_system).  On a class, a field as
+    functools.cached_property makes one, without its class-wide lock.  On a
+    function f of one object, named as no attribute of its class, f(obj) is
+    the kept value, or computes and keeps it; a failed call keeps nothing.
     """
 
     def __init__(self, func):
         self.func = func
         self.name = func.__name__
+        functools.update_wrapper(self, func)
 
     def __get__(self, obj, owner=None):
         if obj is None:
             return self
         value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+    def __call__(self, obj):
+        value = obj.__dict__.get(self.name, _MISSING)
+        if value is _MISSING:
+            value = obj.__dict__[self.name] = self.func(obj)
         return value
 
 
@@ -96,9 +111,9 @@ class Graph:
         )
         return cls(tuple(sorted(vertices)), es, ems)
 
-    # Lookups derived from the fields, built once and kept in the instance
-    # __dict__ (equality and hash still compare the fields); reversed, so
-    # that the first of repeated ids wins, as a scan would find it.
+    # Lookups derived from the fields, built once by lazy (equality and hash
+    # still compare the fields); reversed, so that the first of repeated ids
+    # wins, as a scan would find it.
 
     def __getstate__(self) -> dict:
         # a copy or unpickled graph carries no derived data: it builds its

@@ -215,7 +215,7 @@ class GraphChain:
 
     def morphism(self, i: int, j: int) -> GraphMorphism:
         if type(i) is not int or type(j) is not int or not 0 <= i <= j < len(self.graphs):
-            raise MorphismError(f"bad chain indices {i}, {j}")
+            raise MorphismError(f"bad chain indices {i!r}, {j!r}")
         m = identity_morphism(self.graphs[i])
         for k in range(i, j):
             m = compose(self.steps[k], m)
@@ -291,7 +291,7 @@ class MonoidChain:
 
     def map_up(self, i: int, j: int, x: MonoidElement) -> MonoidElement:
         if type(i) is not int or type(j) is not int or not 0 <= i <= j < len(self.presentations):
-            raise MorphismError(f"bad chain indices {i}, {j}")
+            raise MorphismError(f"bad chain indices {i!r}, {j!r}")
         for k in range(i, j):
             x = self.steps[k](x)
         return x
@@ -323,10 +323,13 @@ class DirectLimit:
     def top(self) -> int:
         return len(self.chain) - 1
 
-    def inject(self, level: int, x: MonoidElement) -> LimitElement:
+    def _level(self, level: int) -> int:
         if type(level) is not int or not 0 <= level <= self.top:
-            raise MorphismError(f"level {level} is not a chain level (0 to {self.top})")
-        index = self.chain.presentations[level].index()
+            raise MorphismError(f"level {level!r} is not a chain level (0 to {self.top})")
+        return level
+
+    def inject(self, level: int, x: MonoidElement) -> LimitElement:
+        index = self.chain.presentations[self._level(level)].index()
         for gen in x.support():
             if gen not in index:
                 raise MorphismError(f"{gen} is not a generator at level {level}")
@@ -340,7 +343,7 @@ class DirectLimit:
         return bool(equal(top_p, self.to_top(a), self.to_top(b), budget))
 
     def add(self, a: LimitElement, b: LimitElement) -> LimitElement:
-        k = max(a.level, b.level)
+        k = max(self._level(a.level), self._level(b.level))
         return LimitElement(
             k, self.chain.map_up(a.level, k, a.element) + self.chain.map_up(b.level, k, b.element)
         )
@@ -358,7 +361,7 @@ class UniversalMap:
 
     def __call__(self, a: LimitElement) -> MonoidElement:
         if type(a.level) is not int or not 0 <= a.level < len(self.maps):
-            raise MorphismError(f"level {a.level} is not a chain level (0 to {len(self.maps) - 1})")
+            raise MorphismError(f"level {a.level!r} is not a chain level (0 to {len(self.maps) - 1})")
         return self.maps[a.level](a.element)
 
 
@@ -570,6 +573,8 @@ def chain_from_json(data: dict) -> GraphChain:
         graphs = [graph_from_json(g) for g in raw_gs]
     except (KeyError, TypeError) as exc:
         raise MorphismError(f"malformed system document: {exc}") from exc
+    if not graphs:
+        raise MorphismError("a chain needs at least one graph")
     if len(raw_ms) != len(graphs) - 1:
         raise MorphismError("system must list one morphism between consecutive graphs")
     steps = [

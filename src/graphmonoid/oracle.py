@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .engine import equal
-from .graphs import Graph, GraphError, VertexClass, out_edges, require_valid, vertex_class
+from .graphs import Graph, GraphError, VertexClass, lazy, out_edges, require_valid, vertex_class
 from .limits import GraphMorphism, _induced_map
 from .presentation import (
     Generator,
@@ -100,22 +100,18 @@ def topological_order(g: Graph) -> tuple[str, ...]:
     return tuple(order)
 
 
+@lazy
 def _path_counts(g: Graph) -> dict[str, SinkVector]:
     """Path-count vectors of every vertex, one reverse-topological sweep, built once per graph.
 
-    The table is kept in g's __dict__ beside its lookups and is shared by
-    every caller, so the dict itself is never handed out.  A graph the
-    oracle rejects raises on every call and caches nothing.
+    Shared by every caller, so the dict itself is never handed out.
     """
-    table = g.__dict__.get("_path_counts")
-    if table is None:
-        table = {}
-        for v in reversed(topological_order(g)):
-            if vertex_class(g, v) is VertexClass.SINK:
-                table[v] = SinkVector(((v, 1),))
-            else:
-                table[v] = _weighted_sum((table[e.dst], 1) for e in out_edges(g, v))
-        g.__dict__["_path_counts"] = table
+    table = {}
+    for v in reversed(topological_order(g)):
+        if vertex_class(g, v) is VertexClass.SINK:
+            table[v] = SinkVector(((v, 1),))
+        else:
+            table[v] = _weighted_sum((table[e.dst], 1) for e in out_edges(g, v))
     return table
 
 

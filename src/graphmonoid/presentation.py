@@ -32,8 +32,7 @@ A Presentation's alphabet is strictly increasing in canonical order
 (Generator.sort_key), so its column order is canonical order: an element
 built by column, in column order, is in canonical term order.  A
 Presentation refuses any other alphabet, and a relation count that is not a
-positive int.  A graph's presentation is kept on the graph too
-(presentation_of).
+positive int.
 """
 
 from __future__ import annotations
@@ -61,6 +60,8 @@ class Generator(tuple):
     __slots__ = ()
 
     def __new__(cls, vertex: str, edges: tuple[str, ...] | None = None):
+        if type(vertex) is not str:
+            raise PresentationError(f"generator vertex must be a str, got {vertex!r}")
         if edges is not None and (type(edges) is not tuple or not edges):
             raise PresentationError(f"cofinite generator needs a non-empty tuple of edges, got {edges!r}")
         return tuple.__new__(cls, (vertex, edges))
@@ -451,11 +452,7 @@ class Presentation:
                     if type(m) is not int or m < 1:
                         raise PresentationError(f"relation count {m!r} of {g} is not a positive integer")
 
-    # A presentation is queried many times over; what it derives from its
-    # fields is computed once and kept in the instance __dict__
-    # (graphs.lazy writes there past the frozen __setattr__; the engine
-    # keeps its compiled relations, step table and completed system there
-    # too).  Equality and hash still compare the fields.
+    # Equality and hash compare the fields, not what is derived and kept.
 
     def __getstate__(self) -> dict:
         # a copy or unpickled presentation carries no derived data: it
@@ -477,26 +474,23 @@ class Presentation:
 Key = tuple[str, tuple[str, ...] | None]  # a generator's (vertex, edges)
 
 
+@lazy
 def graph_alphabet(g: Graph) -> tuple[tuple[Generator, ...], dict[Generator, int], dict[Key, int]]:
     """g's alphabet, its index and its columns by (vertex, edges), built once per graph.
 
-    Kept in g's instance __dict__, as Graph keeps its lookups, so every
-    caller shares one Generator object per alphabet entry: read them, never
-    mutate them.
+    Every caller shares one Generator object per alphabet entry: read them,
+    never mutate them.
     """
-    alphabet = g.__dict__.get("_alphabet")
-    if alphabet is None:
-        require_valid(g)
-        gens = [Generator(v) for v in g.vertices]
-        for v, _, mat in g.emitters:
-            for r in range(1, len(mat) + 1):
-                gens.extend(Generator(v, sub) for sub in combinations(mat, r))
-        gens.sort(key=Generator.sort_key)
-        gens = tuple(gens)
-        index = dict(zip(gens, range(len(gens))))
-        columns = dict(zip(map(tuple, gens), range(len(gens))))
-        alphabet = g.__dict__["_alphabet"] = (gens, index, columns)
-    return alphabet
+    require_valid(g)
+    gens = [Generator(v) for v in g.vertices]
+    for v, _, mat in g.emitters:
+        for r in range(1, len(mat) + 1):
+            gens.extend(Generator(v, sub) for sub in combinations(mat, r))
+    gens.sort(key=Generator.sort_key)
+    gens = tuple(gens)
+    index = dict(zip(gens, range(len(gens))))
+    columns = dict(zip(map(tuple, gens), range(len(gens))))
+    return gens, index, columns
 
 
 def generators(g: Graph) -> tuple[Generator, ...]:
@@ -545,16 +539,15 @@ def relations(g: Graph) -> tuple[tuple[MonoidElement, MonoidElement], ...]:
     return tuple(rels)
 
 
+@lazy
 def presentation_of(g: Graph) -> Presentation:
     """g's presentation, over g's alphabet: the generators are the objects generators(g) returns.
 
-    Built once per graph and kept on it as graph_alphabet is, and with it the systems completed for it.
+    Built once per graph, and with it the systems completed for it.
     """
-    p = g.__dict__.get("_presentation")
-    if p is None:
-        alphabet, index, _ = graph_alphabet(g)
-        p = g.__dict__["_presentation"] = Presentation(alphabet, relations(g))
-        p.__dict__["_index"] = index  # the graph's index of the same alphabet
+    alphabet, index, _ = graph_alphabet(g)
+    p = Presentation(alphabet, relations(g))
+    p.__dict__["_index"] = index  # the graph's index of the same alphabet
     return p
 
 

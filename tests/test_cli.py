@@ -343,6 +343,75 @@ def test_ck_check_structural_error_is_invalid_input(files, capsys):
     assert code == EXIT_INVALID
 
 
+_PATH = {"vertices": ["u", "v", "w"], "edges": [{"id": "e", "src": "v", "dst": "w"}, {"id": "f", "src": "w", "dst": "u"}]}
+
+
+@pytest.mark.parametrize(
+    "vertex_map, edge_map, violation",
+    [
+        ({"v": "q", "w": "w"}, {"e": "e"}, "vertex 'v' maps to unknown vertex 'q'"),
+        ({"v": "v", "w": "w"}, {"e": "g"}, "edge 'e' maps to unknown edge 'g'"),
+        ({"v": "v", "w": "w"}, {"e": "f"}, "edge 'e': image source 'w' != image of source 'v'"),
+        ({"v": "v", "w": "w"}, {"e": "f"}, "edge 'e': image range 'u' != image of range 'w'"),
+    ],
+    ids=["unknown-vertex", "unknown-edge", "wrong-source", "wrong-range"],
+)
+def test_ck_check_names_a_wrong_image(files, capsys, vertex_map, edge_map, violation):
+    sp, tp = files("s.json", _EDGE_E), files("t.json", _PATH)
+    mp = files("m.json", {"vertex_map": vertex_map, "edge_map": edge_map})
+    code, out = invoke(capsys, "ck-check", "--morphism", mp, "--source", sp, "--target", tp)
+    assert code == EXIT_INVALID
+    assert violation in json.loads(out)["error"]
+
+
+def test_ck_check_reports_maps_that_are_not_injective(files, capsys):
+    two = {"vertices": ["a", "b"], "edges": [{"id": "e", "src": "a", "dst": "b"}, {"id": "f", "src": "a", "dst": "b"}]}
+    one = {"vertices": ["a", "b"], "edges": [{"id": "e", "src": "a", "dst": "b"}]}
+    for source, target, vertex_map, edge_map, violation in (
+        ({"vertices": ["a", "b"]}, {"vertices": ["s"]}, {"a": "s", "b": "s"}, {}, "vertex map is not injective"),
+        (two, one, {"a": "a", "b": "b"}, {"e": "e", "f": "e"}, "edge map is not injective"),
+    ):
+        sp, tp = files("s.json", source), files("t.json", target)
+        mp = files("m.json", {"vertex_map": vertex_map, "edge_map": edge_map})
+        code, out = invoke(capsys, "ck-check", "--morphism", mp, "--source", sp, "--target", tp)
+        doc = json.loads(out)
+        assert code == EXIT_OK and doc["ck"] is False and violation in doc["violations"]
+
+
+@pytest.mark.parametrize("morphism", [{}, {"vertex_map": 3}, {"vertex_map": {}, "edge_map": []}])
+def test_a_malformed_morphism_document_is_invalid_input(files, capsys, morphism):
+    sp = files("s.json", _EDGE_E)
+    code, out = invoke(capsys, "ck-check", "--morphism", files("m.json", morphism), "--source", sp, "--target", sp)
+    assert code == EXIT_INVALID
+    assert json.loads(out)["error"].startswith("malformed morphism document: ")
+
+
+@pytest.mark.parametrize(
+    "system, message",
+    [
+        ({}, "malformed system document: "),
+        ([], "malformed system document: "),
+        ({"graphs": []}, "a chain needs at least one graph"),
+        ({"graphs": [_EDGE_E, _EDGE_E]}, "system must list one morphism between consecutive graphs"),
+        ({"graphs": [_EDGE_E], "morphisms": [{"vertex_map": {}}]}, "system must list one morphism between consecutive graphs"),
+    ],
+    ids=["no-graphs-key", "not-an-object", "empty", "too-few-morphisms", "too-many-morphisms"],
+)
+def test_a_malformed_or_miscounted_system_is_invalid_input(files, capsys, system, message):
+    sp = files("sys.json", system)
+    for argv in (["colimit"], ["continuity-check"]):
+        code, out = invoke(capsys, *argv, "--system", sp)
+        assert code == EXIT_INVALID
+        assert json.loads(out)["error"].startswith(message)
+
+
+def test_an_unreadable_input_file_is_invalid_input(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    code, out = invoke(capsys, "validate", "--graph", missing)
+    assert code == EXIT_INVALID
+    assert json.loads(out)["error"].startswith(f"cannot read {missing}: ")
+
+
 def test_colimit_and_continuity(files, capsys):
     graphs = [emitter_to_sink(k) for k in (1, 2, 3)]
     morphs = []
@@ -500,6 +569,50 @@ def test_text_format(files, capsys):
     code, out = invoke(capsys, "--format", "text", "validate", "--graph", gp)
     assert code == EXIT_OK
     assert "valid: True" in out
+
+
+def test_text_format_marks_each_item_of_a_list_of_objects(files, capsys):
+    # each object of a list opens with a "-" line, so two terms read apart
+    gp = files("g.json", graph_to_json(Graph.build(["v", "w"])))
+    xp = files("x.json", element_to_json(MonoidElement.single(vgen("v")) + 3 * MonoidElement.single(vgen("w"))))
+    code, out = invoke(capsys, "--format", "text", "normal-form", "--graph", gp, "--element", xp)
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "normal_form:",
+        "  terms:",
+        "    -",
+        "      gen:",
+        "        kind: v",
+        "        v: v",
+        "      mult: 1",
+        "    -",
+        "      gen:",
+        "        kind: v",
+        "        v: w",
+        "      mult: 3",
+    ]
+    # a certificate of two steps, a(v) -> a(w) -> a(u) along a path
+    gp = files("path.json", _PATH)
+    up = files("u.json", element_to_json(MonoidElement.single(vgen("v"))))
+    vp = files("v.json", element_to_json(MonoidElement.single(vgen("u"))))
+    code, out = invoke(capsys, "equal", "--graph", gp, "--lhs", up, "--rhs", vp)
+    assert code == EXIT_OK and len(json.loads(out)["certificate"]["steps"]) == 2
+    code, out = invoke(capsys, "--format", "text", "equal", "--graph", gp, "--lhs", up, "--rhs", vp)
+    assert code == EXIT_OK
+    steps = out.splitlines()
+    steps = steps[steps.index("  steps:") + 1 : steps.index("equal: True")]
+    assert steps == [
+        "    -",
+        "      context:",
+        "        terms:",
+        "      direction: forward",
+        "      relation: 0",
+        "    -",
+        "      context:",
+        "        terms:",
+        "      direction: forward",
+        "      relation: 1",
+    ]
 
 
 def test_unknown_flag_is_invalid(files, capsys):

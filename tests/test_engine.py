@@ -140,6 +140,12 @@ def test_normal_form_refuses_a_flipped_definition_rule():
         flipped = replace(rs, rules=rs.rules[:k] + (kernels.compile_rule(rhs, lhs),) + rs.rules[k + 1 :])
         with pytest.raises(EngineError, match=f"rule {k}, .* is not downhill in the block order"):
             normal_form(flipped, x)
+    # 2x -> 2W steps downhill in the block order but defines no generator
+    lhs, rhs = kernels.rule_sides(rs.rules[0], width)
+    doubled = replace(rs, rules=(kernels.compile_rule([2 * c for c in lhs], [2 * c for c in rhs]),) + rs.rules[1:])
+    defined = p.alphabet[rs.eliminated[0]]
+    with pytest.raises(EngineError, match=re.escape(f"rule 0 does not define the eliminated generator {defined}")):
+        normal_form(doubled, x)
     assert normal_form(rs, nf) == nf
 
 
@@ -994,6 +1000,11 @@ def test_degree_past_int64_is_an_engine_error():
         ):
             with pytest.raises(EngineError, match="total degree 9223372036854775808 exceeds the int64 range"):
                 call()
+    # a relation side past int64 is refused in the Tietze pass, and no system is kept
+    wide = pres("vw", [(single("v"), 2**63 * single("w"))])
+    with pytest.raises(EngineError, match="total degree 9223372036854775808 exceeds the int64 range"):
+        completed_system(wide)
+    assert "_completed_system" not in vars(wide)
     # one short of the limit still reduces, in one run
     y = (2**62 - 1) * single("v") + 2**62 * single("w")
     assert normal_form(rs, y) == (2**63 - 1) * single("w")
@@ -1218,6 +1229,17 @@ def test_repeated_generators_are_summed():
     v = MonoidElement.single(vgen("v"))
     q = pres("vw", [(v, MonoidElement(((vgen("w"), 1), (vgen("w"), 1))))])
     assert _relation_rules(q) == _relation_rules(pres("vw", [(v, 2 * MonoidElement.single(vgen("w")))]))
+
+
+def test_the_degree_gain_of_no_relations_is_zero_and_kept(monkeypatch):
+    from graphmonoid import engine
+
+    p = pres("vw", [])
+    assert engine._degree_gain(pres("vw", [(single("v"), 3 * single("w"))])) == 2
+    assert engine._degree_gain(p) == 0
+    # kept, though 0 is falsy: the relations are not compiled again
+    monkeypatch.setattr(engine, "_relation_rules", None)
+    assert engine._degree_gain(p) == 0
 
 
 def test_negative_counts_are_refused_on_the_query_path():

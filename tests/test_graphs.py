@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,6 +90,11 @@ def test_materialize_refuses_shrink_and_non_emitters():
         materialize_edges(g, "v", 1)
     with pytest.raises(GraphError):
         materialize_edges(g, "w", 1)
+    # the next id materialize_edges would generate for v names another edge
+    desc = EdgeIndexDescriptor((), ("w",))
+    g = Graph.build(["v", "w"], [("e0", "v", "w"), ("e1^v", "w", "w")], {"v": (desc, ["e0"])})
+    with pytest.raises(GraphError, match=re.escape("generated edge id 'e1^v' already in use")):
+        materialize_edges(g, "v", 2)
 
 
 def test_materialize_composes():
@@ -122,6 +128,11 @@ def test_descriptor_matches_naive_unrolling(prefix, cycle, n):
     while len(unrolled) <= n:
         unrolled.extend(cycle)
     assert desc.range_at(n) == unrolled[n]
+
+
+def test_descriptor_refuses_a_negative_index():
+    with pytest.raises(GraphError, match="edge index must be >= 0, got -1"):
+        EdgeIndexDescriptor(("u",), ("w",)).range_at(-1)
 
 
 def test_descriptor_needs_cycle():

@@ -87,6 +87,11 @@ def test_structural_invalidity_raises():
     assert structural_violations(m)
     with pytest.raises(MorphismError):
         is_ck_morphism(m)
+    bad = Graph.build(["v"], [("e", "v", "gone")])
+    assert structural_violations(GraphMorphism.build(bad, bad, {"v": "v"}, {"e": "e"}))[:2] == (
+        "source graph invalid: edge 'e' has unknown range 'gone'",
+        "target graph invalid: edge 'e' has unknown range 'gone'",
+    )
 
 
 def test_composition_of_ck_is_ck():
@@ -199,11 +204,13 @@ def test_levels_that_are_not_ints_are_refused():
     ident = {gen: MonoidElement.single(gen) for gen in p.alphabet}
     u = universal_map(limit, p, [chain.steps[0].as_dict(), ident])
     x = single("w")
-    for level in (True, False, 1.0, 0.0, 0.5):
+    for level in (True, False, 1.0, 0.0, 0.5, "1", "0"):
         refused = (
             lambda: limit.inject(level, x),
             lambda: limit.to_top(LimitElement(level, x)),
             lambda: limit.add(LimitElement(level, x), LimitElement(1, x)),
+            lambda: limit.add(LimitElement(1, x), LimitElement(level, x)),
+            lambda: limit.equivalent(LimitElement(level, x), LimitElement(1, x)),
             lambda: chain.map_up(0, level, x),
             lambda: chain.map_up(level, 1, x),
             lambda: graphs.morphism(0, level),
@@ -211,9 +218,33 @@ def test_levels_that_are_not_ints_are_refused():
             lambda: u(LimitElement(level, x)),
         )
         for call in refused:
-            with pytest.raises(MorphismError, match=re.escape(str(level))):
+            # the level as written, so "1" does not read as 1
+            with pytest.raises(MorphismError, match=re.escape(repr(level))):
                 call()
     assert limit.inject(1, x).level == 1 and chain.map_up(0, 1, x) == x and u(LimitElement(1, x)) == x
+
+
+def test_malformed_chains_and_maps_are_refused():
+    chain = emitter_chain((1, 2))
+    g0, g1 = chain.graphs
+    step = chain.steps[0]
+    with pytest.raises(MorphismError, match="composition mismatch"):
+        compose(step, step)
+    with pytest.raises(MorphismError, match="a chain needs at least one graph"):
+        GraphChain.build([], [])
+    with pytest.raises(MorphismError, match="a chain of k graphs needs k-1 connecting morphisms"):
+        GraphChain.build([g0, g1], [])
+    with pytest.raises(MorphismError, match="connecting morphism 0 does not join levels 0 and 1"):
+        GraphChain.build([g1, g0], [step])
+    monoids = monoid_chain(chain)
+    with pytest.raises(MorphismError, match="a chain needs at least one presentation"):
+        MonoidChain.build([], [])
+    with pytest.raises(MorphismError, match="a chain of k presentations needs k-1 connecting maps"):
+        MonoidChain.build(monoids.presentations, [])
+    with pytest.raises(MorphismError, match="one map per chain level is required"):
+        universal_map(colimit_monoid(monoids), monoids.presentations[1], [])
+    with pytest.raises(MorphismError, match="into_top must start at the chain's top graph"):
+        check_continuity(chain, identity_morphism(g0))
 
 
 def test_limit_rejects_foreign_generators():

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from graphmonoid.graphs import Graph, out_edges
+from graphmonoid.graphs import Graph, GraphError, out_edges
 from graphmonoid.limits import GraphMorphism
 from graphmonoid.oracle import (
     OracleError,
@@ -314,3 +314,24 @@ def test_rejected_graphs_raise_on_every_call(sweeps):
             with pytest.raises(OracleError):
                 gamma_acyclic(g, MonoidElement())
     assert len(sweeps) == 4
+
+
+def test_a_rejected_graph_keeps_no_path_counts():
+    from graphmonoid.oracle import _path_counts
+
+    g = rose(1)
+    for _ in range(2):
+        with pytest.raises(OracleError, match="graph has a cycle") as info:
+            _path_counts(g)
+        assert info.value.__context__ is None  # the failed build chains no other error
+    assert "_path_counts" not in vars(g)
+    d = diamond()
+    assert _path_counts(d) is _path_counts(d)
+
+
+def test_unknown_vertices_are_refused():
+    g = diamond()
+    with pytest.raises(GraphError, match="unknown vertex id 'x'"):
+        path_count(g, "x")
+    with pytest.raises(GraphError, match=re.escape("unknown vertex generator a(x)")):
+        gamma_acyclic(g, single("u") + single("x"))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphmonoid.engine import completed_system, equal, replay_chain
-from graphmonoid.graphs import GraphError, VertexClass, out_edges, vertex_class
+from graphmonoid.graphs import Graph, GraphError, VertexClass, out_edges, vertex_class
 from graphmonoid.presentation import (
     Generator,
     MonoidElement,
@@ -162,6 +162,9 @@ def test_relation_sides_nonzero():
     for g in (diamond(), emitter_to_sink(3)):
         for lhs, rhs in relations(g):
             assert lhs and rhs
+    for rel in ((single("v"), ZERO), (ZERO, single("v"))):
+        with pytest.raises(PresentationError, match="relation sides must be non-zero"):
+            Presentation((vgen("v"),), (rel,))
 
 
 def test_elem_add_examples():
@@ -251,6 +254,8 @@ def test_multiplicities_must_be_integers():
         with pytest.raises(PresentationError) as got:
             MonoidElement.single(av, negative)
         assert str(got.value) == str(want.value) == "negative multiplicity for a(v)"
+        with pytest.raises(PresentationError, match="multiplicity must be non-negative"):
+            single("v") * negative
     for mult in (0, 1, 2**70, np.uint8(7)):
         x = MonoidElement.single(av, mult)
         assert x == MonoidElement.from_counts({av: mult}) and all(type(m) is int for _, m in x.terms)
@@ -334,6 +339,18 @@ def test_generator_needs_nonempty_edge_set():
         with pytest.raises(PresentationError, match=re.escape(f"non-empty tuple of edges, got {edges!r}")):
             Generator("v", edges)
     assert Generator("v", ("e0",)).edges == ("e0",) and Generator("v").edges is None
+
+
+def test_generator_vertex_must_be_a_str():
+    # a vertex of another type would build, then raise TypeError at the first order comparison
+    for vertex in (1, None, ("v",), b"v"):
+        with pytest.raises(PresentationError, match=re.escape(f"generator vertex must be a str, got {vertex!r}")):
+            Generator(vertex)
+    with pytest.raises(PresentationError, match="got 1"):
+        Presentation((Generator(1), Generator("v")), ())
+    with pytest.raises(PresentationError, match="got 1"):
+        MonoidElement.from_counts({Generator(1): 1, Generator("v"): 1})
+    assert Generator("v").vertex == "v"
 
 
 def test_generator_is_an_immutable_value():
@@ -495,6 +512,35 @@ def test_one_generator_object_per_alphabet_entry():
         for gen in alphabet:
             x = element_from_json(element_to_json(3 * MonoidElement.single(gen) + MonoidElement.single(alphabet[0])), g)
             assert _owned(x, alphabet) and x == 3 * MonoidElement.single(gen) + MonoidElement.single(alphabet[0])
+
+
+def test_a_graph_keeps_its_alphabet_and_presentation_once_built():
+    g = emitter_mixed(3)
+    alphabet, p = graph_alphabet(g), presentation_of(g)
+    assert graph_alphabet(g) is alphabet and presentation_of(g) is p and p.alphabet is alphabet[0]
+    # a build that raises keeps nothing and raises again, chained to no other error
+    bad = Graph.build(["v"], [("e", "v", "gone")])
+    for build in (presentation_of, graph_alphabet, presentation_of):
+        with pytest.raises(GraphError, match="unknown range") as info:
+            build(bad)
+        assert info.value.__context__ is None
+    assert not {"presentation_of", "graph_alphabet"} & set(vars(bad))
+
+
+def test_kept_functions_keep_their_name_signature_and_doc():
+    import inspect
+
+    for f, signature, doc in (
+        (presentation_of, "(g: 'Graph') -> 'Presentation'", "g's presentation, over g's alphabet"),
+        (
+            graph_alphabet,
+            "(g: 'Graph') -> 'tuple[tuple[Generator, ...], dict[Generator, int], dict[Key, int]]'",
+            "g's alphabet, its index and its columns",
+        ),
+    ):
+        assert str(inspect.signature(f)) == signature
+        assert f.__doc__.startswith(doc) and f.__name__ == f.__qualname__ == f.__wrapped__.__name__
+        assert f.__module__ == "graphmonoid.presentation"
 
 
 def test_element_from_json_keeps_a_generator_outside_the_graph():
