@@ -78,17 +78,19 @@ def _emit(doc: dict, fmt: str) -> None:
 
 
 def _text_lines(doc, prefix: str = ""):
+    # a non-empty list or object goes on the lines below its key; an empty
+    # one reads [] or {} on its key's line
     if isinstance(doc, dict):
         for k in sorted(doc):
             v = doc[k]
-            if isinstance(v, (dict, list)):
+            if v and isinstance(v, (dict, list)):
                 yield f"{prefix}{k}:"
                 yield from _text_lines(v, prefix + "  ")
             else:
                 yield f"{prefix}{k}: {v}"
     elif isinstance(doc, list):
         for v in doc:
-            if isinstance(v, (dict, list)):
+            if v and isinstance(v, (dict, list)):
                 yield f"{prefix}-"
                 yield from _text_lines(v, prefix + "  ")
             else:

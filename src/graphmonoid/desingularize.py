@@ -30,12 +30,12 @@ GraphError) gets no entry, so the error is raised again on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 
 from .graphs import (
     Graph,
     GraphError,
+    Record,
     VertexClass,
     lazy,
     require_valid,
@@ -77,15 +77,25 @@ def g_name(v: str, n: int) -> str:
     return f"g{n}^{v}"
 
 
-@dataclass(frozen=True)
-class Desingularization:
+class Desingularization(Record):
+    _fields = ("source", "level", "graph", "boundary")
     source: Graph
     level: int
     graph: Graph
     boundary: frozenset[str]
     # each tail vertex name -> (source vertex, tail index); determined by the
-    # fields above, so equality and hash ignore it
-    origin: dict[str, tuple[str, int]] = field(compare=False, repr=False)
+    # fields, so equality, hash and repr leave it out
+    origin: dict[str, tuple[str, int]]
+
+    def __init__(
+        self,
+        source: Graph,
+        level: int,
+        graph: Graph,
+        boundary: frozenset[str],
+        origin: dict[str, tuple[str, int]],
+    ):
+        self.__dict__.update(source=source, level=level, graph=graph, boundary=boundary, origin=origin)
 
     def mentions_boundary(self, y: MonoidElement) -> bool:
         boundary = self.boundary

@@ -62,12 +62,11 @@ from __future__ import annotations
 import sys
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, compress
 from typing import TYPE_CHECKING
 
 from . import kernels
-from .graphs import lazy
+from .graphs import Record, lazy
 from .presentation import (
     Generator,
     GeneratorMap,
@@ -120,21 +119,41 @@ def resolve_budget(budget: int | None) -> int:
 Step = tuple[int, int]  # (relation index, +1 forward / -1 backward)
 
 
-@dataclass(frozen=True, eq=False)
-class RewriteSystem:
+class RewriteSystem(Record):
     """A completed rewrite system, as completed_system returns it: completion raises instead of
     returning an unfinished one.
 
     Rules are oriented by the block order with the eliminated columns on top: an element's
     eliminated part is compared first, then the rest, each graded-lex (total degree first, ties
     by the canonical generator order); with nothing eliminated, that is graded-lex.  Queries read
-    them through _defined, which checks them once.
+    them through _defined, which checks them once.  Compared by identity.
     """
+
+    _fields = ("presentation", "rules", "proofs", "spairs_processed", "eliminated")
     presentation: Presentation
     rules: tuple[kernels.Rule, ...]  # compiled for kernels.reduce
     proofs: tuple[tuple[Step, ...], ...]
     spairs_processed: int
     eliminated: tuple[int, ...]  # columns of the generators the Tietze pass defined away
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        presentation: Presentation,
+        rules: tuple[kernels.Rule, ...],
+        proofs: tuple[tuple[Step, ...], ...],
+        spairs_processed: int,
+        eliminated: tuple[int, ...],
+    ):
+        self.__dict__.update(
+            presentation=presentation,
+            rules=rules,
+            proofs=proofs,
+            spairs_processed=spairs_processed,
+            eliminated=eliminated,
+        )
 
     @property
     def rule_count(self) -> int:
@@ -697,8 +716,7 @@ def normal_form(rs: RewriteSystem, x: MonoidElement) -> MonoidElement:
     return _unvec(kernels.reduce(x, rules) if rules else x, rs.presentation)
 
 
-@dataclass(frozen=True, init=False)
-class EqualityResult:
+class EqualityResult(Record):
     """Decision plus certificate: a replayable chain when equal, separating
     normal forms when not.
 
@@ -711,12 +729,13 @@ class EqualityResult:
     access, so a caller that reads only the verdict pays for none of them.
     """
 
+    _fields = ("equal", "presentation", "vectors", "proofs", "runs", "rules")
     equal: bool
     presentation: Presentation
     vectors: tuple[tuple[int, ...], tuple[int, ...]]
-    proofs: tuple[tuple[Step, ...], ...] = ()
-    runs: tuple[tuple[int, int], ...] = ()
-    rules: tuple[kernels.Rule, ...] | None = None
+    proofs: tuple[tuple[Step, ...], ...]
+    runs: tuple[tuple[int, int], ...]
+    rules: tuple[kernels.Rule, ...] | None
 
     def __init__(
         self,
@@ -727,7 +746,6 @@ class EqualityResult:
         runs: tuple[tuple[int, int], ...] = (),
         rules: tuple[kernels.Rule, ...] | None = None,
     ):
-        # the fields written into the instance dict, past the frozen __setattr__
         d = self.__dict__
         d["equal"] = equal
         d["presentation"] = presentation

@@ -17,13 +17,12 @@ or a float included, is refused with MorphismError.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import kernels
 from .engine import EngineError, RewriteSystem, completed_system, equal
-from .graphs import Graph, GraphError, VertexClass, lazy, out_edges, require_valid, vertex_class
+from .graphs import Graph, GraphError, Record, VertexClass, lazy, out_edges, require_valid, vertex_class
 from .presentation import (
     Generator,
     GeneratorMap,
@@ -42,12 +41,21 @@ class MorphismError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GraphMorphism:
+class GraphMorphism(Record):
+    _fields = ("source", "target", "vertex_pairs", "edge_pairs")
     source: Graph
     target: Graph
     vertex_pairs: tuple[tuple[str, str], ...]
     edge_pairs: tuple[tuple[str, str], ...]
+
+    def __init__(
+        self,
+        source: Graph,
+        target: Graph,
+        vertex_pairs: tuple[tuple[str, str], ...],
+        edge_pairs: tuple[tuple[str, str], ...],
+    ):
+        self.__dict__.update(source=source, target=target, vertex_pairs=vertex_pairs, edge_pairs=edge_pairs)
 
     @classmethod
     def build(
@@ -124,10 +132,13 @@ def structural_violations(m: GraphMorphism) -> tuple[str, ...]:
     return tuple(bad)
 
 
-@dataclass(frozen=True)
-class CKReport:
+class CKReport(Record):
+    _fields = ("ok", "violations")
     ok: bool
-    violations: tuple[str, ...] = ()
+    violations: tuple[str, ...]
+
+    def __init__(self, ok: bool, violations: tuple[str, ...] = ()):
+        self.__dict__.update(ok=ok, violations=violations)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -190,10 +201,13 @@ def induced_monoid_morphism(m: GraphMorphism) -> dict[Generator, MonoidElement]:
     return _induced_map(m).as_dict()
 
 
-@dataclass(frozen=True)
-class GraphChain:
+class GraphChain(Record):
+    _fields = ("graphs", "steps")
     graphs: tuple[Graph, ...]
     steps: tuple[GraphMorphism, ...]
+
+    def __init__(self, graphs: tuple[Graph, ...], steps: tuple[GraphMorphism, ...]):
+        self.__dict__.update(graphs=graphs, steps=steps)
 
     @classmethod
     def build(cls, graphs: Sequence[Graph], steps: Sequence[GraphMorphism]) -> "GraphChain":
@@ -222,10 +236,13 @@ class GraphChain:
         return m
 
 
-@dataclass(frozen=True)
-class GraphColimit:
+class GraphColimit(Record):
+    _fields = ("graph", "injections")
     graph: Graph
     injections: tuple[GraphMorphism, ...]
+
+    def __init__(self, graph: Graph, injections: tuple[GraphMorphism, ...]):
+        self.__dict__.update(graph=graph, injections=injections)
 
 
 def colimit_graph(chain: GraphChain) -> GraphColimit:
@@ -259,10 +276,16 @@ def _compiled(dom: Presentation, cod: Presentation, m: Mapping[Generator, Monoid
     return f
 
 
-@dataclass(frozen=True, eq=False)
-class MonoidChain:
+class MonoidChain(Record):
+    _fields = ("presentations", "steps")
     presentations: tuple[Presentation, ...]
     steps: tuple[GeneratorMap, ...]  # step i compiled over levels i and i + 1
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, presentations: tuple[Presentation, ...], steps: tuple[GeneratorMap, ...]):
+        self.__dict__.update(presentations=presentations, steps=steps)
 
     @classmethod
     def build(
@@ -302,14 +325,16 @@ def monoid_chain(chain: GraphChain) -> MonoidChain:
     return MonoidChain.build([presentation_of(g) for g in chain.graphs], [_induced_map(step) for step in chain.steps])
 
 
-@dataclass(frozen=True)
-class LimitElement:
+class LimitElement(Record):
+    _fields = ("level", "element")
     level: int
     element: MonoidElement
 
+    def __init__(self, level: int, element: MonoidElement):
+        self.__dict__.update(level=level, element=element)
 
-@dataclass(frozen=True)
-class DirectLimit:
+
+class DirectLimit(Record):
     """Colimit of a monoid chain, realized on leveled representatives.
 
     Two representatives are equivalent iff their images at the top of the
@@ -317,7 +342,11 @@ class DirectLimit:
     over all higher levels.
     """
 
+    _fields = ("chain",)
     chain: MonoidChain
+
+    def __init__(self, chain: MonoidChain):
+        self.__dict__["chain"] = chain
 
     @property
     def top(self) -> int:
@@ -353,11 +382,17 @@ def colimit_monoid(chain: MonoidChain) -> DirectLimit:
     return DirectLimit(chain)
 
 
-@dataclass(frozen=True, eq=False)
-class UniversalMap:
+class UniversalMap(Record):
+    _fields = ("limit", "target", "maps")
     limit: DirectLimit
     target: Presentation
     maps: tuple[GeneratorMap, ...]  # level i's map compiled over its alphabet and the target's
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, limit: DirectLimit, target: Presentation, maps: tuple[GeneratorMap, ...]):
+        self.__dict__.update(limit=limit, target=target, maps=maps)
 
     def __call__(self, a: LimitElement) -> MonoidElement:
         if type(a.level) is not int or not 0 <= a.level < len(self.maps):
@@ -393,14 +428,32 @@ def universal_map(
     return UniversalMap(limit, target, compiled)
 
 
-@dataclass(frozen=True)
-class ContinuityReport:
+class ContinuityReport(Record):
+    _fields = ("ok", "levels", "sample_sizes", "mismatches", "uncovered_generators", "merged_classes")
     ok: bool
     levels: int
     sample_sizes: tuple[int, ...]
     mismatches: tuple[str, ...]
     uncovered_generators: tuple[str, ...]
-    merged_classes: tuple[int, ...] = ()
+    merged_classes: tuple[int, ...]
+
+    def __init__(
+        self,
+        ok: bool,
+        levels: int,
+        sample_sizes: tuple[int, ...],
+        mismatches: tuple[str, ...],
+        uncovered_generators: tuple[str, ...],
+        merged_classes: tuple[int, ...] = (),
+    ):
+        self.__dict__.update(
+            ok=ok,
+            levels=levels,
+            sample_sizes=sample_sizes,
+            mismatches=mismatches,
+            uncovered_generators=uncovered_generators,
+            merged_classes=merged_classes,
+        )
 
 
 def _first_rows(

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import heapq
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .engine import equal
-from .graphs import Graph, GraphError, VertexClass, lazy, out_edges, require_valid, vertex_class
+from .graphs import Graph, GraphError, Record, VertexClass, lazy, out_edges, require_valid, vertex_class
 from .limits import GraphMorphism, _induced_map
 from .presentation import (
     Generator,
@@ -43,9 +42,12 @@ def _count(n, what: str) -> int:
     raise OracleError(f"{what} must be an integer, got {n!r}")
 
 
-@dataclass(frozen=True)
-class SinkVector:
-    counts: tuple[tuple[str, int], ...] = ()
+class SinkVector(Record):
+    _fields = ("counts",)
+    counts: tuple[tuple[str, int], ...]
+
+    def __init__(self, counts: tuple[tuple[str, int], ...] = ()):
+        self.__dict__["counts"] = counts
 
     @classmethod
     def from_dict(cls, d: Mapping[str, int]) -> "SinkVector":
@@ -147,10 +149,13 @@ def gamma_acyclic(g: Graph, x: MonoidElement) -> SinkVector:
     return _weighted_sum((table[gen.vertex], mult) for gen, mult in x.terms)
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(Record):
+    _fields = ("agreements", "discrepancies")
     agreements: int
-    discrepancies: tuple[str, ...] = ()
+    discrepancies: tuple[str, ...]
+
+    def __init__(self, agreements: int, discrepancies: tuple[str, ...] = ()):
+        self.__dict__.update(agreements=agreements, discrepancies=discrepancies)
 
     @property
     def ok(self) -> bool:
@@ -189,10 +194,13 @@ def sink_transfer(m: GraphMorphism, sv: SinkVector) -> SinkVector:
     return _weighted_sum((table[vmap[w]], mult) for w, mult in sv.counts)
 
 
-@dataclass(frozen=True)
-class NaturalityReport:
+class NaturalityReport(Record):
+    _fields = ("checked", "mismatches")
     checked: int
-    mismatches: tuple[str, ...] = ()
+    mismatches: tuple[str, ...]
+
+    def __init__(self, checked: int, mismatches: tuple[str, ...] = ()):
+        self.__dict__.update(checked=checked, mismatches=mismatches)
 
     @property
     def ok(self) -> bool:

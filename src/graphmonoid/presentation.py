@@ -38,11 +38,12 @@ positive int.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import combinations, compress
 from typing import Iterable, Mapping
 
-from .graphs import Graph, lazy, require_valid
+from .graphs import Graph, Record, lazy, require_valid
+
+_setattr = object.__setattr__  # past Record's __setattr__, one global read
 
 
 class PresentationError(ValueError):
@@ -145,11 +146,26 @@ def _count(m, gen: Generator) -> int:
     return m
 
 
-@dataclass(frozen=True, slots=True)
-class MonoidElement:
+class MonoidElement(Record):
     """Finite formal sum of generators with positive integer multiplicities."""
 
-    terms: tuple[tuple[Generator, int], ...] = ()
+    __slots__ = _fields = ("terms",)
+    terms: tuple[tuple[Generator, int], ...]
+
+    def __init__(self, terms: tuple[tuple[Generator, int], ...] = ()):
+        _setattr(self, "terms", terms)
+
+    # Record's eq and hash with the field read inline, for the hottest value
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.terms == other.terms
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.terms)
+
+    def __reduce__(self):
+        return MonoidElement, (self.terms,)
 
     @classmethod
     def from_counts(cls, counts: Mapping[Generator, int]) -> "MonoidElement":
@@ -427,13 +443,16 @@ def mapping_image(mapping: Mapping[Generator, MonoidElement], index: Mapping[Gen
     return image
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
+    _fields = ("alphabet", "relations")
     alphabet: tuple[Generator, ...]
     relations: tuple[tuple[MonoidElement, MonoidElement], ...]
 
-    def __post_init__(self):
-        alphabet = self.alphabet
+    def __init__(
+        self,
+        alphabet: tuple[Generator, ...],
+        relations: tuple[tuple[MonoidElement, MonoidElement], ...],
+    ):
         known = set(alphabet)
         if len(known) != len(alphabet):
             twice = next(g for i, g in enumerate(alphabet) if g in alphabet[:i])
@@ -442,7 +461,7 @@ class Presentation:
             if not _precedes(a, b):
                 raise PresentationError(f"alphabet lists {b} after {a}, out of canonical order")
         own = set(map(id, alphabet))  # the alphabet's own objects pass without a hash
-        for lhs, rhs in self.relations:
+        for lhs, rhs in relations:
             if not lhs.terms or not rhs.terms:
                 raise PresentationError("relation sides must be non-zero")
             for side in (lhs, rhs):
@@ -451,6 +470,7 @@ class Presentation:
                         raise PresentationError(f"relation uses unknown generator {g}")
                     if type(m) is not int or m < 1:
                         raise PresentationError(f"relation count {m!r} of {g} is not a positive integer")
+        self.__dict__.update(alphabet=alphabet, relations=relations)
 
     # Equality and hash compare the fields, not what is derived and kept.
 

@@ -356,3 +356,102 @@ def test_a_copied_or_unpickled_graph_carries_no_derived_data():
         assert q is not p and q == p and "_completed_system" not in vars(q)
         assert equal(q, MonoidElement.single(vgen("u")), MonoidElement.single(vgen("w")))
         assert "_completed_system" in vars(q)
+
+
+def _record_samples():
+    """Per Record class, by name: a value and one that differs from it in one field."""
+    from graphmonoid import engine, limits, oracle, presentation as pres
+    from graphmonoid.desingularize import desingularize
+
+    g1, g2 = emitter_to_sink(1), emitter_to_sink(2)
+    p1, p2 = pres.presentation_of(g1), pres.presentation_of(g2)
+    x = 2 * pres.MonoidElement.single(pres.vgen("v")) + pres.MonoidElement.single(pres.vgen("w"))
+    y = pres.MonoidElement.single(pres.vgen("v"))
+    step = limits.GraphMorphism.build(g1, g2, {v: v for v in g1.vertices}, {e.id: e.id for e in g1.edges})
+    chain, lone = limits.GraphChain.build([g1, g2], [step]), limits.GraphChain.build([g2], [])
+    # one level each, so that no compiled map (whose images are closures) keeps them from pickling
+    monoids, smaller = limits.monoid_chain(lone), limits.monoid_chain(limits.GraphChain.build([g1], []))
+    limit = limits.colimit_monoid(monoids)
+    return {
+        "Edge": lambda: (Edge("e", "v", "w"), Edge("e", "v", "u")),
+        "EdgeIndexDescriptor": lambda: (EdgeIndexDescriptor(("u",), ("w",)), EdgeIndexDescriptor((), ("w",))),
+        "Graph": lambda: (g2, g1),
+        "ValidationReport": lambda: (validate_graph(Graph.build(["v"], [("e", "v", "x")])), validate_graph(g1)),
+        "MonoidElement": lambda: (x, y),
+        "Presentation": lambda: (p2, p1),
+        "RewriteSystem": lambda: (engine.completed_system(p2), engine.completed_system(p1)),
+        "EqualityResult": lambda: (engine.equal(p2, x, x), engine.equal(p2, x, y)),
+        "GraphMorphism": lambda: (step, limits.identity_morphism(g1)),
+        "CKReport": lambda: (limits.is_ck_morphism(step), limits.CKReport(False, ("no",))),
+        "GraphChain": lambda: (chain, lone),
+        "GraphColimit": lambda: (limits.colimit_graph(chain), limits.colimit_graph(lone)),
+        "MonoidChain": lambda: (monoids, smaller),
+        "LimitElement": lambda: (limits.LimitElement(0, x), limits.LimitElement(0, y)),
+        "DirectLimit": lambda: (limit, limits.colimit_monoid(smaller)),
+        "UniversalMap": lambda: (limits.UniversalMap(limit, p2, ()), limits.UniversalMap(limit, p1, ())),
+        "ContinuityReport": lambda: (limits.check_continuity(chain, degree=1), limits.check_continuity(lone, degree=1)),
+        "SinkVector": lambda: (oracle.SinkVector.from_dict({"w": 2}), oracle.SinkVector.from_dict({"w": 1})),
+        "CrossCheckReport": lambda: (oracle.CrossCheckReport(3), oracle.CrossCheckReport(3, ("no",))),
+        "NaturalityReport": lambda: (oracle.check_naturality(limits.identity_morphism(diamond())), oracle.NaturalityReport(4, ("no",))),
+        "Desingularization": lambda: (desingularize(g2, 1), desingularize(g2, 2)),
+    }
+
+
+_RECORDS = (
+    "Edge EdgeIndexDescriptor Graph ValidationReport MonoidElement Presentation RewriteSystem EqualityResult "
+    "GraphMorphism CKReport GraphChain GraphColimit MonoidChain LimitElement DirectLimit UniversalMap "
+    "ContinuityReport SinkVector CrossCheckReport NaturalityReport Desingularization"
+).split()
+_BY_IDENTITY = {"RewriteSystem", "MonoidChain", "UniversalMap"}
+
+
+def test_every_record_class_is_sampled():
+    import graphmonoid.desingularize
+    import graphmonoid.oracle  # and limits, engine, presentation with it
+    from graphmonoid.graphs import Record
+
+    assert {cls.__name__ for cls in Record.__subclasses__()} == set(_RECORDS) == set(_record_samples())
+    assert len(_RECORDS) == 21
+
+
+@pytest.mark.parametrize("name", _RECORDS)
+def test_records_are_immutable_values(name):
+    import copy
+    import dataclasses
+    import pickle
+
+    value, other = _record_samples()[name]()
+    cls = type(value)
+    assert cls.__name__ == name and type(other) is cls and not dataclasses.is_dataclass(value)
+    fields = [getattr(value, f) for f in cls._fields]
+    # the origin map of a Desingularization is no field: a rebuilt one with
+    # another equals it, hashes as it does and prints as it does
+    rebuilt = cls(*fields, {}) if name == "Desingularization" else cls(*fields)
+    # repr is the form a dataclass of those fields prints
+    shape = dataclasses.make_dataclass(name, cls._fields)
+    assert repr(value) == repr(shape(*fields)) == repr(rebuilt) != repr(other)
+    shallow = copy.copy(value)
+    deep = [
+        copy.deepcopy(value),
+        *(pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+    ]
+    for twin in [shallow, *deep]:
+        assert type(twin) is cls and twin is not value and repr(twin) == repr(value)
+    if name in _BY_IDENTITY:
+        assert value == value and value != rebuilt and hash(value) == object.__hash__(value)
+        assert all(twin != value for twin in [shallow, *deep])
+    else:
+        # a DirectLimit's chain compares by identity, so a deep copy's differs
+        same = [rebuilt, shallow] if name == "DirectLimit" else [rebuilt, shallow, *deep]
+        for twin in same:
+            assert twin == value and not twin != value and hash(twin) == hash(value)
+        assert value != other and not value == other
+        assert value != tuple(fields) and value != fields[0]
+    for field in cls._fields:
+        with pytest.raises(AttributeError, match=field):
+            setattr(value, field, fields[0])
+        with pytest.raises(AttributeError, match=field):
+            delattr(value, field)
+    with pytest.raises(AttributeError, match="extra"):
+        value.extra = 1
+    assert [getattr(value, f) for f in cls._fields] == fields

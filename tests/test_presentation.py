@@ -382,7 +382,6 @@ def test_generator_is_an_immutable_value():
 
 def test_element_and_edge_are_slotted_immutable_values():
     import copy
-    import dataclasses
     import pickle
 
     from graphmonoid.graphs import Edge
@@ -398,12 +397,12 @@ def test_element_and_edge_are_slotted_immutable_values():
             *(pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
         ):
             assert type(twin) is type(value) and twin == value and not twin != value and hash(twin) == hash(value)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match=field):
             setattr(value, field, None)
     assert hash(x) == hash(MonoidElement(x.terms)) and x != MonoidElement(x.terms[:1])
     assert x.terms == ((vgen("v"), 2), (sgen(g, "v", ["e0"]), 3))
     assert str(x) == "2*a(v) + 3*a(v,{e0})" and str(ZERO) == "0"
-    assert dataclasses.replace(x, terms=()) == ZERO
+    assert MonoidElement(()) == ZERO
 
 
 @pytest.mark.parametrize(
