@@ -15,6 +15,7 @@ from .graphs import (
     EdgeIndexDescriptor,
     Graph,
     GraphError,
+    GraphmonoidError,
     ValidationReport,
     VertexClass,
     graph_from_json,

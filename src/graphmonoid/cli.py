@@ -1,11 +1,12 @@
 """Batch command-line front end: JSON in, JSON or text report out.
 
 Exit codes: 0 the computation ran (a "false" equality decision is still 0),
-2 invalid input, 3 completion budget exhausted.  Every command is a thin
-wrapper over the library; no computation logic lives here.  The modules for
-approximations, limits and the oracle are imported by the commands that use
-them, so the query commands (validate, present, normal-form, equal) never
-load them.
+2 invalid input (any GraphmonoidError), 3 completion budget exhausted
+(BudgetExceededError).  Every command is a thin wrapper over the library; no
+computation logic lives here.  The modules for approximations, limits and the
+oracle are imported by the commands that use them, so the query commands
+(validate, present, normal-form, equal) never load them, not even to refuse
+their input.
 """
 
 from __future__ import annotations
@@ -15,19 +16,11 @@ import json
 import random
 import sys
 
-from .engine import (
-    BudgetExceededError,
-    EngineError,
-    certificate_to_json,
-    completed_system,
-    equal,
-    normal_form,
-)
-from .graphs import GraphError, graph_from_json, graph_to_json, validate_graph
+from .engine import BudgetExceededError, certificate_to_json, completed_system, equal, normal_form
+from .graphs import GraphmonoidError, graph_from_json, graph_to_json, validate_graph
 from .presentation import (
     Generator,
     MonoidElement,
-    PresentationError,
     element_from_json,
     element_to_json,
     generator_to_json,
@@ -40,25 +33,21 @@ EXIT_INVALID = 2
 EXIT_UNDECIDED = 3
 
 
-class InputError(ValueError):
-    pass
-
-
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise GraphmonoidError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+        raise GraphmonoidError(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
 
 
 def _load_graph(path: str):
     g = graph_from_json(_load_json(path))
     report = g.validation
     if not report.ok:
-        raise InputError(f"{path}: invalid graph: " + "; ".join(report.violations))
+        raise GraphmonoidError(f"{path}: invalid graph: " + "; ".join(report.violations))
     return g
 
 
@@ -66,7 +55,7 @@ def _require_non_negative(args, *names: str) -> None:
     for name in names:
         value = getattr(args, name)
         if value < 0:
-            raise InputError(f"--{name} must be >= 0, got {value}")
+            raise GraphmonoidError(f"--{name} must be >= 0, got {value}")
 
 
 def _emit(doc: dict, fmt: str) -> None:
@@ -195,7 +184,7 @@ def _cmd_continuity_check(args) -> dict:
     _require_non_negative(args, "degree")
     chain = chain_from_json(_load_json(args.system))
     if (args.top is None) != (args.into is None):
-        raise InputError("--top and --into go together: the top graph and the morphism from the chain top into it")
+        raise GraphmonoidError("--top and --into go together: the top graph and the morphism from the chain top into it")
     into_top = None
     if args.top is not None:
         into_top = morphism_from_json(_load_json(args.into), chain.graphs[-1], _load_graph(args.top))
@@ -297,22 +286,11 @@ def run(argv=None) -> int:
     except BudgetExceededError as exc:
         _emit({"error": str(exc), "undecided": True}, args.format)
         return EXIT_UNDECIDED
-    except ValueError as exc:
-        # every error of the library is a ValueError; a module's own errors
-        # are looked up only here, once a command has raised
-        from .desingularize import MaterializationError, TruncationError
-        from .limits import MorphismError
-        from .oracle import OracleError
-
-        if isinstance(exc, TruncationError):
-            _emit({"error": str(exc), "required_level": exc.required}, args.format)
-        elif isinstance(
-            exc,
-            (InputError, GraphError, PresentationError, EngineError, MorphismError, OracleError, MaterializationError),
-        ):
-            _emit({"error": str(exc)}, args.format)
-        else:
-            raise
+    except GraphmonoidError as exc:
+        doc = {"error": str(exc)}
+        if hasattr(exc, "required"):  # a TruncationError names the level the element needs
+            doc["required_level"] = exc.required
+        _emit(doc, args.format)
         return EXIT_INVALID
     _emit(doc, args.format)
     return EXIT_OK

@@ -35,6 +35,7 @@ from functools import partial
 from .graphs import (
     Graph,
     GraphError,
+    GraphmonoidError,
     Record,
     VertexClass,
     lazy,
@@ -53,7 +54,7 @@ from .presentation import (
 )
 
 
-class TruncationError(ValueError):
+class TruncationError(GraphmonoidError):
     """Truncation level too small for the element; carries the required level."""
 
     def __init__(self, message: str, required: int):
@@ -61,7 +62,7 @@ class TruncationError(ValueError):
         self.required = required
 
 
-class MaterializationError(ValueError):
+class MaterializationError(GraphmonoidError):
     """The map would need a generator over edges that are not materialized."""
 
 

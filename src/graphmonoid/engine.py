@@ -66,7 +66,7 @@ from itertools import combinations_with_replacement, compress
 from typing import TYPE_CHECKING
 
 from . import kernels
-from .graphs import Record, lazy
+from .graphs import GraphmonoidError, Record, lazy
 from .presentation import (
     Generator,
     GeneratorMap,
@@ -93,8 +93,8 @@ _MAX_CHAIN = sys.maxsize // 8  # steps one tuple can hold: 8 bytes per step, sys
 _PYTHON_BFS_TESTS = 48
 
 
-class EngineError(ValueError):
-    pass
+class EngineError(GraphmonoidError):
+    """An element, system, chain or size the engine refuses."""
 
 
 class BudgetExceededError(EngineError):
@@ -1058,20 +1058,26 @@ def _bfs_over_table(
     return seen, saturated
 
 
+def degree_combinations(n_generators: int, degree: int) -> Iterator[tuple[int, ...]]:
+    """The elements of total degree <= degree over n generators, each as the columns it counts,
+    with repetition, by degree and then lexicographically; exponent_vectors checks the sizes."""
+    columns = range(n_generators)
+    return (combo for d in range(degree + 1) for combo in combinations_with_replacement(columns, d))
+
+
 def exponent_vectors(n_generators: int, degree: int) -> Iterator[list[int]]:
-    """All exponent vectors of total degree <= degree, as lists of ints, in deterministic order."""
+    """degree_combinations as exponent vectors, lists of ints; the sizes are checked first."""
     if type(n_generators) is not int or type(degree) is not int:
         raise EngineError(f"generator count {n_generators!r} and degree {degree!r} must be ints")
     if n_generators < 0:
         raise EngineError(f"generator count must be >= 0, got {n_generators}")
     if degree < 0:
         raise EngineError(f"degree must be >= 0, got {degree}")
-    for d in range(degree + 1):
-        for combo in combinations_with_replacement(range(n_generators), d):
-            row = [0] * n_generators
-            for i in combo:
-                row[i] += 1
-            yield row
+    for combo in degree_combinations(n_generators, degree):
+        row = [0] * n_generators
+        for i in combo:
+            row[i] += 1
+        yield row
 
 
 def elements_up_to_degree(n_generators: int, degree: int) -> np.ndarray:

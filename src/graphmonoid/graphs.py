@@ -15,7 +15,11 @@ import operator
 from typing import Iterable, Mapping
 
 
-class GraphError(ValueError):
+class GraphmonoidError(ValueError):
+    """Every error the library raises: invalid input, or (BudgetExceededError) an undecided instance."""
+
+
+class GraphError(GraphmonoidError):
     """Raised for operations on malformed graphs or unknown ids."""
 
 

@@ -10,19 +10,29 @@ engine there.
 A MonoidChain's connecting maps and a UniversalMap's family are compiled
 GeneratorMaps, each built once with every image read, so a missing image, one
 outside the codomain or a key outside the domain is refused at build time;
-both compare by identity.  A chain level is an int: any other level, a bool
-or a float included, is refused with MorphismError.
+both, and a DirectLimit, compare by identity.  A chain level is an int: any
+other level, a bool or a float included, is refused with MorphismError.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import kernels
-from .engine import EngineError, RewriteSystem, completed_system, equal
-from .graphs import Graph, GraphError, Record, VertexClass, lazy, out_edges, require_valid, vertex_class
+from .engine import EngineError, RewriteSystem, completed_system, degree_combinations, equal
+from .graphs import (
+    Graph,
+    GraphError,
+    GraphmonoidError,
+    Record,
+    VertexClass,
+    graph_from_json,
+    lazy,
+    out_edges,
+    require_valid,
+    vertex_class,
+)
 from .presentation import (
     Generator,
     GeneratorMap,
@@ -37,8 +47,8 @@ from .presentation import (
 )
 
 
-class MorphismError(ValueError):
-    pass
+class MorphismError(GraphmonoidError):
+    """Not a (CK) graph morphism, chain or compatible family, or not a chain level."""
 
 
 class GraphMorphism(Record):
@@ -201,6 +211,11 @@ def induced_monoid_morphism(m: GraphMorphism) -> dict[Generator, MonoidElement]:
     return _induced_map(m).as_dict()
 
 
+def _check_indices(i: int, j: int, length: int) -> None:
+    if type(i) is not int or type(j) is not int or not 0 <= i <= j < length:
+        raise MorphismError(f"bad chain indices {i!r}, {j!r}")
+
+
 class GraphChain(Record):
     _fields = ("graphs", "steps")
     graphs: tuple[Graph, ...]
@@ -228,8 +243,7 @@ class GraphChain(Record):
         return len(self.graphs)
 
     def morphism(self, i: int, j: int) -> GraphMorphism:
-        if type(i) is not int or type(j) is not int or not 0 <= i <= j < len(self.graphs):
-            raise MorphismError(f"bad chain indices {i!r}, {j!r}")
+        _check_indices(i, j, len(self))
         m = identity_morphism(self.graphs[i])
         for k in range(i, j):
             m = compose(self.steps[k], m)
@@ -313,8 +327,7 @@ class MonoidChain(Record):
         return self.steps[i].as_dict()
 
     def map_up(self, i: int, j: int, x: MonoidElement) -> MonoidElement:
-        if type(i) is not int or type(j) is not int or not 0 <= i <= j < len(self.presentations):
-            raise MorphismError(f"bad chain indices {i!r}, {j!r}")
+        _check_indices(i, j, len(self))
         for k in range(i, j):
             x = self.steps[k](x)
         return x
@@ -339,11 +352,14 @@ class DirectLimit(Record):
 
     Two representatives are equivalent iff their images at the top of the
     chain are congruent there; for a chain this is the existential condition
-    over all higher levels.
+    over all higher levels.  It compares by identity, as its chain does.
     """
 
     _fields = ("chain",)
     chain: MonoidChain
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, chain: MonoidChain):
         self.__dict__["chain"] = chain
@@ -395,9 +411,7 @@ class UniversalMap(Record):
         self.__dict__.update(limit=limit, target=target, maps=maps)
 
     def __call__(self, a: LimitElement) -> MonoidElement:
-        if type(a.level) is not int or not 0 <= a.level < len(self.maps):
-            raise MorphismError(f"level {a.level!r} is not a chain level (0 to {len(self.maps) - 1})")
-        return self.maps[a.level](a.element)
+        return self.maps[self.limit._level(a.level)](a.element)  # one map per level of the chain
 
 
 def universal_map(
@@ -477,13 +491,6 @@ def _first_rows(
     return out
 
 
-def _sample(n_generators: int, degree: int) -> list[tuple[int, ...]]:
-    """The elements of total degree <= degree over n generators, each as the columns it counts,
-    with repetition, in engine.exponent_vectors' order."""
-    columns = range(n_generators)
-    return [combo for d in range(degree + 1) for combo in combinations_with_replacement(columns, d)]
-
-
 def _pushed(f: GeneratorMap, sample: list[tuple[int, ...]]) -> Iterator[list[int]]:
     """f.vector of each sampled element, summed from the images of its columns.
 
@@ -560,7 +567,7 @@ def check_continuity(
         # checked on its own: a composite of CK morphisms need not be CK
         phi_i = mu_i if into_top is None else _induced_map(compose(into_top, to_last))
         covered.update(phi_i.column(c)[0][0] for c in range(len(phi_i.domain)))
-        sample = _sample(len(p_i.alphabet), degree)
+        sample = list(degree_combinations(len(p_i.alphabet), degree))
         sizes.append(len(sample))
         # each sample pushed and read through the definitions of the system
         # it is reduced in, in one map; the rows are then reduced by the rest
@@ -616,8 +623,6 @@ def morphism_from_json(data: dict, source: Graph, target: Graph) -> GraphMorphis
 
 
 def chain_from_json(data: dict) -> GraphChain:
-    from .graphs import graph_from_json
-
     try:
         raw_gs = data["graphs"]
         raw_ms = data.get("morphisms", [])

@@ -15,7 +15,7 @@ import operator
 from typing import Iterable, Mapping
 
 from .engine import equal
-from .graphs import Graph, GraphError, Record, VertexClass, lazy, out_edges, require_valid, vertex_class
+from .graphs import Graph, GraphError, GraphmonoidError, Record, VertexClass, lazy, out_edges, require_valid, vertex_class
 from .limits import GraphMorphism, _induced_map
 from .presentation import (
     Generator,
@@ -24,8 +24,8 @@ from .presentation import (
 )
 
 
-class OracleError(ValueError):
-    pass
+class OracleError(GraphmonoidError):
+    """A graph or query outside the oracle's domain: emitters, cycles, cofinite generators, bad counts."""
 
 
 def _count(n, what: str) -> int:

@@ -41,13 +41,13 @@ import operator
 from itertools import combinations, compress
 from typing import Iterable, Mapping
 
-from .graphs import Graph, Record, lazy, require_valid
+from .graphs import Graph, GraphmonoidError, Record, lazy, require_valid
 
 _setattr = object.__setattr__  # past Record's __setattr__, one global read
 
 
-class PresentationError(ValueError):
-    pass
+class PresentationError(GraphmonoidError):
+    """A malformed generator, element or generator map, or one outside its alphabet."""
 
 
 class Generator(tuple):

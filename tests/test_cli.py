@@ -670,10 +670,9 @@ def test_query_commands_never_import_numpy(files):
         docs.append(doc)
     assert docs[0]["valid"] is True and docs[-1]["equal"] is True
     assert len(docs[-1]["certificate"]["steps"]) == 3
-    # an invalid query still exits 2 with its message
-    # (an error looks up every module's error classes)
+    # an invalid query still exits 2 with its message, and loads nothing to refuse it
     status, doc = _run_fresh("equal", "--graph", gp, "--lhs", up, "--rhs", gp)
-    assert status == {"exit": EXIT_INVALID, **_LEAN, "loaded": ["desingularize", "limits", "oracle"]}
+    assert status == {"exit": EXIT_INVALID, **_LEAN, "loaded": []}
     assert doc["error"].startswith("malformed element")
 
 
@@ -683,10 +682,18 @@ def test_commands_load_their_modules_on_use(files):
     xp = files("x.json", element_to_json(MonoidElement.single(sgen(g, "v", ["e0", "e1"]))))
     status, doc = _run_fresh("desingularize", "--graph", gp, "--level", "2")
     assert status == {"exit": EXIT_OK, **_LEAN, "loaded": ["desingularize"]}
-    # a command's own error is still told apart from the others
+    # a command's own error is still told apart from the others; an invalid
+    # run loads only what the command's valid run loads
     status, doc = _run_fresh("phi", "--graph", gp, "--element", xp, "--level", "1")
-    assert status == {"exit": EXIT_INVALID, **_LEAN, "loaded": ["desingularize", "limits", "oracle"]}
+    assert status == {"exit": EXIT_INVALID, **_LEAN, "loaded": ["desingularize"]}
     assert doc["required_level"] == 3
+    bad = files("bad.json", {"vertex_map": {"v": 1}})
+    status, doc = _run_fresh("ck-check", "--morphism", bad, "--source", gp, "--target", gp)
+    assert status == {"exit": EXIT_INVALID, **_LEAN, "loaded": ["limits"]}
+    assert doc == {"error": "malformed morphism entry 'v': 1; ids must be strings"}
+    status, doc = _run_fresh("oracle-check", "--graph", gp, "--samples", "5")
+    assert status == {"exit": EXIT_INVALID, **_LEAN, "loaded": ["limits", "oracle"]}
+    assert doc == {"error": "graph has infinite emitters; the oracle needs row-finite input"}
     morph = {"vertex_map": {v: v for v in g.vertices}, "edge_map": {e.id: e.id for e in g.edges}}
     sp = files("sys.json", {"graphs": [graph_to_json(g), graph_to_json(g)], "morphisms": [morph]})
     status, doc = _run_fresh("continuity-check", "--system", sp, "--degree", "1")

@@ -402,7 +402,7 @@ _RECORDS = (
     "GraphMorphism CKReport GraphChain GraphColimit MonoidChain LimitElement DirectLimit UniversalMap "
     "ContinuityReport SinkVector CrossCheckReport NaturalityReport Desingularization"
 ).split()
-_BY_IDENTITY = {"RewriteSystem", "MonoidChain", "UniversalMap"}
+_BY_IDENTITY = {"RewriteSystem", "MonoidChain", "DirectLimit", "UniversalMap"}
 
 
 def test_every_record_class_is_sampled():
@@ -441,9 +441,7 @@ def test_records_are_immutable_values(name):
         assert value == value and value != rebuilt and hash(value) == object.__hash__(value)
         assert all(twin != value for twin in [shallow, *deep])
     else:
-        # a DirectLimit's chain compares by identity, so a deep copy's differs
-        same = [rebuilt, shallow] if name == "DirectLimit" else [rebuilt, shallow, *deep]
-        for twin in same:
+        for twin in [rebuilt, shallow, *deep]:
             assert twin == value and not twin != value and hash(twin) == hash(value)
         assert value != other and not value == other
         assert value != tuple(fields) and value != fields[0]
@@ -455,3 +453,44 @@ def test_records_are_immutable_values(name):
     with pytest.raises(AttributeError, match="extra"):
         value.extra = 1
     assert [getattr(value, f) for f in cls._fields] == fields
+
+
+def test_every_library_error_is_a_graphmonoid_error():
+    # so that the CLI refuses each of them with exit 2 (3 for a budget), never a traceback
+    import importlib
+    import pkgutil
+
+    import graphmonoid
+    from graphmonoid.graphs import GraphmonoidError
+
+    errors = {}
+    for info in pkgutil.iter_modules(graphmonoid.__path__):
+        module = importlib.import_module(f"graphmonoid.{info.name}")
+        for value in vars(module).values():
+            if isinstance(value, type) and issubclass(value, BaseException) and value.__module__ == module.__name__:
+                errors[value.__name__] = value
+    known = "GraphmonoidError GraphError PresentationError EngineError BudgetExceededError MorphismError OracleError"
+    assert {*known.split(), "TruncationError", "MaterializationError"} <= set(errors)
+    assert [name for name, cls in errors.items() if not issubclass(cls, GraphmonoidError)] == []
+    # only the base subclasses ValueError directly, and the package exports it eagerly
+    assert [name for name, cls in errors.items() if ValueError in cls.__bases__] == ["GraphmonoidError"]
+    assert vars(graphmonoid)["GraphmonoidError"] is GraphmonoidError
+
+
+def test_the_cli_refuses_the_base_and_lets_any_other_value_error_through(monkeypatch, capsys):
+    from graphmonoid import cli
+    from graphmonoid.graphs import GraphmonoidError
+
+    def refuse(args):
+        raise GraphmonoidError("refused")
+
+    def fail(args):
+        raise ValueError("a fault")
+
+    argv = ["validate", "--graph", "graph.json"]  # never read: the command is replaced
+    monkeypatch.setattr(cli, "_cmd_validate", refuse)
+    assert cli.run(argv) == cli.EXIT_INVALID
+    assert json.loads(capsys.readouterr().out) == {"error": "refused"}
+    monkeypatch.setattr(cli, "_cmd_validate", fail)
+    with pytest.raises(ValueError, match="a fault"):
+        cli.run(argv)

@@ -683,26 +683,26 @@ def test_sparse_continuity_sample_matches_the_dense_reference(monkeypatch):
     # the degree <= d sample as column combinations, pushed through the maps'
     # column images, against exponent_vectors rows pushed by GeneratorMap.vector
     from graphmonoid import limits
-    from graphmonoid.engine import exponent_vectors
+    from graphmonoid.engine import degree_combinations, exponent_vectors
 
     cases = [(chain, into_top) for _, chain, into_top in _continuity_cases()]
     cases += [(chain, None) for chain in _drawn_chains(23, 8)]
     for degree in range(4):
         for n in range(5):
-            rows = [[combo.count(c) for c in range(n)] for combo in limits._sample(n, degree)]
+            rows = [[combo.count(c) for c in range(n)] for combo in degree_combinations(n, degree)]
             assert rows == list(exponent_vectors(n, degree))
     for chain, _ in cases:
         for g, to_last in zip(chain.graphs, colimit_graph(chain).injections):
             for f in (limits._induced_map(to_last), completed_system(presentation_of(g))._definitions):
                 n = len(f.domain)
-                assert list(limits._pushed(f, limits._sample(n, 2))) == list(map(f.vector, exponent_vectors(n, 2)))
+                assert list(limits._pushed(f, list(degree_combinations(n, 2)))) == list(map(f.vector, exponent_vectors(n, 2)))
 
     def outcomes():
         return [_outcome(check_continuity, chain, into_top, degree) for chain, into_top in cases for degree in (-1, 0, 2, 3)]
 
     sparse = outcomes()
     with monkeypatch.context() as m:
-        m.setattr(limits, "_sample", lambda n, degree: list(exponent_vectors(n, degree)))
+        m.setattr(limits, "degree_combinations", exponent_vectors)
         m.setattr(limits, "_pushed", lambda f, sample: map(f.vector, sample))
         assert outcomes() == sparse
     # negative degrees keep their error; the cases reach mismatches and merged classes
